@@ -123,9 +123,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_tolerances(path) -> ToleranceConfig:
+def _load_tolerances(path) -> ToleranceConfig | None:
+    """The --tolerances override, or None: drawing files then keep the
+    tolerances stored in them, and other commands use DEFAULT_TOL."""
     if path is None:
-        return DEFAULT_TOL
+        return None
     with open(path, "r", encoding="utf-8") as fh:
         return ToleranceConfig.from_dict(json.load(fh))
 
@@ -190,12 +192,13 @@ def _cmd_generate(args, tol) -> int:
     sides = None
     if args.sides is not None:
         sides = _parse_level_list(args.sides, "sides", str, allow_empty=True)
+    tol = tol or DEFAULT_TOL
     seed_arr = SEEDS[args.seed_arrangement](tol)
     if len(levels[0]) != len(seed_arr):
         raise UsageError(
             f"first level lists {len(levels[0])} groups but seed "
             f"'{args.seed_arrangement}' has {len(seed_arr)} half-circles")
-    plans = default_plan_chain(levels, eps0=args.eps, sides=sides)
+    plans = default_plan_chain(levels, eps0=args.eps, sides=sides, tol=tol)
     rng_seed = _rng_seed(args.rng_seed)
     rng = np.random.default_rng(rng_seed)
     config, asg = recursive_construct(seed_arr, plans, rng, tol)
@@ -246,7 +249,7 @@ def _cmd_mutate(args, tol) -> int:
     else:
         config, asg = config_from_drawing(d)
         rng = np.random.default_rng(_rng_seed(args.rng_seed))
-        out = add_random_apex(config, asg, rng, tol,
+        out = add_random_apex(config, asg, rng, tol or d.tol,
                               provenance=dict(d.provenance))
     report = verify(out, tol, workers=args.threads)
     _print_report(report)
@@ -268,6 +271,7 @@ def _parse_dist(text) -> DistributionSpec:
 def _cmd_montecarlo(args, tol) -> int:
     dist = _parse_dist(args.dist)
     seed = _rng_seed(args.rng_seed)
+    tol = tol or DEFAULT_TOL
     if args.census_k4:
         result = k4_census(args.trials, dist, seed, tol)
         _write_json(experiment_to_doc(result), args.output)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .drawing import (Drawing, DrawingKind, Edge, VerificationReport,
                       validate_drawing)
-from .geom import (DEFAULT_TOL, GeodesicArc, HalfCircle, ToleranceConfig)
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
+                   ToleranceConfig, geodesic_arcs)
 
 DRAWING_FORMAT = "hilldraw/drawing/v1"
 REPORT_FORMAT = "hilldraw/report/v1"
@@ -104,33 +105,45 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise DocumentError("edges: expected a list")
-    edges = []
-    for idx, rec in enumerate(raw_edges):
-        if not isinstance(rec, dict):
-            raise DocumentError(f"edges[{idx}]: expected an object")
-        try:
-            u, v = int(rec["u"]), int(rec["v"])
-        except (KeyError, TypeError, ValueError):
-            raise DocumentError(f"edges[{idx}]: bad endpoints") from None
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise DocumentError(f"edges[{idx}]: endpoint out of range")
-        curve_kind = rec.get("curve")
-        if curve_kind == "arc":
-            curve = GeodesicArc(verts[u], verts[v], tol)
-        elif curve_kind == "half_circle":
-            mp = rec.get("midpoint")
-            if (not isinstance(mp, list) or len(mp) != 3
-                    or not all(isinstance(c, (int, float)) for c in mp)):
-                raise DocumentError(f"edges[{idx}]: half_circle needs a "
-                                    "[x, y, z] midpoint")
-            if pairing.get(u) != v:
-                raise DocumentError(f"edges[{idx}]: half_circle joins an "
-                                    "unpaired couple")
-            curve = HalfCircle(verts[u], np.array(mp, dtype=float), tol)
-        else:
-            raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
-                                f"'half_circle', got {curve_kind!r}")
-        edges.append(Edge(u, v, curve))
+    ends = []
+    curves = []
+    arc_idx = []    # arc curves are built in bulk after the loop
+    try:
+        for idx, rec in enumerate(raw_edges):
+            if not isinstance(rec, dict):
+                raise DocumentError(f"edges[{idx}]: expected an object")
+            try:
+                u, v = int(rec["u"]), int(rec["v"])
+            except (KeyError, TypeError, ValueError):
+                raise DocumentError(f"edges[{idx}]: bad endpoints") from None
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise DocumentError(f"edges[{idx}]: endpoint out of range")
+            ends.append((u, v))
+            curve_kind = rec.get("curve")
+            if curve_kind == "arc":
+                arc_idx.append(idx)
+                curves.append(None)
+            elif curve_kind == "half_circle":
+                mp = rec.get("midpoint")
+                if (not isinstance(mp, list) or len(mp) != 3
+                        or not all(isinstance(c, (int, float)) for c in mp)):
+                    raise DocumentError(f"edges[{idx}]: half_circle needs a "
+                                        "[x, y, z] midpoint")
+                if pairing.get(u) != v:
+                    raise DocumentError(f"edges[{idx}]: half_circle joins an "
+                                        "unpaired couple")
+                curves.append(HalfCircle(verts[u], np.array(mp, dtype=float),
+                                         tol))
+            else:
+                raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
+                                    f"'half_circle', got {curve_kind!r}")
+    except (ValueError, DegenerateConfigurationError):
+        # an arc before the failing record fails first
+        _build_arcs(verts, ends, arc_idx, tol)
+        raise
+    for idx, arc in zip(arc_idx, _build_arcs(verts, ends, arc_idx, tol)):
+        curves[idx] = arc
+    edges = [Edge(u, v, c) for (u, v), c in zip(ends, curves)]
 
     prov = doc.get("provenance") or {}
     if not isinstance(prov, dict):
@@ -142,6 +155,12 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     except ValueError as exc:
         raise DocumentError(f"drawing invalid: {exc}") from exc
     return d
+
+
+def _build_arcs(verts, ends, arc_idx, tol) -> list:
+    """The arc curves of the records arc_idx, frames computed in bulk."""
+    uv = np.array([ends[i] for i in arc_idx], dtype=np.int64).reshape(-1, 2)
+    return geodesic_arcs(verts[uv[:, 0]], verts[uv[:, 1]], tol)
 
 
 def dump_drawing(d: Drawing, path) -> None:

@@ -22,9 +22,10 @@ import numpy as np
 
 from .formulas import hill_number, partial_matching_target, per_vertex_target
 from .geom import (DEFAULT_TOL, Curve, DegenerateConfigurationError,
-                   GeodesicArc, HalfCircle, ToleranceConfig, curve_frame,
-                   half_circles_cross, is_general_position, require_unit,
-                   unit)
+                   HalfCircle, ToleranceConfig, arc_frames, curve_frame,
+                   geodesic_arcs, half_circles_cross, is_general_position,
+                   require_unit, require_unit_rows, row_blocks,
+                   triangle_tiles, unit)
 
 
 class DrawingKind(str, Enum):
@@ -81,8 +82,7 @@ def double(points, tol: ToleranceConfig = DEFAULT_TOL) -> AntipodalConfig:
         raise ValueError("expected an (k, 3) array of base points")
     if len(base) < 3:
         raise ValueError("an antipodal configuration needs k >= 3 base points")
-    for p in base:
-        require_unit(p, tol)
+    require_unit_rows(base, tol)
     if not is_general_position(base, tol):
         raise DegenerateConfigurationError(
             "base points are not in general position")
@@ -160,10 +160,6 @@ class Drawing:
     def n(self) -> int:
         return len(self.vertices)
 
-    def half_circle_edges(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges)
-                if isinstance(e.curve, HalfCircle)]
-
     def matching_size(self) -> int:
         """Number of matching edges missing from the complete graph."""
         return self.n * (self.n - 1) // 2 - len(self.edges)
@@ -174,45 +170,55 @@ def validate_drawing(d: Drawing) -> None:
 
     Geometric failures (a vertex inside an edge's curve) raise
     DegenerateConfigurationError; structural mismatches raise ValueError.
+    Edges are checked in order and the first offending edge is reported.
     """
-    tol = d.tol
     n = d.n
-    for v in d.vertices:
-        require_unit(v, tol)
+    verts = require_unit_rows(d.vertices, d.tol)
     for a, b in d.pairing.items():
         if d.pairing.get(b) != a:
             raise ValueError("pairing map is not symmetric")
-        if not np.array_equal(d.vertices[b], -d.vertices[a]):
+        if not np.array_equal(verts[b], -verts[a]):
             raise ValueError(f"paired vertices {a},{b} are not exact antipodes")
 
-    seen = set()
-    matching_edges = 0
-    for e in d.edges:
-        if not (0 <= e.u < n and 0 <= e.v < n) or e.u == e.v:
-            raise ValueError(f"edge ({e.u},{e.v}) has invalid endpoints")
-        key = frozenset((e.u, e.v))
-        if key in seen:
-            raise ValueError(f"duplicate edge ({e.u},{e.v})")
-        seen.add(key)
-        if isinstance(e.curve, HalfCircle):
-            if d.pairing.get(e.u) != e.v:
-                raise ValueError(
-                    f"half-circle edge ({e.u},{e.v}) does not join a paired "
-                    "antipodal couple")
-            matching_edges += 1
-            if not np.array_equal(e.curve.p, d.vertices[e.u]):
-                raise ValueError(f"half-circle edge ({e.u},{e.v}) endpoint "
-                                 "disagrees with the vertex array")
-        else:
-            if d.pairing.get(e.u) == e.v:
-                raise ValueError(
-                    f"matching edge ({e.u},{e.v}) must be a half-circle")
-            if not (np.array_equal(e.curve.a, d.vertices[e.u])
-                    and np.array_equal(e.curve.b, d.vertices[e.v])):
-                raise ValueError(f"arc edge ({e.u},{e.v}) endpoints disagree "
-                                 "with the vertex array")
+    uv, half = _edge_arrays(d.edges)
+    u, v = uv[:, 0], uv[:, 1]
+    invalid = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    u, v = np.clip(u, 0, n - 1), np.clip(v, 0, n - 1)
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    duplicate = first[inverse] != np.arange(len(key))
+    paired = _partners(d)[u] == v
+    # half-circles store their endpoint as p, arcs as a and b
+    starts = np.array([e.curve.p if h else e.curve.a
+                       for e, h in zip(d.edges, half)]).reshape(-1, 3)
+    ends = np.array([e.curve.b for e, h in zip(d.edges, half)
+                     if not h]).reshape(-1, 3)
+    start_ok = np.all(starts == verts[u], axis=1)
+    end_ok = np.ones_like(start_ok)
+    end_ok[~half] = np.all(ends == verts[v[~half]], axis=1)
+    bad = (invalid | duplicate | (half & ~(paired & start_ok))
+           | (~half & (paired | ~(start_ok & end_ok))))
+    if bad.any():
+        i = int(np.argmax(bad))
+        eu, ev = d.edges[i].u, d.edges[i].v
+        if invalid[i]:
+            raise ValueError(f"edge ({eu},{ev}) has invalid endpoints")
+        if duplicate[i]:
+            raise ValueError(f"duplicate edge ({eu},{ev})")
+        if half[i] and not paired[i]:
+            raise ValueError(
+                f"half-circle edge ({eu},{ev}) does not join a paired "
+                "antipodal couple")
+        if half[i]:
+            raise ValueError(f"half-circle edge ({eu},{ev}) endpoint "
+                             "disagrees with the vertex array")
+        if paired[i]:
+            raise ValueError(
+                f"matching edge ({eu},{ev}) must be a half-circle")
+        raise ValueError(f"arc edge ({eu},{ev}) endpoints disagree "
+                         "with the vertex array")
 
-    _check_edge_census(d, matching_edges)
+    _check_edge_census(d, int(half.sum()))
     _check_vertices_off_curves(d)
 
 
@@ -242,31 +248,34 @@ def _check_edge_census(d: Drawing, matching_edges: int) -> None:
 
 def _check_vertices_off_curves(d: Drawing) -> None:
     """No vertex may lie in the interior of any edge's curve."""
-    tol = d.tol
+    N, U, V, uv, _ = _pack_drawing(d)
     verts = d.vertices
-    for idx, e in enumerate(d.edges):
-        nrm, wu, wv = curve_frame(e.curve)
-        on_plane = np.abs(verts @ nrm) <= tol.general_position
-        inside = (verts @ wu > 0.0) & (verts @ wv > 0.0)
-        bad = on_plane & inside
-        bad[e.u] = bad[e.v] = False
-        if np.any(bad):
-            w = int(np.nonzero(bad)[0][0])
+    for start, stop in row_blocks(len(N), d.n):
+        rows = np.arange(stop - start)[:, None]
+        bad = ((np.abs(N[start:stop] @ verts.T) <= d.tol.general_position)
+               & (U[start:stop] @ verts.T > 0.0)
+               & (V[start:stop] @ verts.T > 0.0))
+        bad[rows, uv[start:stop]] = False
+        if bad.any():
+            idx, w = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            e = d.edges[start + idx]
             raise DegenerateConfigurationError(
                 f"vertex {w} lies on edge ({e.u},{e.v}) within tolerance")
 
 
-def _arc_edges(config: AntipodalConfig,
+def _arc_edges(verts: np.ndarray, ii: np.ndarray, jj: np.ndarray,
                tol: ToleranceConfig) -> list[Edge]:
-    verts = config.doubled
-    k = config.k
-    out = []
-    for i in range(2 * k):
-        for j in range(i + 1, 2 * k):
-            if j == i + k:
-                continue
-            out.append(Edge(i, j, GeodesicArc(verts[i], verts[j], tol)))
-    return out
+    """Shorter-arc edges (ii[e], jj[e]), their frames computed in bulk."""
+    arcs = geodesic_arcs(verts[ii], verts[jj], tol)
+    return list(map(Edge, ii.tolist(), jj.tolist(), arcs))
+
+
+def _cocktail_arcs(config: AntipodalConfig,
+                   tol: ToleranceConfig) -> list[Edge]:
+    """Arcs joining every non-antipodal pair i < j of the doubled set."""
+    ii, jj = np.triu_indices(config.n, 1)
+    keep = jj != ii + config.k
+    return _arc_edges(config.doubled, ii[keep], jj[keep], tol)
 
 
 def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
@@ -279,9 +288,7 @@ def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
     verts = np.asarray(points, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
         raise ValueError("expected an (n, 3) array with n >= 4")
-    n = len(verts)
-    edges = [Edge(i, j, GeodesicArc(verts[i], verts[j], tol))
-             for i in range(n) for j in range(i + 1, n)]
+    edges = _arc_edges(verts, *np.triu_indices(len(verts), 1), tol)
     d = Drawing(vertices=verts.copy(), kind=DrawingKind.COMPLETE,
                 edges=tuple(edges), pairing={},
                 provenance=dict(provenance or {}), tol=tol)
@@ -299,7 +306,7 @@ def build_cocktail_party(config: AntipodalConfig,
     """
     d = Drawing(vertices=config.doubled.copy(),
                 kind=DrawingKind.COCKTAIL_PARTY,
-                edges=tuple(_arc_edges(config, tol)),
+                edges=tuple(_cocktail_arcs(config, tol)),
                 pairing=config.pairing(),
                 provenance=dict(provenance or {}),
                 tol=tol)
@@ -331,7 +338,7 @@ def extend_partial_matching(config: AntipodalConfig,
     k = config.k
     if chosen and not (0 <= chosen[0] and chosen[-1] < k):
         raise ValueError(f"pair indices must lie in [0, {k})")
-    edges = _arc_edges(config, tol)
+    edges = _cocktail_arcs(config, tol)
     for i in chosen:
         edges.append(Edge(i, i + k, asg.half_circle(config, i, tol)))
     t = k - len(chosen)
@@ -404,28 +411,31 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     base_drawing = extend_to_complete(config, asg, tol, provenance)
     verts = base_drawing.vertices
     n = len(verts)
-    for i in range(n - 1):
-        cr = np.cross(verts[i], q)
-        dets = verts[i + 1:] @ cr
-        js = np.nonzero(np.abs(dets) <= tol.general_position)[0]
-        for off in js:
-            j = i + 1 + int(off)
-            if base_drawing.pairing.get(i) == j:
-                continue    # triples through an antipodal pair are exempt
+    N, U, V, _, partner = _pack_drawing(base_drawing)
+    C = np.cross(verts, q)
+    cols = np.arange(n)
+    for start, stop in row_blocks(n, n):
+        rows = cols[start:stop, None]
+        # triples through an antipodal pair are exempt
+        bad = ((np.abs(C[start:stop] @ verts.T) <= tol.general_position)
+               & (cols > rows) & (cols != partner[rows]))
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise DegenerateConfigurationError(
-                f"apex is coplanar with vertices {i},{j}; resample the apex")
-    for e in base_drawing.edges:
-        nrm, wu, wv = curve_frame(e.curve)
-        if (abs(float(q @ nrm)) <= tol.general_position
-                and float(q @ wu) > 0.0 and float(q @ wv) > 0.0):
-            raise DegenerateConfigurationError(
-                f"apex lies on edge ({e.u},{e.v}); resample the apex")
+                f"apex is coplanar with vertices {start + i},{j}; "
+                "resample the apex")
+    on_curve = ((np.abs(N @ q) <= tol.general_position)
+                & (U @ q > 0.0) & (V @ q > 0.0))
+    if on_curve.any():
+        e = base_drawing.edges[int(np.argmax(on_curve))]
+        raise DegenerateConfigurationError(
+            f"apex lies on edge ({e.u},{e.v}); resample the apex")
+    all_verts = np.concatenate([verts, q[None, :]], axis=0)
     edges = list(base_drawing.edges)
-    for i in range(n):
-        edges.append(Edge(i, n, GeodesicArc(verts[i], q, tol)))
+    edges += _arc_edges(all_verts, cols, np.full(n, n), tol)
     prov = dict(provenance or {})
     prov["apex"] = [float(c) for c in q]
-    out = Drawing(vertices=np.concatenate([verts, q[None, :]], axis=0),
+    out = Drawing(vertices=all_verts,
                   kind=DrawingKind.COMPLETE_PLUS_APEX,
                   edges=tuple(edges), pairing=dict(base_drawing.pairing),
                   provenance=prov, tol=tol)
@@ -504,91 +514,125 @@ class CrossingReport:
                 and np.array_equal(self.pairs, other.pairs))
 
 
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint indices (E, 2) and the half-circle mask (E,) of edges."""
+    E = len(edges)
+    uv = np.fromiter((x for e in edges for x in (e.u, e.v)),
+                     dtype=np.int64, count=2 * E).reshape(E, 2)
+    half = np.fromiter((isinstance(e.curve, HalfCircle) for e in edges),
+                       dtype=bool, count=E)
+    return uv, half
+
+
+def _partners(d: Drawing) -> np.ndarray:
+    """Antipodal partner of each vertex, or -1 for an unpaired one."""
+    partner = np.full(d.n, -1, dtype=np.int64)
+    for a, b in d.pairing.items():
+        partner[a] = b
+    return partner
+
+
 def _pack_drawing(d: Drawing):
-    """Arrays consumed by the vectorized pair predicate.
+    """Arrays consumed by the vectorized predicates: edge frames N, U, V
+    (each (E, 3)), endpoints uv and the partner map.
 
     Arc frames are rebuilt from the vertex array in bulk; only half-circle
     edges go through their curve objects.
     """
-    E = len(d.edges)
-    uv = np.fromiter((x for e in d.edges for x in (e.u, e.v)),
-                     dtype=np.int64, count=2 * E).reshape(E, 2)
-    halves = [i for i, e in enumerate(d.edges)
-              if isinstance(e.curve, HalfCircle)]
-    A = d.vertices[uv[:, 0]]
-    B = d.vertices[uv[:, 1]]
-    N = np.cross(A, B)
-    nn = np.linalg.norm(N, axis=1, keepdims=True)
-    if halves:
-        nn[halves] = 1.0      # placeholder; rows overwritten below
-    N /= nn
-    U = np.cross(B, N)
-    V = np.cross(N, A)
-    for i in halves:
+    uv, half = _edge_arrays(d.edges)
+    E = len(uv)
+    N, U, V = (np.empty((E, 3)) for _ in range(3))
+    arcs = uv[~half]
+    N[~half], U[~half], V[~half] = arc_frames(d.vertices[arcs[:, 0]],
+                                              d.vertices[arcs[:, 1]])
+    for i in np.flatnonzero(half):
         N[i], U[i], V[i] = curve_frame(d.edges[i].curve)
-    amap = np.full(d.n, -1, dtype=np.int64)
-    for a, b in d.pairing.items():
-        amap[a] = b
-    return N, U, V, uv, amap
+    return N, U, V, uv, _partners(d)
 
 
-def _count_rows(N, U, V, uv, amap, rows, sign_tol):
-    """Crossing pairs for the given first-edge rows, as an (m, 2) array.
+def _dot3(X, W):
+    """Row-wise dot product of two stacks of 3 broadcastable arrays."""
+    out = X[0] * W[0]
+    out += X[1] * W[1]
+    out += X[2] * W[2]
+    return out
+
+
+def _sweep(packed, tiles, sign_tol) -> np.ndarray:
+    """Crossing pairs (i, j) inside the given triangle tiles, as an (m, 2)
+    array in tile order; lexicographic tiles give lexicographic pairs.
 
     Pairs sharing a vertex are adjacent and skipped.  Pairs whose endpoint
     sets split an antipodal couple (one vertex on each edge) are skipped as
     well: their great circles meet exactly on that vertex axis, so the open
     curves can never cross there, and the predicate would sit on a
-    structural zero.  Sign decisions use the raw triple products; the dead
-    zone compares them against sign_tol scaled by |n_i x n_j|, which equals
-    the test on normalized intersection directions without the divisions.
+    structural zero.  Sign decisions use the raw triple products
+    (n_i x n_j) . w for the four wedge vectors w; the dead zone compares
+    them against sign_tol scaled by |n_i x n_j|, which equals the test on
+    normalized intersection directions without the divisions.
+
+    The first refused pair in lexicographic order is reported; within its
+    row, a pair on the same great circle is reported before a pair in the
+    sign dead zone.
     """
-    E = len(N)
+    N, U, V, uv, partner = packed
+    E, n = len(N), len(partner)
+    NT, UT, VT = (np.ascontiguousarray(M.T) for M in (N, U, V))
+    # vertices that skip a pair when the other edge touches them: the
+    # edge's endpoints and their partners; unpaired (-1) maps to column n,
+    # which no edge touches
+    skip = np.concatenate([uv, partner[uv]], axis=1)
+    skip[skip < 0] = n
+
+    def tile(r0, r1, c0, c1):
+        a, b = NT[:, r0:r1, None], NT[:, None, c0:c1]
+        X = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        blocked = np.zeros((r1 - r0, n + 1), dtype=bool)
+        blocked[np.arange(r1 - r0)[:, None], skip[r0:r1]] = True
+        active = ~(blocked[:, uv[c0:c1, 0]] | blocked[:, uv[c0:c1, 1]])
+        if r1 - r0 > 1:
+            active &= np.arange(c0, c1) > np.arange(r0, r1)[:, None]
+        return X, np.sqrt(_dot3(X, X)), active
+
+    def same_circle(i, j):
+        return DegenerateConfigurationError(
+            f"edges {i} and {j} lie on the same great circle within "
+            "tolerance")
+
     found = []
-    for i in rows:
-        j0 = i + 1
-        if j0 >= E:
-            continue
-        Nj = N[j0:]
-        ni = N[i]
-        X = np.empty_like(Nj)
-        X[:, 0] = ni[1] * Nj[:, 2] - ni[2] * Nj[:, 1]
-        X[:, 1] = ni[2] * Nj[:, 0] - ni[0] * Nj[:, 2]
-        X[:, 2] = ni[0] * Nj[:, 1] - ni[1] * Nj[:, 0]
-        nx = np.sqrt(np.einsum("ij,ij->i", X, X))
-        ui, vi = int(uv[i, 0]), int(uv[i, 1])
-        ju = uv[j0:, 0]
-        jv = uv[j0:, 1]
-        active = ~((ju == ui) | (ju == vi) | (jv == ui) | (jv == vi))
-        for w in (amap[ui], amap[vi]):
-            if w >= 0:
-                active &= ~((ju == w) | (jv == w))
-        if not active.any():
-            continue
-        if np.any(active & (nx <= sign_tol)):
-            j = j0 + int(np.nonzero(active & (nx <= sign_tol))[0][0])
-            raise DegenerateConfigurationError(
-                f"edges {i} and {j} lie on the same great circle "
-                "within tolerance")
-        d1 = X @ U[i]
-        d2 = X @ V[i]
-        d3 = np.einsum("ij,ij->i", X, U[j0:])
-        d4 = np.einsum("ij,ij->i", X, V[j0:])
-        mags = np.minimum(np.minimum(np.abs(d1), np.abs(d2)),
-                          np.minimum(np.abs(d3), np.abs(d4)))
+    for r0, r1, c0, c1 in tiles:
+        X, nx, active = tile(r0, r1, c0, c1)
+        # one triple product at a time: fewer tile-sized arrays alive
+        pos = neg = active
+        mags = np.full(nx.shape, np.inf)
+        for W in (UT[:, r0:r1, None], VT[:, r0:r1, None],
+                  UT[:, None, c0:c1], VT[:, None, c0:c1]):
+            d = _dot3(X, W)
+            pos = pos & (d > 0.0)
+            neg = neg & (d < 0.0)
+            np.minimum(mags, np.abs(d, out=d), out=mags)
+        same = active & (nx <= sign_tol)
         dead = active & (mags <= sign_tol * nx)
-        if np.any(dead):
-            j = j0 + int(np.nonzero(dead)[0][0])
+        if same.any() or dead.any():
+            rs = np.flatnonzero(same.any(axis=1))
+            rd = np.flatnonzero(dead.any(axis=1))
+            if len(rs) and (not len(rd) or rs[0] <= rd[0]):
+                r = rs[0]
+                raise same_circle(r0 + r, c0 + int(np.argmax(same[r])))
+            r = rd[0]
+            i, j = r0 + r, c0 + int(np.argmax(dead[r]))
+            # a row split over column chunks: look ahead for a same-circle
+            # pair in the rest of row i, which is reported first
+            for c in range(c1, E, c1 - c0):
+                _, nx, active = tile(i, i + 1, c, min(c + c1 - c0, E))
+                same = active[0] & (nx[0] <= sign_tol)
+                if same.any():
+                    raise same_circle(i, c + int(np.argmax(same)))
             raise DegenerateConfigurationError(
                 f"edge pair ({i},{j}) falls in the sign dead zone")
-        pos = (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0) & (d4 > 0.0)
-        neg = (d1 < 0.0) & (d2 < 0.0) & (d3 < 0.0) & (d4 < 0.0)
-        hits = np.nonzero(active & (pos | neg))[0]
-        if len(hits):
-            block = np.empty((len(hits), 2), dtype=np.int64)
-            block[:, 0] = i
-            block[:, 1] = j0 + hits
-            found.append(block)
+        rows, cols = np.nonzero(pos | neg)
+        found.append(np.stack([rows + r0, cols + c0], axis=1))
     if not found:
         return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(found, axis=0)
@@ -598,10 +642,8 @@ _POOL_DATA = None
 
 
 def _pool_worker(args):
-    start, step, sign_tol = args
-    N, U, V, uv, amap = _POOL_DATA
-    rows = range(start, len(N) - 1, step)
-    return _count_rows(N, U, V, uv, amap, rows, sign_tol)
+    tiles, sign_tol = args
+    return _sweep(_POOL_DATA, tiles, sign_tol)
 
 
 def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
@@ -609,17 +651,19 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     """Count all edge crossings of a drawing by exhaustive pair testing.
 
     Adjacent pairs and pairs splitting an antipodal couple are excluded
-    structurally (see :func:`_count_rows`); every other pair goes through
-    the sign predicate.  With ``workers > 1`` the row space is partitioned
-    over a process pool; the merged result is sorted, so counts and pair
-    lists are independent of scheduling.
+    structurally (see :func:`_sweep`); every other pair goes through the
+    sign predicate, tile by tile, so scratch memory stays bounded.  With
+    ``workers > 1`` the tiles are dealt out over a process pool and the
+    merged pairs are sorted, so counts and pair lists are independent of
+    scheduling.
     """
     tol = tol or d.tol
     packed = _pack_drawing(d)
-    N, U, V, uv, amap = packed
-    E = len(N)
+    uv = packed[3]
+    E = len(uv)
+    tiles = triangle_tiles(E)
     if workers <= 1 or E < 64:
-        pairs = _count_rows(N, U, V, uv, amap, range(E - 1), tol.sign)
+        pairs = _sweep(packed, tiles, tol.sign)
     else:
         global _POOL_DATA
         _POOL_DATA = packed
@@ -627,15 +671,16 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=workers) as pool:
                 chunks = pool.map(_pool_worker,
-                                  [(s, workers, tol.sign) for s in range(workers)])
+                                  [(tiles[w::workers], tol.sign)
+                                   for w in range(workers)])
             pairs = np.concatenate(chunks, axis=0)
         finally:
             _POOL_DATA = None
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     per_edge = np.bincount(pairs.ravel(), minlength=E)
-    ends = uv[pairs.ravel()].ravel()
-    per_vertex = np.bincount(ends, minlength=d.n)
+    # each edge's crossings count once for each of its two endpoints
+    per_vertex = np.bincount(uv.ravel(), weights=np.repeat(per_edge, 2),
+                             minlength=d.n).astype(np.int64)
     return CrossingReport(total=len(pairs), per_edge=per_edge,
                           per_vertex=per_vertex, pairs=pairs)
 

@@ -63,6 +63,11 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+# Elements per tile of the batched kernels.  Every kernel walks its index
+# space in tiles of at most this many elements, which bounds its scratch
+# memory whatever the input size.
+_TILE = 1 << 15
+
 
 def vec(x, y, z) -> Vec3:
     return np.array([x, y, z], dtype=float)
@@ -88,6 +93,16 @@ def require_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
         raise ValueError(f"vector {v.tolist()} is not unit length within "
                          f"tolerance {tol.norm}")
     return v
+
+
+def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Row-wise require_unit on an (m, 3) array: raises its ValueError for
+    the first row that is not unit length."""
+    P = np.asarray(P, dtype=float)
+    bad = np.abs(np.einsum("ij,ij->i", P, P) - 1.0) > tol.norm
+    for i in np.flatnonzero(bad):
+        require_unit(P[i], tol)
+    return P
 
 
 def antipode(p) -> Vec3:
@@ -124,10 +139,48 @@ def orient(p, q, r, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return 1 if d > 0.0 else -1
 
 
-def triple_det(p, q, r) -> float:
-    return float(np.linalg.det(np.stack([np.asarray(p, float),
-                                         np.asarray(q, float),
-                                         np.asarray(r, float)])))
+def row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) ranges of rows whose tiles against
+    ``width`` columns hold at most _TILE elements (at least one row)."""
+    step = max(1, _TILE // max(1, width))
+    return [(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
+def triangle_tiles(size: int) -> list[tuple[int, int, int, int]]:
+    """Tiles (r0, r1, c0, c1) covering the pairs i < j < size in
+    lexicographic order.
+
+    Each tile pairs the rows [r0, r1) with the columns [c0, c1), where
+    c0 = r0 + 1; pairs with j <= i inside a tile are the caller's to mask.
+    A row wider than _TILE gets a tile of its own per column chunk, so a
+    tile never exceeds _TILE elements.
+    """
+    out = []
+    r = 0
+    while r < size - 1:
+        width = size - 1 - r
+        if width > _TILE:
+            out.extend((r, r + 1, c, min(c + _TILE, size))
+                       for c in range(r + 1, size, _TILE))
+            r += 1
+        else:
+            stop = min(r + _TILE // width, size - 1)
+            out.append((r, stop, r + 1, size))
+            r = stop
+    return out
+
+
+def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
+    """True iff some triple i < j < l has |det[p_i p_j p_l]| <= margin,
+    i.e. lies on a common great circle within the margin."""
+    n = len(points)
+    ii, jj = np.triu_indices(n, 1)
+    for start, stop in row_blocks(len(ii), n):
+        i, j = ii[start:stop], jj[start:stop]
+        dets = np.abs(np.cross(points[i], points[j]) @ points.T)
+        if np.any((dets <= margin) & (np.arange(n) > j[:, None])):
+            return True
+    return False
 
 
 def is_general_position(points, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -139,17 +192,9 @@ def is_general_position(points, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected an (n, 3) array of points")
-    n = len(pts)
-    if n < 3:
+    if len(pts) < 3:
         raise ValueError("general position needs at least 3 points")
-    # vectorized over the third index for each (i, j)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            cr = np.cross(pts[i], pts[j])
-            dets = pts[j + 1:] @ cr
-            if np.any(np.abs(dets) <= tol.general_position):
-                return False
-    return True
+    return not has_coplanar_triple(pts, tol.general_position)
 
 
 class GeodesicArc:
@@ -176,6 +221,15 @@ class GeodesicArc:
         self.wedge_u = np.cross(b, self.normal)
         self.wedge_v = np.cross(self.normal, a)
 
+    @classmethod
+    def from_frame(cls, a, b, normal, wedge_u, wedge_v) -> "GeodesicArc":
+        """An arc whose frame was already computed, e.g. by arc_frames;
+        nothing is checked or recomputed."""
+        arc = object.__new__(cls)
+        arc.a, arc.b = a, b
+        arc.normal, arc.wedge_u, arc.wedge_v = normal, wedge_u, wedge_v
+        return arc
+
     def length(self) -> float:
         return angular_distance(self.a, self.b)
 
@@ -194,14 +248,35 @@ class GeodesicArc:
             return False
         return float(x @ self.wedge_u) > 0.0 and float(x @ self.wedge_v) > 0.0
 
-    def reversed(self) -> "GeodesicArc":
-        return GeodesicArc(self.b, self.a)
-
     def antipodal_image(self) -> "GeodesicArc":
         return GeodesicArc(-self.a, -self.b)
 
     def __repr__(self):
         return f"GeodesicArc(a={self.a.tolist()}, b={self.b.tolist()})"
+
+
+def arc_frames(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames (normal, wedge_u, wedge_v), each (E, 3), of the arcs from
+    A[e] to B[e], with GeodesicArc's formulas applied to all rows at once.
+    The endpoints are not checked; see geodesic_arcs."""
+    N = np.cross(A, B)
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    return N, np.cross(B, N), np.cross(N, A)
+
+
+def geodesic_arcs(A, B, tol: ToleranceConfig = DEFAULT_TOL
+                  ) -> list[GeodesicArc]:
+    """GeodesicArc(A[e], B[e], tol) for every row e, with the frames
+    computed in bulk.  Raises the error GeodesicArc raises for the first
+    offending row."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    bad = ((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) > tol.norm)
+           | (np.abs(np.einsum("ij,ij->i", B, B) - 1.0) > tol.norm)
+           | (np.linalg.norm(np.cross(A, B), axis=1) <= tol.general_position))
+    for e in np.flatnonzero(bad):
+        GeodesicArc(A[e], B[e], tol)
+    return list(map(GeodesicArc.from_frame, A, B, *arc_frames(A, B)))
 
 
 class HalfCircle:

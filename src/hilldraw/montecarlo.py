@@ -16,7 +16,8 @@ import numpy as np
 
 from .drawing import complete_drawing_from_points, count_crossings
 from .formulas import hill_number
-from .geom import DEFAULT_TOL, DegenerateConfigurationError, ToleranceConfig
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                   ToleranceConfig, has_coplanar_triple, row_blocks)
 
 
 class SamplingError(Exception):
@@ -77,19 +78,13 @@ class DistributionSpec:
 
 def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     """General position plus no (near-)equal or (near-)antipodal pair."""
-    n = len(pts)
-    for i in range(n - 1):
-        cr = np.cross(pts[i], pts[i + 1:])
+    ii, jj = np.triu_indices(len(pts), 1)
+    for start, stop in row_blocks(len(ii), 3):
+        cr = np.cross(pts[ii[start:stop]], pts[jj[start:stop]])
         if np.any(np.einsum("ij,ij->i", cr, cr)
                   <= tol.general_position ** 2):
             return False
-        if i + 2 <= n - 1:
-            # triples (i, j, l): det = pts[l] . (pts[i] x pts[j])
-            for j in range(i + 1, n - 1):
-                dets = pts[j + 1:] @ cr[j - i - 1]
-                if np.any(np.abs(dets) <= tol.general_position):
-                    return False
-    return True
+    return not has_coplanar_triple(pts, tol.general_position)
 
 
 def sample_points(n: int, dist: DistributionSpec, rng,

@@ -204,6 +204,52 @@ class TestGlobalOptions:
                           str(tolfile)], capsys)
         assert code == 0
 
+    def test_file_tolerances_survive_verify_count_mutate(self, k8_file,
+                                                          tmp_path, capsys):
+        # vertices 1e-11 off unit length: valid only under the stored norm
+        doc = json.loads(k8_file.read_text())
+        doc["tolerances"]["norm"] = 1e-9
+        doc["vertices"] = [[c * (1.0 + 1e-11) for c in v]
+                           for v in doc["vertices"]]
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(doc))
+        code, out, _ = run(["verify", str(loose)], capsys)
+        assert code == 0
+        assert "hill_total: predicted=18 observed=18" in out
+        code, out, _ = run(["count", str(loose)], capsys)
+        assert code == 0 and "total: 18" in out
+        out_path = tmp_path / "k7.json"
+        code, _, _ = run(["mutate", str(loose), "--delete-vertex", "0",
+                          "-o", str(out_path)], capsys)
+        assert code == 0
+        assert load_drawing(out_path).tol.norm == 1e-9
+
+    def test_generate_eps_floor_uses_tolerances(self, tmp_path, capsys,
+                                                monkeypatch):
+        import hilldraw.cli as cli
+        from hilldraw.construct import default_plan_chain
+        from hilldraw.geom import ToleranceConfig
+        levels = [[2], [3, 2]]
+        loose = ToleranceConfig(general_position=1e-7)
+        floored = default_plan_chain(levels, tol=loose)
+        assert floored[1].eps != default_plan_chain(levels)[1].eps
+        real = cli.recursive_construct
+        seen = []
+
+        def spy(seed, plans, rng, tol):
+            seen.append(plans)
+            return real(seed, plans, rng, tol)
+
+        monkeypatch.setattr(cli, "recursive_construct", spy)
+        tolfile = tmp_path / "tol.json"
+        tolfile.write_text(json.dumps(loose.to_dict()))
+        code, _, _ = run(["generate", "--seed-arrangement", "single",
+                          "--multiplicities", "2;3,2", "--rng-seed", "1",
+                          "--tolerances", str(tolfile),
+                          "-o", str(tmp_path / "k10.json")], capsys)
+        assert code == 0
+        assert seen == [floored]
+
     def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HILLDRAW_SEED", "7")
         path = tmp_path / "env.json"

@@ -1,0 +1,208 @@
+"""The batched kernels: tiled sweep, bulk arc frames and validation.
+
+Shrinking the tile constant makes tiles split rows into column chunks and
+group short rows into blocks; counts, pair lists and the reported
+offenders must not depend on it.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from hilldraw import geom
+from hilldraw.docio import DocumentError, doc_to_drawing, drawing_to_doc
+from hilldraw.drawing import (Drawing, DrawingKind, Edge, add_random_apex,
+                              build_cocktail_party,
+                              complete_drawing_from_points, count_crossings,
+                              delete_vertex, extend_partial_matching,
+                              extend_to_complete, validate_drawing)
+from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
+                           geodesic_arcs, unit)
+
+from .conftest import random_unit_points
+from .oracles import brute_count
+from .test_drawing import hill_pairs, random_config
+
+SMALL_TILES = (5, 64)
+
+
+def _drawings():
+    rng = np.random.default_rng(515)
+    out = [complete_drawing_from_points(random_unit_points(9, rng))]
+    out += [build_cocktail_party(random_config(k, rng)) for k in range(3, 11)]
+    config, asg = hill_pairs(5)
+    out.append(extend_partial_matching(config, asg, [0, 2]))
+    config, asg = hill_pairs(4)
+    out.append(delete_vertex(extend_to_complete(config, asg), 3))
+    out.append(add_random_apex(config, asg, rng))
+    return out
+
+
+@pytest.fixture(scope="module")
+def drawings_and_reports():
+    drawings = _drawings()
+    return drawings, [count_crossings(d) for d in drawings]
+
+
+@pytest.mark.parametrize("tile", SMALL_TILES)
+def test_small_tiles_match_brute_force_and_default(tile, monkeypatch,
+                                                   drawings_and_reports):
+    drawings, reports = drawings_and_reports
+    monkeypatch.setattr(geom, "_TILE", tile)
+    for d, default in zip(drawings, reports):
+        rep = count_crossings(d)
+        assert rep == default
+        total, pairs = brute_count(d)
+        assert rep.total == total
+        assert rep.pair_set() == frozenset(pairs)
+    # the builders' validation runs on small tiles as well
+    assert [count_crossings(d) for d in _drawings()] == reports
+
+
+@pytest.mark.parametrize("tile", (SMALL_TILES[0], geom._TILE))
+def test_workers_agree_with_serial(tile, monkeypatch):
+    monkeypatch.setattr(geom, "_TILE", tile)
+    config, asg = hill_pairs(8)
+    d = extend_to_complete(config, asg)
+    assert len(d.edges) >= 64        # smaller drawings never reach the pool
+    assert count_crossings(d, workers=2) == count_crossings(d)
+
+
+def test_triangle_tiles_cover_pairs_in_order(monkeypatch):
+    for tile in (1, 3, 7, 100):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        for size in range(0, 12):
+            pairs = [(i, j) for r0, r1, c0, c1 in geom.triangle_tiles(size)
+                     for i in range(r0, r1) for j in range(c0, c1) if j > i]
+            assert pairs == [(i, j) for i in range(size)
+                             for j in range(i + 1, size)]
+            assert all((r1 - r0) * (c1 - c0) <= tile
+                       for r0, r1, c0, c1 in geom.triangle_tiles(size))
+
+
+def _degenerate_drawing(same_circle_row):
+    """A hand-built drawing with refused pairs past the first small tile.
+
+    Edges 0..27 are the complete drawing on 8 random points; edge 28 runs
+    from vertex 2 towards vertex 0, so its great circle passes through an
+    endpoint of edge 0 (dead zone); edges 29..31 are fillers; edge 32, when
+    same_circle_row is given, lies on the great circle of that edge.
+    """
+    rng = np.random.default_rng(8)
+    base = complete_drawing_from_points(random_unit_points(8, rng))
+    pts = list(base.vertices)
+    edges = list(base.edges)
+    pts.append(unit(pts[2] + pts[0]))
+    edges.append(Edge(2, 8, GeodesicArc(pts[2], pts[8])))
+    for v in range(9, 15, 2):
+        pts += list(random_unit_points(2, rng))
+        edges.append(Edge(v, v + 1, GeodesicArc(pts[v], pts[v + 1])))
+    if same_circle_row is not None:
+        e = edges[same_circle_row]
+        a, b = e.curve.a, e.curve.b
+        pts += [unit(-a + 0.2 * b), unit(-b + 0.3 * a)]
+        edges.append(Edge(15, 16, GeodesicArc(pts[15], pts[16])))
+    return Drawing(vertices=np.array(pts), kind=DrawingKind.COMPLETE,
+                   edges=tuple(edges))
+
+
+@pytest.mark.parametrize("tile", (4, geom._TILE))
+@pytest.mark.parametrize("same_circle_row, message", [
+    (None, r"edge pair \(0,28\) falls in the sign dead zone"),
+    # same row: the same-circle pair wins, though it lies in a later chunk
+    (0, "edges 0 and 32 lie on the same great circle"),
+    # later row: the earlier row's dead-zone pair wins
+    (1, r"edge pair \(0,28\) falls in the sign dead zone"),
+])
+def test_first_refused_pair_is_reported(tile, same_circle_row, message,
+                                        monkeypatch):
+    monkeypatch.setattr(geom, "_TILE", tile)
+    d = _degenerate_drawing(same_circle_row)
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        count_crossings(d)
+
+
+class TestValidationReportsFirstBadEdge:
+    @pytest.mark.parametrize("tile", (1, geom._TILE))
+    def test_structural_messages(self, tile, monkeypatch):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        config, asg = hill_pairs(4)
+        d = extend_to_complete(config, asg)
+        edges = list(d.edges)
+        assert (edges[5].u, edges[5].v) == (0, 7)
+        arc = edges[0].curve
+        half = edges[-1]
+        cases = [
+            (Edge(3, 3, arc), r"edge \(3,3\) has invalid endpoints"),
+            (Edge(1, 0, arc), r"duplicate edge \(1,0\)"),
+            (Edge(0, 7, half.curve),
+             r"half-circle edge \(0,7\) does not join"),
+            (Edge(half.v, half.u, half.curve),
+             rf"half-circle edge \({half.v},{half.u}\) endpoint disagrees"),
+            (Edge(half.u, half.v, arc),
+             rf"matching edge \({half.u},{half.v}\) must be a half-circle"),
+            (Edge(0, 7, arc), r"arc edge \(0,7\) endpoints disagree"),
+        ]
+        for bad, message in cases:
+            broken = list(edges)
+            broken[5] = bad
+            # a later fault must not be reported first
+            broken[-2] = Edge(-1, 2, arc)
+            with pytest.raises(ValueError, match=message):
+                validate_drawing(Drawing(vertices=d.vertices, kind=d.kind,
+                                         edges=tuple(broken),
+                                         pairing=d.pairing))
+
+    @pytest.mark.parametrize("tile", (1, geom._TILE))
+    def test_vertex_on_curve(self, tile, monkeypatch, rng):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        pts = random_unit_points(6, rng)
+        pts[5] = unit(pts[2] + pts[3])      # inside edge 9 = (2,3)
+        with pytest.raises(DegenerateConfigurationError,
+                           match=r"vertex 5 lies on edge \(2,3\)"):
+            complete_drawing_from_points(pts)
+
+
+class TestBulkArcs:
+    def test_frames_match_scalar_constructor(self, rng):
+        A = random_unit_points(50, rng)
+        B = random_unit_points(50, rng)
+        for arc, a, b in zip(geodesic_arcs(A, B), A, B):
+            ref = GeodesicArc(a, b)
+            for name in ("a", "b", "normal", "wedge_u", "wedge_v"):
+                np.testing.assert_allclose(getattr(arc, name),
+                                           getattr(ref, name), atol=1e-15)
+
+    def test_first_offending_row_raises(self, rng):
+        A = random_unit_points(6, rng)
+        B = random_unit_points(6, rng)
+        B[2] *= 2.0
+        A[4] = -B[4]
+        with pytest.raises(ValueError, match="not unit length"):
+            geodesic_arcs(A, B)
+        B[2] /= 2.0
+        with pytest.raises(DegenerateConfigurationError,
+                           match="equal or antipodal"):
+            geodesic_arcs(A, B)
+
+    def test_document_reports_first_bad_record(self):
+        config, asg = hill_pairs(3)
+        doc = drawing_to_doc(extend_to_complete(config, asg))
+        # arcs come first, then the half-circles
+        assert doc["edges"][0]["curve"] == "arc"
+        assert doc["edges"][-1]["curve"] == "half_circle"
+        antipodal_arc = {"u": 0, "v": 3, "curve": "arc"}
+
+        early_arc = json.loads(json.dumps(doc))
+        early_arc["edges"][0] = antipodal_arc
+        early_arc["edges"][-1]["midpoint"] = None
+        with pytest.raises(DegenerateConfigurationError,
+                           match="equal or antipodal"):
+            doc_to_drawing(early_arc)
+
+        early_record = json.loads(json.dumps(doc))
+        early_record["edges"][0]["curve"] = "spline"
+        early_record["edges"][5] = antipodal_arc
+        with pytest.raises(DocumentError, match=r"edges\[0\]: curve"):
+            doc_to_drawing(early_record)
