@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .drawing import (AntipodalConfig, HalfCircleAssignment, double,
-                      make_assignment)
+                      half_circle_crossings, make_assignment, strength)
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
                    ToleranceConfig, is_general_position, rotate, unit)
 
@@ -57,15 +56,14 @@ class HalfCircleArrangement:
 def validate_arrangement(halves, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise ConstructionError unless the half-circles are pairwise disjoint
     and their endpoints are a general-position point set."""
-    from .geom import half_circles_cross
-    for (i, h1), (j, h2) in combinations(enumerate(halves), 2):
-        try:
-            crossing = half_circles_cross(h1, h2, tol)
-        except DegenerateConfigurationError as exc:
-            raise ConstructionError(
-                f"half-circles {i} and {j} are degenerate: {exc}") from exc
-        if crossing:
-            raise ConstructionError(f"half-circles {i} and {j} cross")
+    try:
+        crossing = half_circle_crossings(halves, tol)
+    except DegenerateConfigurationError as exc:
+        raise ConstructionError(f"half-circles are degenerate: {exc}"
+                                ) from exc
+    if len(crossing):
+        i, j = crossing[0]
+        raise ConstructionError(f"half-circles {i} and {j} cross")
     pts = np.stack([h.p for h in halves])
     if len(pts) >= 3 and not is_general_position(pts, tol):
         raise ConstructionError("arrangement endpoints are not in general "
@@ -354,7 +352,6 @@ def perturb(config: AntipodalConfig, asg: HalfCircleAssignment,
     except DegenerateConfigurationError as exc:
         raise PerturbationError(f"perturbed configuration is degenerate: "
                                 f"{exc}") from exc
-    from .drawing import strength
     try:
         s = strength(new_config, new_asg, tol)
     except DegenerateConfigurationError as exc:

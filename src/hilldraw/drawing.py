@@ -23,7 +23,7 @@ import numpy as np
 from .formulas import hill_number, partial_matching_target, per_vertex_target
 from .geom import (DEFAULT_TOL, Curve, DegenerateConfigurationError,
                    HalfCircle, ToleranceConfig, arc_frames, curve_frame,
-                   geodesic_arcs, half_circles_cross, is_general_position,
+                   frame_signs, geodesic_arcs, is_general_position,
                    require_unit, require_unit_rows, row_blocks,
                    triangle_tiles, unit)
 
@@ -318,10 +318,7 @@ def strength(config: AntipodalConfig, asg: HalfCircleAssignment,
              tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of crossing pairs among the k matching half-circles."""
     halves = [asg.half_circle(config, i, tol) for i in range(config.k)]
-    total = 0
-    for h1, h2 in combinations(halves, 2):
-        total += half_circles_cross(h1, h2, tol)
-    return total
+    return len(half_circle_crossings(halves, tol))
 
 
 def extend_partial_matching(config: AntipodalConfig,
@@ -550,14 +547,6 @@ def _pack_drawing(d: Drawing):
     return N, U, V, uv, _partners(d)
 
 
-def _dot3(X, W):
-    """Row-wise dot product of two stacks of 3 broadcastable arrays."""
-    out = X[0] * W[0]
-    out += X[1] * W[1]
-    out += X[2] * W[2]
-    return out
-
-
 def _sweep(packed, tiles, sign_tol) -> np.ndarray:
     """Crossing pairs (i, j) inside the given triangle tiles, as an (m, 2)
     array in tile order; lexicographic tiles give lexicographic pairs.
@@ -566,10 +555,9 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
     sets split an antipodal couple (one vertex on each edge) are skipped as
     well: their great circles meet exactly on that vertex axis, so the open
     curves can never cross there, and the predicate would sit on a
-    structural zero.  Sign decisions use the raw triple products
-    (n_i x n_j) . w for the four wedge vectors w; the dead zone compares
-    them against sign_tol scaled by |n_i x n_j|, which equals the test on
-    normalized intersection directions without the divisions.
+    structural zero.  Every other pair goes through geom.frame_signs, whose
+    dead zone compares the raw triple products against sign_tol scaled by
+    |n_i x n_j|.
 
     The first refused pair in lexicographic order is reported; within its
     row, a pair on the same great circle is reported before a pair in the
@@ -577,7 +565,7 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
     """
     N, U, V, uv, partner = packed
     E, n = len(N), len(partner)
-    NT, UT, VT = (np.ascontiguousarray(M.T) for M in (N, U, V))
+    frames = tuple(np.ascontiguousarray(M.T) for M in (N, U, V))
     # vertices that skip a pair when the other edge touches them: the
     # edge's endpoints and their partners; unpaired (-1) maps to column n,
     # which no edge touches
@@ -585,15 +573,16 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
     skip[skip < 0] = n
 
     def tile(r0, r1, c0, c1):
-        a, b = NT[:, r0:r1, None], NT[:, None, c0:c1]
-        X = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-             a[0] * b[1] - a[1] * b[0])
+        crossing, nx, mags = frame_signs(
+            tuple(M[:, r0:r1, None] for M in frames),
+            tuple(M[:, None, c0:c1] for M in frames))
         blocked = np.zeros((r1 - r0, n + 1), dtype=bool)
         blocked[np.arange(r1 - r0)[:, None], skip[r0:r1]] = True
         active = ~(blocked[:, uv[c0:c1, 0]] | blocked[:, uv[c0:c1, 1]])
         if r1 - r0 > 1:
             active &= np.arange(c0, c1) > np.arange(r0, r1)[:, None]
-        return X, np.sqrt(_dot3(X, X)), active
+        return (crossing & active, active & (nx <= sign_tol),
+                active & (mags <= sign_tol * nx))
 
     def same_circle(i, j):
         return DegenerateConfigurationError(
@@ -602,18 +591,7 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
 
     found = []
     for r0, r1, c0, c1 in tiles:
-        X, nx, active = tile(r0, r1, c0, c1)
-        # one triple product at a time: fewer tile-sized arrays alive
-        pos = neg = active
-        mags = np.full(nx.shape, np.inf)
-        for W in (UT[:, r0:r1, None], VT[:, r0:r1, None],
-                  UT[:, None, c0:c1], VT[:, None, c0:c1]):
-            d = _dot3(X, W)
-            pos = pos & (d > 0.0)
-            neg = neg & (d < 0.0)
-            np.minimum(mags, np.abs(d, out=d), out=mags)
-        same = active & (nx <= sign_tol)
-        dead = active & (mags <= sign_tol * nx)
+        crossing, same, dead = tile(r0, r1, c0, c1)
         if same.any() or dead.any():
             rs = np.flatnonzero(same.any(axis=1))
             rd = np.flatnonzero(dead.any(axis=1))
@@ -625,17 +603,35 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
             # a row split over column chunks: look ahead for a same-circle
             # pair in the rest of row i, which is reported first
             for c in range(c1, E, c1 - c0):
-                _, nx, active = tile(i, i + 1, c, min(c + c1 - c0, E))
-                same = active[0] & (nx[0] <= sign_tol)
+                same = tile(i, i + 1, c, min(c + c1 - c0, E))[1][0]
                 if same.any():
                     raise same_circle(i, c + int(np.argmax(same)))
             raise DegenerateConfigurationError(
                 f"edge pair ({i},{j}) falls in the sign dead zone")
-        rows, cols = np.nonzero(pos | neg)
-        found.append(np.stack([rows + r0, cols + c0], axis=1))
+        rows, cols = np.nonzero(crossing)
+        found.append(np.stack([rows + r0, cols + c0], axis=1,
+                              dtype=np.int32))
     if not found:
         return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(found, axis=0)
+    # int32 tile blocks: the pair list is held 1.5 times at the join, not 2
+    return np.concatenate(found, axis=0, dtype=np.int64)
+
+
+def half_circle_crossings(halves, tol: ToleranceConfig = DEFAULT_TOL
+                          ) -> np.ndarray:
+    """Crossing pairs (i, j) among half-circles, as _sweep returns them.
+
+    The sweep runs over the half-circles' frames (normal, m, m); half-circle
+    i joins the vertices i and i + k, so no pair is skipped.  The first pair
+    on one great circle or in the dead zone raises
+    DegenerateConfigurationError.
+    """
+    k = len(halves)
+    N = np.array([h.normal for h in halves]).reshape(k, 3)
+    M = np.array([h.m for h in halves]).reshape(k, 3)
+    uv = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1)
+    return _sweep((N, M, M, uv, np.full(2 * k, -1)), triangle_tiles(k),
+                  tol.sign)
 
 
 _POOL_DATA = None

@@ -69,10 +69,6 @@ DEFAULT_TOL = ToleranceConfig()
 _TILE = 1 << 15
 
 
-def vec(x, y, z) -> Vec3:
-    return np.array([x, y, z], dtype=float)
-
-
 def unit(v) -> Vec3:
     """Normalized copy of v; raises on (near-)zero input."""
     v = np.asarray(v, dtype=float)
@@ -240,14 +236,6 @@ class GeodesicArc:
         w = unit(self.b - float(self.a @ self.b) * self.a)
         return math.cos(ang) * self.a + math.sin(ang) * w
 
-    def contains(self, x, margin: float) -> bool:
-        """True iff x lies on the open arc: on the great circle within
-        margin and strictly inside the wedge."""
-        x = np.asarray(x, dtype=float)
-        if abs(float(x @ self.normal)) > margin:
-            return False
-        return float(x @ self.wedge_u) > 0.0 and float(x @ self.wedge_v) > 0.0
-
     def antipodal_image(self) -> "GeodesicArc":
         return GeodesicArc(-self.a, -self.b)
 
@@ -311,16 +299,6 @@ class HalfCircle:
         ang = math.pi * t
         return math.cos(ang) * self.p + math.sin(ang) * self.m
 
-    def contains(self, x, margin: float) -> bool:
-        x = np.asarray(x, dtype=float)
-        if abs(float(x @ self.normal)) > margin:
-            return False
-        return float(x @ self.m) >= 0.0
-
-    def complement(self) -> "HalfCircle":
-        """The other half of the same great circle."""
-        return HalfCircle(self.p, -self.m)
-
     def distance_to(self, x) -> float:
         """Angular distance from x to the closed half-circle curve."""
         x = np.asarray(x, dtype=float)
@@ -354,7 +332,48 @@ def curve_frame(c: Curve):
     return c.normal, c.m, c.m
 
 
+def dot3(X, W):
+    """Dot product of two stacks of 3 broadcastable component arrays."""
+    out = X[0] * W[0]
+    out += X[1] * W[1]
+    out += X[2] * W[2]
+    return out
+
+
+def cross3(A, B):
+    """Cross product of two stacks of 3 broadcastable component arrays."""
+    return (A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2],
+            A[0] * B[1] - A[1] * B[0])
+
+
+def frame_signs(Fa, Fb):
+    """Batched crossing predicate: curves Fa against curves Fb, broadcast.
+
+    Fa and Fb are frames (N, U, V) as from curve_frame, each of N, U, V a
+    stack of 3 broadcastable component arrays.  With X = N_a x N_b it
+    returns (crossing, nx, mags): whether the four triple products X . w,
+    w in (U_a, V_a, U_b, V_b), share one strict sign; |X|, at most tol.sign
+    for curves on one great circle; and min |X . w|, whose dead zone
+    mags <= tol.sign * nx is _frames_cross's without the divisions.
+    """
+    (Na, Ua, Va), (Nb, Ub, Vb) = Fa, Fb
+    X = cross3(Na, Nb)
+    nx = np.sqrt(dot3(X, X))
+    # one triple product at a time: fewer tile-sized arrays alive
+    d = dot3(X, Ua)
+    pos, neg = d > 0.0, d < 0.0
+    mags = np.abs(d, out=d)
+    for W in (Va, Ub, Vb):
+        d = dot3(X, W)
+        pos &= d > 0.0
+        neg &= d < 0.0
+        np.minimum(mags, np.abs(d, out=d), out=mags)
+    pos |= neg
+    return pos, nx, mags
+
+
 def _frames_cross(f1, f2, tol: ToleranceConfig) -> bool:
+    """Scalar crossing test of one frame pair: frame_signs's reference."""
     n1, u1, v1 = f1
     n2, u2, v2 = f2
     x = np.cross(n1, n2)

@@ -1,9 +1,9 @@
 """Random geodesic drawings: sampling, crossing statistics, and the
 empirical convergence of cr/H(n) toward 1.
 
-Every experiment is reproducible: trial t of an experiment with seed s
-draws from ``numpy.random.default_rng([s, t])``, so results do not depend
-on scheduling or trial order.
+Every experiment is reproducible: attempt a of trial t of an experiment
+with seed s draws from ``numpy.random.default_rng([s, t, a])``, so results
+do not depend on scheduling or trial order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 from .drawing import complete_drawing_from_points, count_crossings
 from .formulas import hill_number
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                   ToleranceConfig, has_coplanar_triple, row_blocks)
+                   ToleranceConfig, cross3, dot3, has_coplanar_triple,
+                   row_blocks)
 
 
 class SamplingError(Exception):
@@ -106,25 +107,34 @@ def sample_points(n: int, dist: DistributionSpec, rng,
         "may concentrate near a great circle")
 
 
-def random_drawing_cr(n: int, dist: DistributionSpec, seed: int,
-                      tol: ToleranceConfig = DEFAULT_TOL,
-                      workers: int = 1, max_tries: int = 16) -> int:
-    """Crossing count of the geodesic complete-graph drawing on a random
-    point sample.  Degenerate samples are rejected and redrawn from a
-    derived stream, keeping the result a pure function of the seed."""
-    if n < 4:
-        raise ValueError("crossings need n >= 4")
-    for attempt in range(max_tries):
-        rng = np.random.default_rng([int(seed), attempt])
+# Attempts per trial before a degenerate sample stream is given up.
+_MAX_TRIES = 16
+
+
+def _count_with_retries(n: int, dist: DistributionSpec, prefix: tuple,
+                        tol: ToleranceConfig, workers: int) -> int:
+    """random_drawing_cr's count, attempt a drawing from the stream
+    [*prefix, a]; a degenerate sample moves on to the next attempt."""
+    for attempt in range(_MAX_TRIES):
+        rng = np.random.default_rng([*prefix, attempt])
         try:
             pts = sample_points(n, dist, rng, tol)
-            d = complete_drawing_from_points(
-                pts, tol, provenance={"seed": int(seed), "attempt": attempt})
+            d = complete_drawing_from_points(pts, tol)
             return count_crossings(d, tol, workers=workers).total
         except DegenerateConfigurationError:
             continue
-    raise SamplingError(f"no countable sample for seed {seed} "
-                        f"in {max_tries} attempts")
+    raise SamplingError(f"no countable sample for stream {list(prefix)} "
+                        f"in {_MAX_TRIES} attempts")
+
+
+def random_drawing_cr(n: int, dist: DistributionSpec, seed: int,
+                      tol: ToleranceConfig = DEFAULT_TOL,
+                      workers: int = 1) -> int:
+    """Crossing count of the geodesic complete-graph drawing on a random
+    point sample drawn from the streams [seed, attempt]."""
+    if n < 4:
+        raise ValueError("crossings need n >= 4")
+    return _count_with_retries(n, dist, (int(seed),), tol, workers)
 
 
 @dataclass(frozen=True)
@@ -174,32 +184,17 @@ def ratio_experiment(config: ExperimentConfig,
                      workers: int = 1) -> ExperimentResult:
     """Run the trials and report statistics of cr(D_n)/H(n).
 
-    Trial t uses the derived seed [seed, t]; identical configs give
-    identical counts regardless of platform scheduling.
+    Trial t draws from the streams [seed, t, attempt]; identical configs
+    give identical counts regardless of platform scheduling.
     """
     start = time.perf_counter()
-    counts = [_trial_count(config, t, tol, workers)
+    counts = [_count_with_retries(config.n, config.distribution,
+                                  (config.seed, t), tol, workers)
               for t in range(config.trials)]
     elapsed = time.perf_counter() - start
     return ExperimentResult(config=config, counts=tuple(counts),
                             hill=hill_number(config.n),
                             runtime_seconds=elapsed)
-
-
-def _trial_count(config: ExperimentConfig, trial: int,
-                 tol: ToleranceConfig, workers: int) -> int:
-    for attempt in range(16):
-        rng = np.random.default_rng([config.seed, trial, attempt])
-        try:
-            pts = sample_points(config.n, config.distribution, rng, tol)
-            d = complete_drawing_from_points(
-                pts, tol,
-                provenance={"seed": config.seed, "trial": trial,
-                            "attempt": attempt})
-            return count_crossings(d, tol, workers=workers).total
-        except DegenerateConfigurationError:
-            continue
-    raise SamplingError(f"trial {trial}: no countable sample in 16 attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -231,39 +226,33 @@ class CensusResult:
         }
 
 
-def _batch_arcs_cross(A, B, C, D, sign_tol: float):
-    """Vectorized open-arc crossing test on rows; returns (crossing mask,
-    valid mask).  Rows whose configuration is degenerate are flagged
-    invalid instead of raising."""
-    N1 = np.cross(A, B)
-    N2 = np.cross(C, D)
-    n1 = np.linalg.norm(N1, axis=1, keepdims=True)
-    n2 = np.linalg.norm(N2, axis=1, keepdims=True)
-    valid = (n1[:, 0] > sign_tol) & (n2[:, 0] > sign_tol)
-    N1 = np.where(valid[:, None], N1 / np.where(n1 > 0, n1, 1.0), 0.0)
-    N2 = np.where(valid[:, None], N2 / np.where(n2 > 0, n2, 1.0), 0.0)
-    X = np.cross(N1, N2)
-    nx = np.linalg.norm(X, axis=1, keepdims=True)
-    valid &= nx[:, 0] > sign_tol
-    X = X / np.where(nx > 0, nx, 1.0)
-    d1 = np.einsum("ij,ij->i", X, np.cross(B, N1))
-    d2 = np.einsum("ij,ij->i", X, np.cross(N1, A))
-    d3 = np.einsum("ij,ij->i", X, np.cross(D, N2))
-    d4 = np.einsum("ij,ij->i", X, np.cross(N2, C))
-    stack = np.stack([d1, d2, d3, d4], axis=1)
-    valid &= np.min(np.abs(stack), axis=1) > sign_tol
-    crossing = (stack > 0).all(axis=1) | (stack < 0).all(axis=1)
-    return crossing & valid, valid
+# Samples per vectorized census batch.
+_CENSUS_CHUNK = 20000
+
+
+def _dependency(a, b, c, d) -> np.ndarray:
+    """Coefficients (4, ...) of the linear dependency
+    det(b,c,d) a - det(a,c,d) b + det(a,b,d) c - det(a,b,c) d = 0 of four
+    stacks of 3 component arrays.
+
+    Arcs ab and cd cross iff the coefficients of a and b share one strict
+    sign and those of c and d the other: then a positive combination of a
+    and b equals one of c and d.  Four points in general position therefore
+    span exactly one crossing iff the signs split 2-2, and none otherwise.
+    """
+    ab, cd = cross3(a, b), cross3(c, d)
+    return np.stack([dot3(b, cd), -dot3(a, cd), dot3(ab, d), -dot3(ab, c)])
 
 
 def k4_census(trials: int, dist: DistributionSpec, seed: int,
-              tol: ToleranceConfig = DEFAULT_TOL,
-              chunk: int = 20000) -> CensusResult:
+              tol: ToleranceConfig = DEFAULT_TOL) -> CensusResult:
     """Histogram count_crossings over random 4-point geodesic drawings.
 
-    Fully vectorized; degenerate samples (a measure-zero event) are
-    redrawn from derived streams until the census holds exactly ``trials``
-    valid draws.
+    A sample has one crossing iff the signs of its linear dependency split
+    2-2 (see _dependency), so bins 2 and 3 stay empty.  Samples with a
+    coefficient in the sign dead zone (a measure-zero event) are redrawn
+    from derived streams until the census holds exactly ``trials`` valid
+    draws.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -278,17 +267,14 @@ def k4_census(trials: int, dist: DistributionSpec, seed: int,
         todo = remaining
         remaining = 0
         while todo > 0:
-            size = min(chunk, todo)
+            size = min(_CENSUS_CHUNK, todo)
             todo -= size
             pts = dist.draw(rng, 4 * size).reshape(size, 4, 3)
-            a, b, c, d = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
-            c1, v1 = _batch_arcs_cross(a, b, c, d, tol.sign)
-            c2, v2 = _batch_arcs_cross(a, c, b, d, tol.sign)
-            c3, v3 = _batch_arcs_cross(a, d, b, c, tol.sign)
-            ok = v1 & v2 & v3
-            counts = (c1.astype(np.int64) + c2.astype(np.int64)
-                      + c3.astype(np.int64))[ok]
-            hist += np.bincount(counts, minlength=4)
+            # (4 points, 3 components, size) for contiguous components
+            lam = _dependency(*np.ascontiguousarray(pts.transpose(1, 2, 0)))
+            ok = np.all(np.abs(lam) > tol.sign, axis=0)
+            one = np.count_nonzero(lam[:, ok] > 0.0, axis=0) == 2
+            hist += np.bincount(one, minlength=4)
             remaining += int(size - ok.sum())
         round_no += 1
     elapsed = time.perf_counter() - start

@@ -271,9 +271,11 @@ def test_half_circle_parity_on_antipodal_arc_images(p, m, a, b):
 
 
 def test_predicate_agrees_with_independent_oracle_100k(rng):
-    """10^5 random valid arc pairs: the sign predicate must match the
-    bisection-and-arc-length oracle away from its resolution limit."""
-    from hilldraw.montecarlo import _batch_arcs_cross
+    """10^5 random valid arc pairs: the batched predicate and the census's
+    ab|cd sign pattern must match the bisection-and-arc-length oracle away
+    from its resolution limit."""
+    from hilldraw.geom import arc_frames, frame_signs
+    from hilldraw.montecarlo import _dependency
     from .oracles import bulk_bisection_oracle
 
     n = 100_000
@@ -282,11 +284,20 @@ def test_predicate_agrees_with_independent_oracle_100k(rng):
     A, B, C, D = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
     sep = np.minimum(np.linalg.norm(np.cross(A, B), axis=1),
                      np.linalg.norm(np.cross(C, D), axis=1))
-    got, valid = _batch_arcs_cross(A, B, C, D, DEFAULT_TOL.sign)
     want, margin = bulk_bisection_oracle(A, B, C, D)
-    usable = valid & (sep > 1e-6) & (margin > 1e-7)
-    assert usable.mean() > 0.99
-    assert np.array_equal(got[usable], want[usable])
+    sign = DEFAULT_TOL.sign
+
+    got, nx, mags = frame_signs(*(tuple(M.T for M in arc_frames(P, Q))
+                                  for P, Q in ((A, B), (C, D))))
+    valid = (nx > sign) & (mags > sign * nx)
+    lam = _dependency(A.T, B.T, C.T, D.T)
+    pos = lam > 0.0
+    pattern = (pos[0] == pos[1]) & (pos[2] == pos[3]) & (pos[0] != pos[2])
+    for verdict, ok in ((got, valid),
+                        (pattern, np.all(np.abs(lam) > sign, axis=0))):
+        usable = ok & (sep > 1e-6) & (margin > 1e-7)
+        assert usable.mean() > 0.99
+        assert np.array_equal(verdict[usable], want[usable])
 
 
 def test_predicate_agrees_with_sampled_proximity_oracle(rng):

@@ -1,4 +1,5 @@
-"""The batched kernels: tiled sweep, bulk arc frames and validation.
+"""The batched kernels: tiled sweep, half-circle checks, bulk arc frames
+and validation.
 
 Shrinking the tile constant makes tiles split rows into column chunks and
 group short rows into blocks; counts, pair lists and the reported
@@ -6,19 +7,22 @@ offenders must not depend on it.
 """
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from hilldraw import geom
+from hilldraw.construct import ConstructionError, validate_arrangement
 from hilldraw.docio import DocumentError, doc_to_drawing, drawing_to_doc
 from hilldraw.drawing import (Drawing, DrawingKind, Edge, add_random_apex,
                               build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
-                              delete_vertex, extend_partial_matching,
-                              extend_to_complete, validate_drawing)
+                              delete_vertex, double, extend_partial_matching,
+                              extend_to_complete, make_assignment,
+                              random_assignment, strength, validate_drawing)
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           geodesic_arcs, unit)
+                           geodesic_arcs, half_circles_cross, unit)
 
 from .conftest import random_unit_points
 from .oracles import brute_count
@@ -121,6 +125,58 @@ def test_first_refused_pair_is_reported(tile, same_circle_row, message,
     d = _degenerate_drawing(same_circle_row)
     with pytest.raises(DegenerateConfigurationError, match=message):
         count_crossings(d)
+
+
+def _scalar_crossings(halves):
+    """The scalar reference: half_circles_cross on every pair in order."""
+    return [(i, j) for i, j in combinations(range(len(halves)), 2)
+            if half_circles_cross(halves[i], halves[j])]
+
+
+@pytest.mark.parametrize("tile", (1, 4, geom._TILE))
+class TestHalfCircleChecks:
+    """strength and validate_arrangement share the batched sweep."""
+
+    def test_match_scalar_pair_loop(self, tile, monkeypatch, rng):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        crossed = 0
+        for k in (3, 5, 8, 12):
+            config = random_config(k, rng)
+            asg = random_assignment(config, rng)
+            halves = [asg.half_circle(config, i) for i in range(k)]
+            pairs = _scalar_crossings(halves)
+            assert strength(config, asg) == len(pairs)
+            if pairs:
+                crossed += 1
+                i, j = pairs[0]
+                with pytest.raises(ConstructionError,
+                                   match=rf"half-circles {i} and {j} cross"):
+                    validate_arrangement(halves)
+        assert crossed >= 3
+        config, asg = hill_pairs(8)
+        halves = [asg.half_circle(config, i) for i in range(8)]
+        assert _scalar_crossings(halves) == [] and strength(config, asg) == 0
+        validate_arrangement(halves)
+
+    def test_same_circle_pair(self, tile, monkeypatch, rng):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        pts = random_unit_points(5, rng)
+        mids = random_unit_points(5, rng)
+        pole = unit(np.cross(pts[1], pts[3]))
+        mids[1], mids[3] = np.cross(pole, pts[1]), np.cross(pole, pts[3])
+        config = double(pts)
+        asg = make_assignment(config, mids)
+        halves = [asg.half_circle(config, i) for i in range(5)]
+        with pytest.raises(DegenerateConfigurationError,
+                           match="same great circle"):
+            half_circles_cross(halves[1], halves[3])
+        message = "edges 1 and 3 lie on the same great circle"
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            strength(config, asg)
+        with pytest.raises(ConstructionError, match=message) as err:
+            validate_arrangement(halves)
+        # a degenerate arrangement is shrunk, not redrawn, by the blowup
+        assert "general position" not in str(err.value)
 
 
 class TestValidationReportsFirstBadEdge:

@@ -156,6 +156,16 @@ class TestK4Census:
         b = k4_census(5000, DistributionSpec(), seed=5)
         assert a.counts == b.counts
 
+    @pytest.mark.parametrize("trials, dist, seed, counts", [
+        (30_000, DistributionSpec(), 99, (18665, 11335, 0, 0)),
+        (20_000, DistributionSpec(kind="cap", theta=0.3), 3,
+         (5951, 14049, 0, 0)),
+    ])
+    def test_pinned_histograms(self, trials, dist, seed, counts):
+        # pinned to the histograms of three pairwise arc tests per sample,
+        # which the census's sign split must reproduce sample for sample
+        assert k4_census(trials, dist, seed).counts == counts
+
     def test_histogram_normalizes(self):
         result = k4_census(2000, DistributionSpec(), seed=1)
         assert abs(sum(result.fractions) - 1.0) < 1e-12
