@@ -155,6 +155,9 @@ class Drawing:
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
+    # (edges, uv, half) as last built by _edge_arrays
+    _edge_cache: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def n(self) -> int:
@@ -180,7 +183,7 @@ def validate_drawing(d: Drawing) -> None:
         if not np.array_equal(verts[b], -verts[a]):
             raise ValueError(f"paired vertices {a},{b} are not exact antipodes")
 
-    uv, half = _edge_arrays(d.edges)
+    uv, half = _edge_arrays(d)
     u, v = uv[:, 0], uv[:, 1]
     invalid = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
     u, v = np.clip(u, 0, n - 1), np.clip(v, 0, n - 1)
@@ -485,19 +488,30 @@ def add_random_apex(config: AntipodalConfig, asg: HalfCircleAssignment,
 # crossing counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class CrossingReport:
     """Totals and participation counts for one drawing.
 
     ``pairs`` is a lexicographically sorted integer array of shape
     (total, 2).  Every crossing involves 2 edges and 4 distinct endpoints,
-    so per_edge sums to 2 * total and per_vertex to 4 * total.
+    so per_edge sums to 2 * total and per_vertex to 4 * total.  ``pairs``
+    may be given as a zero-argument callable instead of an array; it is
+    then called on the first read and its array kept.
     """
 
-    total: int
-    per_edge: np.ndarray
-    per_vertex: np.ndarray
-    pairs: np.ndarray
+    __slots__ = ("total", "per_edge", "per_vertex", "_pairs")
+
+    def __init__(self, total: int, per_edge: np.ndarray,
+                 per_vertex: np.ndarray, pairs):
+        self.total = total
+        self.per_edge = per_edge
+        self.per_vertex = per_vertex
+        self._pairs = pairs
+
+    @property
+    def pairs(self) -> np.ndarray:
+        if callable(self._pairs):
+            self._pairs = self._pairs()
+        return self._pairs
 
     def pair_set(self) -> frozenset:
         return frozenset(map(tuple, self.pairs.tolist()))
@@ -511,14 +525,23 @@ class CrossingReport:
                 and np.array_equal(self.pairs, other.pairs))
 
 
-def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint indices (E, 2) and the half-circle mask (E,) of edges."""
-    E = len(edges)
-    uv = np.fromiter((x for e in edges for x in (e.u, e.v)),
-                     dtype=np.int64, count=2 * E).reshape(E, 2)
-    half = np.fromiter((isinstance(e.curve, HalfCircle) for e in edges),
-                       dtype=bool, count=E)
-    return uv, half
+def _edge_arrays(d: Drawing) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint indices (E, 2) and the half-circle mask (E,) of d's edges.
+
+    Built once per edge tuple and cached on the drawing, read-only; a new
+    tuple assigned to ``d.edges`` is picked up on the next call.
+    """
+    cache = d._edge_cache
+    if cache is None or cache[0] is not d.edges:
+        edges = d.edges
+        E = len(edges)
+        uv = np.fromiter((x for e in edges for x in (e.u, e.v)),
+                         dtype=np.int64, count=2 * E).reshape(E, 2)
+        half = np.fromiter((isinstance(e.curve, HalfCircle) for e in edges),
+                           dtype=bool, count=E)
+        uv.flags.writeable = half.flags.writeable = False
+        cache = d._edge_cache = (edges, uv, half)
+    return cache[1], cache[2]
 
 
 def _partners(d: Drawing) -> np.ndarray:
@@ -536,7 +559,7 @@ def _pack_drawing(d: Drawing):
     Arc frames are rebuilt from the vertex array in bulk; only half-circle
     edges go through their curve objects.
     """
-    uv, half = _edge_arrays(d.edges)
+    uv, half = _edge_arrays(d)
     E = len(uv)
     N, U, V = (np.empty((E, 3)) for _ in range(3))
     arcs = uv[~half]
@@ -642,42 +665,137 @@ def _pool_worker(args):
     return _sweep(_POOL_DATA, tiles, sign_tol)
 
 
-def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
-                    workers: int = 1) -> CrossingReport:
-    """Count all edge crossings of a drawing by exhaustive pair testing.
-
-    Adjacent pairs and pairs splitting an antipodal couple are excluded
-    structurally (see :func:`_sweep`); every other pair goes through the
-    sign predicate, tile by tile, so scratch memory stays bounded.  With
-    ``workers > 1`` the tiles are dealt out over a process pool and the
-    merged pairs are sorted, so counts and pair lists are independent of
-    scheduling.
-    """
-    tol = tol or d.tol
-    packed = _pack_drawing(d)
-    uv = packed[3]
-    E = len(uv)
+def _sweep_pairs(packed, sign_tol: float, workers: int) -> np.ndarray:
+    """All crossing pairs in lexicographic order: _sweep over every tile,
+    serially or dealt out over a process pool and merged."""
+    E = len(packed[0])
     tiles = triangle_tiles(E)
     if workers <= 1 or E < 64:
-        pairs = _sweep(packed, tiles, tol.sign)
+        return _sweep(packed, tiles, sign_tol)
+    global _POOL_DATA
+    _POOL_DATA = packed
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=workers) as pool:
+            chunks = pool.map(_pool_worker,
+                              [(tiles[w::workers], sign_tol)
+                               for w in range(workers)])
+        pairs = np.concatenate(chunks, axis=0)
+    finally:
+        _POOL_DATA = None
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _is_point_drawing(d: Drawing, uv: np.ndarray, half: np.ndarray) -> bool:
+    """No pairing, arc edges only, and each of the C(n, 2) vertex pairs
+    joined by exactly one edge, e.g. complete_drawing_from_points."""
+    n = d.n
+    if d.pairing or half.any() or n < 4 or len(uv) != n * (n - 1) // 2:
+        return False
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    if lo.min() < 0 or hi.max() >= n:
+        return False
+    ii, jj = np.triu_indices(n, 1)
+    return np.array_equal(np.sort(lo * n + hi), ii * n + jj)
+
+
+# Smallest |det| whose computed sign the point-drawing counter trusts,
+# whatever tol.general_position: rounding moves the determinants of unit
+# vectors, and the sweep's triple products, by well under 1e-14.
+_DET_FLOOR = 1e-13
+
+
+def _point_drawing_counts(verts: np.ndarray, uv: np.ndarray,
+                          margin: float) -> np.ndarray | None:
+    """Per-edge crossing counts of a point drawing from orientation signs,
+    or None if some triple of distinct vertices has |det| <= margin.
+
+    For arcs ab and cd with frames N = unit(a x b), U = b x N, V = N x a,
+    the sweep's four triple products with X = N_ab x N_cd are
+        X.U_ab = -det(b,c,d)/|c x d|,   X.V_ab = det(a,c,d)/|c x d|,
+        X.U_cd =  det(a,b,d)/|a x b|,   X.V_cd = -det(a,b,c)/|a x b|,
+    so the arcs cross iff, with s = sign det(a,b,c), det(a,b,d) = -s,
+    det(b,c,d) = s and det(a,c,d) = -s.  If every triple of distinct
+    vertices has |det| > margin >= tol.general_position, the sweep refuses
+    no pair: |X| >= |X.U_cd| >= |det(a,b,d)| > margin > tol.sign, and its
+    mags, the least of the four |X.w| >= |det|, exceed margin >
+    tol.sign >= tol.sign * |X|.  It also decides every sign as the
+    determinants do, since margin >= _DET_FLOOR lies far above the
+    rounding of either computation.  Repeated-index triples (det(a,b,a)
+    is about 1e-17, not 0) are masked by their indices, never by size.
+
+    The signs are packed into bitsets over d: pos[a, b] and neg[a, b] hold
+    the d with det(a,b,d) > 0 and < 0.  Edge ab then crosses
+    sum_c popcount(neg[a,b] & pos[b,c] & neg[a,c]) / 2 edges over the c
+    with det(a,b,c) > 0 (pos and neg swapped where it is < 0): each
+    crossing edge cd is found once from c and once from d.
+    """
+    n = len(verts)
+    words = (n + 63) // 64
+    pos = np.zeros((n, n, words), dtype=np.uint64)
+    neg = np.zeros_like(pos)
+    idx = np.arange(n)
+    for a0, a1 in row_blocks(n, n * n):
+        rows = np.arange(a1 - a0)
+        # dets[r, b, c] = det(a0 + r, b, c)
+        dets = (np.cross(verts[a0:a1, None], verts).reshape(-1, 3)
+                @ verts.T).reshape(a1 - a0, n, n)
+        repeated = np.zeros(dets.shape, dtype=bool)
+        repeated[rows, a0 + rows, :] = True
+        repeated[rows, :, a0 + rows] = True
+        repeated[:, idx, idx] = True
+        if not (repeated | (np.abs(dets) > margin)).all():
+            return None
+        bits = np.zeros((a1 - a0, n, 64 * words), dtype=bool)
+        for out, sign in ((pos, dets > 0.0), (neg, dets < 0.0)):
+            bits[..., :n] = sign & ~repeated
+            out[a0:a1] = np.packbits(bits, axis=-1,
+                                     bitorder="little").view(np.uint64)
+    crossed = np.zeros((n, n), dtype=np.int64)
+    for a in range(n - 1):
+        rest = slice(a + 1, n)
+        pa, na = pos[a], neg[a]
+        above = np.unpackbits(pa[rest].view(np.uint8), axis=-1, count=n,
+                              bitorder="little").view(bool)
+        # [b, c]: the d completing a crossing, by the sign of det(a,b,c)
+        found = np.where(above[..., None], na[rest, None] & pos[rest] & na,
+                         pa[rest, None] & neg[rest] & pa)
+        crossed[a, rest] = np.bitwise_count(found).reshape(n - 1 - a, -1).sum(
+            axis=1, dtype=np.int64) // 2
+    return crossed[uv.min(axis=1), uv.max(axis=1)]
+
+
+def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
+                    workers: int = 1) -> CrossingReport:
+    """Count all edge crossings of a drawing.
+
+    A point drawing (see :func:`_is_point_drawing`) whose vertex triples
+    all clear the general-position margin is counted from orientation
+    signs in O(n^3 * n/64) word operations; its report's pair list is
+    swept on first read, with the same ``workers``.  Every other drawing
+    is swept pair by pair: adjacent pairs and pairs splitting an antipodal
+    couple are excluded structurally (see :func:`_sweep`); every other pair
+    goes through the sign predicate, tile by tile, so scratch memory stays
+    bounded.  With ``workers > 1`` the tiles are dealt out over a process
+    pool and the merged pairs are sorted, so counts and pair lists are
+    independent of scheduling.
+    """
+    tol = tol or d.tol
+    uv, half = _edge_arrays(d)
+    per_edge = None
+    if _is_point_drawing(d, uv, half):
+        per_edge = _point_drawing_counts(
+            d.vertices, uv, max(tol.general_position, _DET_FLOOR))
+    if per_edge is None:
+        pairs = _sweep_pairs(_pack_drawing(d), tol.sign, workers)
+        per_edge = np.bincount(pairs.ravel(), minlength=len(uv))
     else:
-        global _POOL_DATA
-        _POOL_DATA = packed
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                chunks = pool.map(_pool_worker,
-                                  [(tiles[w::workers], tol.sign)
-                                   for w in range(workers)])
-            pairs = np.concatenate(chunks, axis=0)
-        finally:
-            _POOL_DATA = None
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    per_edge = np.bincount(pairs.ravel(), minlength=E)
+        def pairs():
+            return _sweep_pairs(_pack_drawing(d), tol.sign, workers)
     # each edge's crossings count once for each of its two endpoints
     per_vertex = np.bincount(uv.ravel(), weights=np.repeat(per_edge, 2),
                              minlength=d.n).astype(np.int64)
-    return CrossingReport(total=len(pairs), per_edge=per_edge,
+    return CrossingReport(total=int(per_edge.sum()) // 2, per_edge=per_edge,
                           per_vertex=per_vertex, pairs=pairs)
 
 

@@ -1,5 +1,5 @@
-"""The batched kernels: tiled sweep, half-circle checks, bulk arc frames
-and validation.
+"""The batched kernels: tiled sweep, point-drawing counter, half-circle
+checks, bulk arc frames and validation.
 
 Shrinking the tile constant makes tiles split rows into column chunks and
 group short rows into blocks; counts, pair lists and the reported
@@ -12,17 +12,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hilldraw import drawing as drawing_mod
 from hilldraw import geom
 from hilldraw.construct import ConstructionError, validate_arrangement
-from hilldraw.docio import DocumentError, doc_to_drawing, drawing_to_doc
-from hilldraw.drawing import (Drawing, DrawingKind, Edge, add_random_apex,
-                              build_cocktail_party,
+from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
+                            report_to_doc)
+from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind, Edge,
+                              add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               delete_vertex, double, extend_partial_matching,
                               extend_to_complete, make_assignment,
-                              random_assignment, strength, validate_drawing)
+                              random_assignment, strength, validate_drawing,
+                              verify)
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           geodesic_arcs, half_circles_cross, unit)
+                           ToleranceConfig, geodesic_arcs,
+                           half_circles_cross, unit)
+from hilldraw.montecarlo import DistributionSpec, sample_points
 
 from .conftest import random_unit_points
 from .oracles import brute_count
@@ -125,6 +130,143 @@ def test_first_refused_pair_is_reported(tile, same_circle_row, message,
     d = _degenerate_drawing(same_circle_row)
     with pytest.raises(DegenerateConfigurationError, match=message):
         count_crossings(d)
+
+
+def _sweep_report(d, tol=None):
+    """The report of the pair sweep alone; each crossing pair adds one to
+    its two edges and its four endpoints."""
+    tol = tol or d.tol
+    packed = drawing_mod._pack_drawing(d)
+    pairs = drawing_mod._sweep(packed, geom.triangle_tiles(len(packed[0])),
+                               tol.sign)
+    per_edge = np.bincount(pairs.ravel(), minlength=len(d.edges))
+    per_vertex = np.bincount(packed[3][pairs].ravel(), minlength=d.n)
+    return CrossingReport(len(pairs), per_edge, per_vertex, pairs)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts the calls of the pair sweep."""
+    calls = []
+    sweep = drawing_mod._sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(drawing_mod, "_sweep", counted)
+    return calls
+
+
+def _cap(theta):
+    spec = DistributionSpec(kind="cap", theta=theta)
+    return lambda rng, size: spec.draw(rng, size)
+
+
+DISTRIBUTIONS = {
+    "uniform": DistributionSpec(),
+    "cap": DistributionSpec(kind="cap", theta=0.3),
+    "symmetrized": DistributionSpec(kind="antipodal_symmetrized",
+                                    base=_cap(0.5)),
+}
+
+
+class TestPointDrawingCounter:
+    """Point drawings are counted from orientation signs; the reports must
+    be the sweep's, and so must the error whenever the counter declines."""
+
+    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+    def test_reports_equal_the_sweep(self, dist, sweep_calls):
+        rng = np.random.default_rng([41, len(dist)])
+        for n in (*range(4, 12), 18, 25, 39, 60):
+            pts = sample_points(n, DISTRIBUTIONS[dist], rng)
+            d = complete_drawing_from_points(pts)
+            calls = len(sweep_calls)
+            rep = count_crossings(d)
+            assert len(sweep_calls) == calls      # counted without a sweep
+            assert rep == _sweep_report(d)
+            assert rep.per_vertex.sum() == 4 * rep.total
+            if n <= 11:
+                total, pairs = brute_count(d)
+                assert rep.total == total
+                assert rep.pair_set() == frozenset(pairs)
+
+    def test_pairs_are_swept_once_on_first_read(self, sweep_calls):
+        pts = sample_points(30, DistributionSpec(), np.random.default_rng(5))
+        d = complete_drawing_from_points(pts)
+        rep = count_crossings(d)
+        assert sweep_calls == []
+        first = rep.pairs
+        calls = len(sweep_calls)
+        assert calls >= 1
+        assert rep.pairs is first and len(sweep_calls) == calls
+        assert first.dtype == np.int64 and first.shape == (rep.total, 2)
+        swept = _sweep_report(d)
+        doc = report_to_doc(verify(d), include_pairs=True)
+        assert doc["total"] == swept.total
+        assert doc["crossing_pairs"] == swept.pairs.tolist()
+
+    def test_pairs_use_the_report_workers(self):
+        pts = sample_points(16, DistributionSpec(), np.random.default_rng(6))
+        d = complete_drawing_from_points(pts)
+        assert len(d.edges) >= 64        # smaller drawings never reach the pool
+        assert count_crossings(d, workers=2) == _sweep_report(d)
+
+    def test_shuffled_document(self, rng):
+        pts = sample_points(24, DistributionSpec(), rng)
+        doc = drawing_to_doc(complete_drawing_from_points(pts))
+        order = rng.permutation(len(doc["edges"]))
+        doc["edges"] = [doc["edges"][i] for i in order]
+        for rec in doc["edges"][::3]:
+            rec["u"], rec["v"] = rec["v"], rec["u"]
+        d = doc_to_drawing(json.loads(json.dumps(doc)))
+        assert [(e.u, e.v) for e in d.edges][:2] != [(0, 1), (0, 2)]
+        assert drawing_mod._is_point_drawing(d, *drawing_mod._edge_arrays(d))
+        assert count_crossings(d) == _sweep_report(d)
+
+    @pytest.mark.parametrize("det", (0.5e-9, 1e-14))
+    def test_triple_inside_general_position_falls_back(self, det,
+                                                       sweep_calls):
+        """Vertex 5 sits on the great circle of vertices 0 and 1 up to a
+        determinant of ``det``, outside their arc; the counter declines and
+        the sweep decides, with its counts or its refusal."""
+        rng = np.random.default_rng(12)
+        pts = sample_points(12, DistributionSpec(), rng)
+        a, b = pts[0], pts[1]
+        pole = unit(np.cross(a, b))
+        x = unit(-(a + b))
+        pts[5] = unit(x + det / np.linalg.norm(np.cross(a, b)) * pole)
+        assert 0.0 < abs(np.linalg.det(pts[[0, 1, 5]])) <= 1e-9
+        d = complete_drawing_from_points(pts)
+        try:
+            want = _sweep_report(d)
+        except DegenerateConfigurationError as exc:
+            with pytest.raises(DegenerateConfigurationError) as err:
+                count_crossings(d)
+            assert str(err.value) == str(exc)
+            assert det < 1e-12
+        else:
+            calls = len(sweep_calls)
+            rep = count_crossings(d)
+            assert len(sweep_calls) > calls     # the sweep did the counting
+            assert rep == want
+
+    @pytest.mark.parametrize("floor", (drawing_mod._DET_FLOOR, 0.0))
+    def test_repeated_index_triples_masked_by_index(self, floor, monkeypatch,
+                                                    sweep_calls):
+        """Triples like det(a,b,a) come out near 1e-16, not 0: above a
+        general-position margin of 1e-17 they would read as signs unless
+        they are masked by their indices."""
+        monkeypatch.setattr(drawing_mod, "_DET_FLOOR", floor)
+        tol = ToleranceConfig(sign=1e-18, general_position=1e-17)
+        pts = sample_points(30, DistributionSpec(), np.random.default_rng(3),
+                            tol)
+        cross = np.cross(pts[:, None], pts)
+        assert (np.abs(np.einsum("abk,ak->ab", cross, pts)) > 1e-17).any()
+        d = complete_drawing_from_points(pts, tol)
+        rep = count_crossings(d)
+        assert sweep_calls == []
+        assert rep == _sweep_report(d)
 
 
 def _scalar_crossings(halves):

@@ -130,6 +130,15 @@ class TestRatioExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, trials=0, seed=0)
 
+    def test_mean_matches_exact_expectation(self):
+        # Moon (1965): uniform points give E[cr] = (3/8) C(n,4) exactly
+        from math import comb
+        result = ratio_experiment(ExperimentConfig(n=100, trials=40,
+                                                   seed=2718))
+        counts = np.asarray(result.counts, dtype=float)
+        stderr = counts.std(ddof=1) / np.sqrt(len(counts))
+        assert abs(counts.mean() - 3 * comb(100, 4) / 8) <= 5 * stderr
+
     def test_ratio_variance_shrinks_with_n(self):
         variances = []
         for n in (20, 40, 60):
