@@ -5,10 +5,11 @@ their antipodes), a choice of matching half-circles, and drawings of the
 complete graph and its matching-removed subgraphs whose crossing totals are
 verified against closed-form integer counts.
 
-Counting is brute force over edge pairs with a vectorized predicate core and
-an optional process pool; a second, structurally different counter based on
-great-circle pairs serves as an independent oracle for matching-free
-drawings.
+Point drawings are counted from the orientation signs of their vertex
+triples; every other drawing is swept over all edge pairs, tile by tile,
+through one batched predicate, optionally on a process pool.  A second,
+structurally different counter walks tiles of great-circle pairs and serves
+as an independent oracle for matching-free drawings.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
 from .formulas import hill_number, partial_matching_target, per_vertex_target
 from .geom import (DEFAULT_TOL, Curve, DegenerateConfigurationError,
-                   HalfCircle, ToleranceConfig, arc_frames, curve_frame,
-                   frame_signs, geodesic_arcs, is_general_position,
-                   require_unit, require_unit_rows, row_blocks,
-                   triangle_tiles, unit)
+                   HalfCircle, ToleranceConfig, arc_frames, cross3,
+                   curve_frame, dot3, frame_signs, geodesic_arcs,
+                   is_general_position, require_unit, require_unit_rows,
+                   row_blocks, triangle_tiles, unit)
 
 
 class DrawingKind(str, Enum):
@@ -62,12 +62,7 @@ class AntipodalConfig:
         return i + k if i < k else i - k
 
     def pairing(self) -> dict[int, int]:
-        k = self.k
-        out = {}
-        for i in range(k):
-            out[i] = i + k
-            out[i + k] = i
-        return out
+        return {i: self.partner(i) for i in range(self.n)}
 
 
 def double(points, tol: ToleranceConfig = DEFAULT_TOL) -> AntipodalConfig:
@@ -119,11 +114,14 @@ def make_assignment(config: AntipodalConfig, midpoints,
     return HalfCircleAssignment(midpoints=fixed)
 
 
+_MAX_TRIES = 64     # samples before a random assignment or apex gives up
+
+
 def random_assignment(config: AntipodalConfig, rng,
-                      tol: ToleranceConfig = DEFAULT_TOL,
-                      max_tries: int = 64) -> HalfCircleAssignment:
+                      tol: ToleranceConfig = DEFAULT_TOL
+                      ) -> HalfCircleAssignment:
     """Assignment with uniformly random midpoint witnesses (any strength)."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         raw = rng.normal(size=(config.k, 3))
         try:
             return make_assignment(config, raw, tol)
@@ -471,17 +469,16 @@ def config_from_drawing(d: Drawing
 
 def add_random_apex(config: AntipodalConfig, asg: HalfCircleAssignment,
                     rng, tol: ToleranceConfig = DEFAULT_TOL,
-                    max_tries: int = 64,
                     provenance: dict | None = None) -> Drawing:
     """Sample uniform apexes until one is accepted by :func:`add_apex`."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         q = unit(rng.normal(size=3))
         try:
             return add_apex(config, asg, q, tol, provenance)
         except DegenerateConfigurationError:
             continue
     raise DegenerateConfigurationError(
-        f"no valid apex found in {max_tries} samples")
+        f"no valid apex found in {_MAX_TRIES} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -803,75 +800,76 @@ def count_crossings_by_circle_pairs(d: Drawing,
                                     tol: ToleranceConfig | None = None) -> int:
     """Independent crossing total for a matching-free antipodal drawing.
 
-    Every edge lies on the great circle spanned by one couple of antipodal
-    pairs, and all crossings happen between two such circles.  For each pair
-    of circles this locates the two actual intersection directions and
-    attributes each to the unique containing edge on both circles; circles
-    sharing a base pair meet exactly on that pair's axis and contribute
-    nothing.  Structurally unrelated to the pairwise predicate sweep, which
-    makes the two counters mutual oracles.
+    Every edge is one arc of a cycle a -> b -> -a -> -b -> a on the great
+    circle of two antipodal pairs, and all crossings happen between two
+    such circles.  Each circle pair's intersections +-(n1 x n2) are
+    attributed to the unique containing arc on both cycles; circles sharing
+    a base pair meet on its axis and contribute nothing.  Unrelated to the
+    pairwise sweep, so the two counters are mutual oracles.  Circle pairs
+    are walked in geom.triangle_tiles, a tile at a time; the first refused
+    pair raises, its checks in the order same circle, shared-pair axis,
+    dead zone on the first cycle, then on the second, more than one arc.
     """
     tol = tol or d.tol
     if d.kind is not DrawingKind.COCKTAIL_PARTY:
         raise ValueError("the circle-pair counter applies to matching-free "
                          "antipodal drawings only")
-    n = d.n
-    k = n // 2
-    pair_list = sorted({tuple(sorted((a, b))) for a, b in d.pairing.items()})
-    rep = [p[0] for p in pair_list]            # one base vertex per pair
-    part = [p[1] for p in pair_list]
-    verts = d.vertices
+    couples = np.array(sorted({tuple(sorted(p)) for p in d.pairing.items()}),
+                       dtype=np.int64).reshape(-1, 2)
+    cycles = np.stack(np.triu_indices(len(couples), 1), axis=1)
+    ci, cj = cycles.T
+    # ring_u[c] = a, b, -a, -b: cycle c's arcs run from ring_u to ring_v
+    ring_u = d.vertices[couples[cycles].transpose(0, 2, 1).reshape(-1, 4)]
+    ring_v = np.roll(ring_u, -1, axis=1)
+    normals, arc_n = (M / np.linalg.norm(M, axis=-1, keepdims=True) for M in
+                      (np.cross(ring_u[:, 0], ring_u[:, 1]),
+                       np.cross(ring_u, ring_v)))
+    # component-major: normals (3, C), wedges (3, 2 wedges, 4 arcs, C)
+    normals = np.ascontiguousarray(normals.T)
+    wedges = np.ascontiguousarray(np.stack(
+        [np.cross(ring_v, arc_n), np.cross(arc_n, ring_u)], axis=2).T)
 
-    cycles = list(combinations(range(k), 2))
-    C = len(cycles)
-    normals = np.empty((C, 3))
-    arc_w = np.empty((C, 4, 2, 3))             # per cycle: 4 arcs x 2 wedges
-    for c, (i, j) in enumerate(cycles):
-        a, abar = rep[i], part[i]
-        b, bbar = rep[j], part[j]
-        normals[c] = unit(np.cross(verts[a], verts[b]))
-        ring = [(a, b), (b, abar), (abar, bbar), (bbar, a)]
-        for s, (u, v) in enumerate(ring):
-            nrm = unit(np.cross(verts[u], verts[v]))
-            arc_w[c, s, 0] = np.cross(verts[v], nrm)
-            arc_w[c, s, 1] = np.cross(nrm, verts[u])
-
-    def contains_count(c, cand):
-        dots = arc_w[c] @ cand                  # (4, 2)
-        if np.any(np.abs(dots) <= tol.sign):
-            raise DegenerateConfigurationError(
-                f"circle-pair attribution hit the dead zone on cycle {c}")
-        return int(np.sum((dots > 0.0).all(axis=1)))
+    def attribution(X, W):
+        """Least |X . w| over one cycle's wedges W, and how many of its arcs
+        hold X and -X strictly: dots(-X) = -dots(X) serves both."""
+        D = dot3(X, W)
+        return (np.abs(D).min(axis=(0, 1)), (D > 0.0).all(axis=0).sum(axis=0),
+                (D < 0.0).all(axis=0).sum(axis=0))
 
     total = 0
-    for c1 in range(C):
-        i, j = cycles[c1]
-        for c2 in range(c1 + 1, C):
-            r, s = cycles[c2]
-            x = np.cross(normals[c1], normals[c2])
-            nx = float(np.linalg.norm(x))
-            if nx <= tol.sign:
-                raise DegenerateConfigurationError(
-                    f"cycles {cycles[c1]} and {cycles[c2]} span the same "
-                    "great circle")
-            x /= nx
-            common = {i, j} & {r, s}
-            if common:
-                shared = verts[rep[common.pop()]]
-                if abs(abs(float(x @ shared)) - 1.0) > tol.general_position:
-                    raise DegenerateConfigurationError(
-                        "circles through a shared pair fail to meet on its "
-                        "axis")
-                continue
-            for cand in (x, -x):
-                in1 = contains_count(c1, cand)
-                in2 = contains_count(c2, cand)
-                if in1 > 1 or in2 > 1:
-                    raise DegenerateConfigurationError(
-                        "intersection attributed to more than one arc")
-                if in1 and in2:
-                    total += 1
-    return total
+    for r0, r1, c0, c1 in triangle_tiles(len(cycles)):
+        r, c = np.ogrid[r0:r1, c0:c1]
+        X = cross3(normals[:, r0:r1, None], normals[:, None, c0:c1])
+        nx = np.sqrt(dot3(X, X))
+        same = (c > r) & (nx <= tol.sign)
+        on_i = (ci[r] == ci[c]) | (ci[r] == cj[c])
+        shares = on_i | (cj[r] == ci[c]) | (cj[r] == cj[c])
+        shared, free = (c > r) & ~same & shares, (c > r) & ~same & ~shares
+        at = np.nonzero(shared)
+        axis_ends = d.vertices[couples[np.where(on_i, ci[r], cj[r])[at], 0]]
+        cos = dot3([x[at] / nx[at] for x in X], axis_ends.T)
+        axis = np.zeros_like(shared)
+        axis[at] = np.abs(np.abs(cos) - 1.0) > tol.general_position
+        mags1, in1, out1 = attribution(X, wedges[..., r0:r1, None])
+        mags2, in2, out2 = attribution(X, wedges[..., None, c0:c1])
+        refusals = (same, axis, free & (mags1 <= tol.sign * nx),
+                    free & (mags2 <= tol.sign * nx),
+                    free & ((in1 > 1) | (in2 > 1) | (out1 > 1) | (out2 > 1)))
+        bad = np.logical_or.reduce(refusals)
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            p, q = r0 + int(at[0]), c0 + int(at[1])
+            raise DegenerateConfigurationError(next(m for hit, m in zip(
+                refusals,
+                (f"cycles {tuple(cycles[p].tolist())} and "
+                 f"{tuple(cycles[q].tolist())} span the same great circle",
+                 "circles through a shared pair fail to meet on its axis",
+                 f"circle-pair attribution hit the dead zone on cycle {p}",
+                 f"circle-pair attribution hit the dead zone on cycle {q}",
+                 "intersection attributed to more than one arc")) if hit[at]))
+        total += (np.count_nonzero(free & (in1 > 0) & (in2 > 0))
+                  + np.count_nonzero(free & (out1 > 0) & (out2 > 0)))
+    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,11 @@ def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     return not has_coplanar_triple(pts, tol.general_position)
 
 
+_SAMPLE_TRIES = 64  # draws before sample_points gives up on a distribution
+
+
 def sample_points(n: int, dist: DistributionSpec, rng,
-                  tol: ToleranceConfig = DEFAULT_TOL,
-                  max_tries: int = 64) -> np.ndarray:
+                  tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """n points from the distribution, rejection-resampled until they are in
     general position with all pairs well separated from equality and
     antipodality."""
@@ -98,13 +100,13 @@ def sample_points(n: int, dist: DistributionSpec, rng,
         raise ValueError("need at least one point")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         pts = dist.draw(rng, n)
         if _points_usable(pts, tol):
             return pts
     raise SamplingError(
-        f"no usable {n}-point sample in {max_tries} draws; the distribution "
-        "may concentrate near a great circle")
+        f"no usable {n}-point sample in {_SAMPLE_TRIES} draws; the "
+        "distribution may concentrate near a great circle")
 
 
 # Attempts per trial before a degenerate sample stream is given up.

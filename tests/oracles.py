@@ -3,16 +3,21 @@
 Nothing here shares code paths with the package predicates: crossings are
 decided by dense sampling or by sign bisection along one curve plus
 arc-length membership on the other, and the reference counter walks edge
-pairs with its own bookkeeping.
+pairs with its own bookkeeping.  circle_pair_count_reference is the scalar
+loop that the batched circle-pair counter replaced, one circle pair at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from hilldraw.geom import GeodesicArc, HalfCircle
+from hilldraw.drawing import DrawingKind
+from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
+                           HalfCircle, unit)
 
 
 def sample_curve(curve, segments: int) -> np.ndarray:
@@ -191,6 +196,81 @@ def brute_count(drawing) -> tuple[int, set]:
             if hit:
                 pairs.add((i, j))
     return len(pairs), pairs
+
+
+def circle_pair_count_reference(d, tol=None) -> int:
+    """Scalar reference of drawing.count_crossings_by_circle_pairs: the
+    same method, checks and messages, one circle pair at a time in
+    lexicographic order.
+
+    Every edge lies on the great circle spanned by one couple of antipodal
+    pairs, and all crossings happen between two such circles.  For each pair
+    of circles this locates the two actual intersection directions and
+    attributes each to the unique containing edge on both circles; circles
+    sharing a base pair meet exactly on that pair's axis and contribute
+    nothing.
+    """
+    tol = tol or d.tol
+    if d.kind is not DrawingKind.COCKTAIL_PARTY:
+        raise ValueError("the circle-pair counter applies to matching-free "
+                         "antipodal drawings only")
+    n = d.n
+    k = n // 2
+    pair_list = sorted({tuple(sorted((a, b))) for a, b in d.pairing.items()})
+    rep = [p[0] for p in pair_list]            # one base vertex per pair
+    part = [p[1] for p in pair_list]
+    verts = d.vertices
+
+    cycles = list(combinations(range(k), 2))
+    C = len(cycles)
+    normals = np.empty((C, 3))
+    arc_w = np.empty((C, 4, 2, 3))             # per cycle: 4 arcs x 2 wedges
+    for c, (i, j) in enumerate(cycles):
+        a, abar = rep[i], part[i]
+        b, bbar = rep[j], part[j]
+        normals[c] = unit(np.cross(verts[a], verts[b]))
+        ring = [(a, b), (b, abar), (abar, bbar), (bbar, a)]
+        for s, (u, v) in enumerate(ring):
+            nrm = unit(np.cross(verts[u], verts[v]))
+            arc_w[c, s, 0] = np.cross(verts[v], nrm)
+            arc_w[c, s, 1] = np.cross(nrm, verts[u])
+
+    def contains_count(c, cand):
+        dots = arc_w[c] @ cand                  # (4, 2)
+        if np.any(np.abs(dots) <= tol.sign):
+            raise DegenerateConfigurationError(
+                f"circle-pair attribution hit the dead zone on cycle {c}")
+        return int(np.sum((dots > 0.0).all(axis=1)))
+
+    total = 0
+    for c1 in range(C):
+        i, j = cycles[c1]
+        for c2 in range(c1 + 1, C):
+            r, s = cycles[c2]
+            x = np.cross(normals[c1], normals[c2])
+            nx = float(np.linalg.norm(x))
+            if nx <= tol.sign:
+                raise DegenerateConfigurationError(
+                    f"cycles {cycles[c1]} and {cycles[c2]} span the same "
+                    "great circle")
+            x /= nx
+            common = {i, j} & {r, s}
+            if common:
+                shared = verts[rep[common.pop()]]
+                if abs(abs(float(x @ shared)) - 1.0) > tol.general_position:
+                    raise DegenerateConfigurationError(
+                        "circles through a shared pair fail to meet on its "
+                        "axis")
+                continue
+            for cand in (x, -x):
+                in1 = contains_count(c1, cand)
+                in2 = contains_count(c2, cand)
+                if in1 > 1 or in2 > 1:
+                    raise DegenerateConfigurationError(
+                        "intersection attributed to more than one arc")
+                if in1 and in2:
+                    total += 1
+    return total
 
 
 def hill_closed_form(n: int) -> int:

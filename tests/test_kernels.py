@@ -1,5 +1,5 @@
 """The batched kernels: tiled sweep, point-drawing counter, half-circle
-checks, bulk arc frames and validation.
+checks, circle-pair counter, bulk arc frames and validation.
 
 Shrinking the tile constant makes tiles split rows into column chunks and
 group short rows into blocks; counts, pair lists and the reported
@@ -20,7 +20,8 @@ from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
 from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind, Edge,
                               add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
-                              delete_vertex, double, extend_partial_matching,
+                              count_crossings_by_circle_pairs, delete_vertex,
+                              double, extend_partial_matching,
                               extend_to_complete, make_assignment,
                               random_assignment, strength, validate_drawing,
                               verify)
@@ -30,7 +31,7 @@ from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
 from .conftest import random_unit_points
-from .oracles import brute_count
+from .oracles import brute_count, circle_pair_count_reference
 from .test_drawing import hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
@@ -319,6 +320,165 @@ class TestHalfCircleChecks:
             validate_arrangement(halves)
         # a degenerate arrangement is shrunk, not redrawn, by the blowup
         assert "general position" not in str(err.value)
+
+
+def _cocktail(k, dist, rng):
+    return build_cocktail_party(double(sample_points(k, dist, rng)))
+
+
+def _outcome(counter, d, tol=None):
+    """The counter's total, or the type and message of its refusal."""
+    try:
+        return counter(d, tol)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _near_circle(pts, i, j, m):
+    """pts with point j moved to 0.2 rad from point i, and point m to 1e-6
+    off their great circle, between them: |det| is about 2e-7, general
+    position by default.  With i and j that close, the circles through two
+    of i, j, m stay further from one great circle than a circle through m
+    meets the circle (i, j) from m: a dead zone between the two refuses
+    attribution before any pair of circles."""
+    pts = pts.copy()
+    pts[j] = unit(pts[i] + 0.2 * unit(np.cross(pts[i], pts[m])))
+    pole = unit(np.cross(pts[i], pts[j]))
+    pts[m] = unit(unit(pts[i] + pts[j]) + 1e-6 * pole)
+    return pts
+
+
+def _unchecked_cocktail(base, anti):
+    """A matching-free drawing left unvalidated: the counter reads only its
+    vertices and pairing."""
+    k = len(base)
+    pairing = {i: i + k for i in range(k)} | {i + k: i for i in range(k)}
+    return Drawing(vertices=np.concatenate([base, anti]),
+                   kind=DrawingKind.COCKTAIL_PARTY, edges=(),
+                   pairing=pairing)
+
+
+@pytest.mark.parametrize("tile", (1, 7, geom._TILE))
+class TestCirclePairCounter:
+    """The tiled circle-pair counter against the scalar pair loop it
+    replaced: equal totals, and equal refusals for the same first pair."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        """Drawings for k = 3..12 under both distributions, with the scalar
+        loop's totals (computed once: it is the slow side)."""
+        out = []
+        for name in ("uniform", "cap"):
+            rng = np.random.default_rng([77, len(name)])
+            for k in range(3, 13):
+                d = _cocktail(k, DISTRIBUTIONS[name], rng)
+                out.append((k, d, circle_pair_count_reference(d)))
+        return out
+
+    def test_totals_equal_reference_and_closed_form(self, tile, monkeypatch,
+                                                    small):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        for k, d, want in small:
+            assert want == k * (k - 1) * (k - 2) * (k - 3) // 4
+            assert count_crossings_by_circle_pairs(d) == want
+
+    def test_refusals_through_tolerances(self, tile, monkeypatch):
+        """A wide dead zone refuses attribution, a wider one whole circle
+        pairs; a general-position margin below the rounding of a unit
+        dot product fails the shared-pair axis test."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng(79)
+        seen = set()
+        for sign, margin in ((0.05, 0.1), (0.2, 0.3), (1e-18, 1e-17)):
+            tol = ToleranceConfig(sign=sign, general_position=margin)
+            for k in (5, 6, 9):
+                d = _cocktail(k, DISTRIBUTIONS["uniform"], rng)
+                want = _outcome(circle_pair_count_reference, d, tol)
+                assert _outcome(count_crossings_by_circle_pairs, d,
+                                tol) == want
+                if isinstance(want, tuple):
+                    seen.add(want[1].split(" on cycle")[0].split(" (")[0])
+        assert seen == {"circle-pair attribution hit the dead zone",
+                        "cycles", "circles through a shared pair fail to "
+                        "meet on its axis"}
+
+    @pytest.mark.parametrize("triple, message", [
+        # circle (0,1) passes by point 2: first hit ((0,1), (2,3))
+        ((0, 1, 2), "dead zone on cycle 9"),
+        # circle (2,4) passes by point 1: first hit ((0,1), (2,4))
+        ((1, 2, 4), "dead zone on cycle 0"),
+    ])
+    def test_dead_zone_on_either_cycle(self, tile, triple, message,
+                                       monkeypatch):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        pts = sample_points(6, DISTRIBUTIONS["uniform"],
+                            np.random.default_rng(7))
+        d = build_cocktail_party(double(_near_circle(pts, *triple)))
+        tol = ToleranceConfig(sign=5e-6, general_position=1e-4)
+        want = _outcome(circle_pair_count_reference, d, tol)
+        assert want[0] is DegenerateConfigurationError
+        assert want[1].endswith(message)
+        assert _outcome(count_crossings_by_circle_pairs, d, tol) == want
+
+    def test_same_great_circle(self, tile, monkeypatch):
+        """Points 0, 1, 3 on one great circle: the second circle pair,
+        ((0,1), (0,3)), is the first refused."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        pts = sample_points(6, DISTRIBUTIONS["uniform"],
+                            np.random.default_rng(8))
+        pts[3] = unit(pts[0] + pts[1])
+        d = _unchecked_cocktail(pts, -pts)
+        want = (DegenerateConfigurationError,
+                "cycles (0, 1) and (0, 3) span the same great circle")
+        assert _outcome(circle_pair_count_reference, d) == want
+        assert _outcome(count_crossings_by_circle_pairs, d) == want
+
+    def test_inexact_antipodes(self, tile, monkeypatch):
+        """Partners that are not exact antipodes make a cycle's arcs
+        overlap: an intersection can fall in two of them."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng(80)
+        outcomes = []
+        for _ in range(30):
+            k = int(rng.integers(4, 8))
+            base = random_unit_points(k, rng)
+            anti = -base + 0.6 * rng.normal(size=(k, 3))
+            anti /= np.linalg.norm(anti, axis=1, keepdims=True)
+            d = _unchecked_cocktail(base, anti)
+            want = _outcome(circle_pair_count_reference, d)
+            assert _outcome(count_crossings_by_circle_pairs, d) == want
+            outcomes.append(want)
+        assert (DegenerateConfigurationError,
+                "intersection attributed to more than one arc") in outcomes
+        assert any(isinstance(w, int) for w in outcomes)
+
+    def test_independent_of_the_sweep(self, tile, monkeypatch):
+        monkeypatch.setattr(geom, "_TILE", tile)
+        d = _cocktail(7, DISTRIBUTIONS["uniform"], np.random.default_rng(9))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the circle-pair counter used the sweep")
+
+        for name in ("frame_signs", "arc_frames", "geodesic_arcs",
+                     "_pack_drawing", "_sweep"):
+            monkeypatch.setattr(drawing_mod, name, forbidden)
+            monkeypatch.setattr(geom, name, forbidden, raising=False)
+        assert count_crossings_by_circle_pairs(d) == 7 * 6 * 5 * 4 // 4
+
+
+@pytest.mark.parametrize("tile", (97, geom._TILE))
+@pytest.mark.parametrize("dist", ("uniform", "cap"))
+def test_circle_pair_totals_at_k20_and_k30(tile, dist, monkeypatch):
+    """The closed form on 190 and 435 circles.  A tile of 97 pairs splits
+    the long rows into column chunks and groups the short ones; the scalar
+    loop would take seconds per drawing here, and one pair per tile as
+    long, so both stay with TestCirclePairCounter's k <= 12."""
+    monkeypatch.setattr(geom, "_TILE", tile)
+    rng = np.random.default_rng([78, len(dist)])
+    for k in (20, 30):
+        d = _cocktail(k, DISTRIBUTIONS[dist], rng)
+        assert (count_crossings_by_circle_pairs(d)
+                == k * (k - 1) * (k - 2) * (k - 3) // 4)
 
 
 class TestValidationReportsFirstBadEdge:
