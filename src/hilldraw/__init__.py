@@ -4,9 +4,10 @@ Doubling a general-position point set with its antipodes and joining every
 non-antipodal pair by a shorter geodesic yields drawings whose crossing
 totals hit the Hill number H(n) exactly once pairwise disjoint matching
 half-circles are added.  This package constructs such drawings, counts
-crossings geometrically two independent ways, verifies every closed-form
-count by exact integer comparison, and measures how random geodesic
-drawings approach the same bound.
+crossings geometrically two independent ways (orientation signs and a
+pairwise sweep), verifies every closed-form count by exact integer
+comparison, and measures how random geodesic drawings approach the same
+bound.
 """
 
 from .construct import (BlowupPlan, ConstructionError, HalfCircleArrangement,

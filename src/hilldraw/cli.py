@@ -129,7 +129,10 @@ def _load_tolerances(path) -> ToleranceConfig | None:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return ToleranceConfig.from_dict(json.load(fh))
+        try:
+            return ToleranceConfig.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"--tolerances {path}: {exc}") from None
 
 
 def _rng_seed(value) -> int:

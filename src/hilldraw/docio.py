@@ -13,7 +13,7 @@ import numpy as np
 
 from .drawing import (Drawing, DrawingKind, Edge, VerificationReport,
                       validate_drawing)
-from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
+from .geom import (DegenerateConfigurationError, HalfCircle,
                    ToleranceConfig, geodesic_arcs)
 
 DRAWING_FORMAT = "hilldraw/drawing/v1"
@@ -63,10 +63,11 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
         raise DocumentError(f"kind: unknown value {doc['kind']!r}") from None
 
     if tol is None:
+        stored = doc.get("tolerances")
         try:
-            tol = ToleranceConfig.from_dict(doc.get("tolerances") or {})
-        except (KeyError, TypeError, ValueError):
-            tol = DEFAULT_TOL
+            tol = ToleranceConfig.from_dict({} if stored is None else stored)
+        except ValueError as exc:
+            raise DocumentError(f"tolerances: {exc}") from None
 
     raw_verts = doc.get("vertices")
     if not isinstance(raw_verts, list) or not raw_verts:

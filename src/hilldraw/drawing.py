@@ -5,11 +5,14 @@ their antipodes), a choice of matching half-circles, and drawings of the
 complete graph and its matching-removed subgraphs whose crossing totals are
 verified against closed-form integer counts.
 
-Point drawings are counted from the orientation signs of their vertex
-triples; every other drawing is swept over all edge pairs, tile by tile,
-through one batched predicate, optionally on a process pool.  A second,
-structurally different counter walks tiles of great-circle pairs and serves
-as an independent oracle for matching-free drawings.
+Every drawing is counted from the orientation signs of its vertices and
+half-circle midpoints; where a triple is too close to coplanar, it is swept
+over all edge pairs instead, tile by tile, through one batched predicate,
+optionally on a process pool.  The sign counter and the sweep share no
+arithmetic and cross-check each other.  A third counter walks tiles of
+great-circle pairs on matching-free drawings; it cannot disagree with the
+closed form there, and checks the attribution argument and that no
+decision came near the dead zone.
 """
 
 from __future__ import annotations
@@ -683,112 +686,186 @@ def _sweep_pairs(packed, sign_tol: float, workers: int) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def _is_point_drawing(d: Drawing, uv: np.ndarray, half: np.ndarray) -> bool:
-    """No pairing, arc edges only, and each of the C(n, 2) vertex pairs
-    joined by exactly one edge, e.g. complete_drawing_from_points."""
-    n = d.n
-    if d.pairing or half.any() or n < 4 or len(uv) != n * (n - 1) // 2:
-        return False
-    lo, hi = uv.min(axis=1), uv.max(axis=1)
-    if lo.min() < 0 or hi.max() >= n:
-        return False
-    ii, jj = np.triu_indices(n, 1)
-    return np.array_equal(np.sort(lo * n + hi), ii * n + jj)
-
-
-# Smallest |det| whose computed sign the point-drawing counter trusts,
-# whatever tol.general_position: rounding moves the determinants of unit
-# vectors, and the sweep's triple products, by well under 1e-14.
+# Smallest |det| whose computed sign the sign counter trusts, whatever
+# tol.general_position: rounding moves the determinants of unit vectors,
+# and the sweep's triple products, by well under 1e-14.
 _DET_FLOOR = 1e-13
 
 
-def _point_drawing_counts(verts: np.ndarray, uv: np.ndarray,
-                          margin: float) -> np.ndarray | None:
-    """Per-edge crossing counts of a point drawing from orientation signs,
-    or None if some triple of distinct vertices has |det| <= margin.
+def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
+    """Per-edge crossing counts of any drawing from orientation signs, or
+    None where the sweep must count instead.
 
-    For arcs ab and cd with frames N = unit(a x b), U = b x N, V = N x a,
-    the sweep's four triple products with X = N_ab x N_cd are
+    Points and arcs.  The points are d's n vertices followed by one
+    midpoint witness m per half-circle edge.  A half-circle edge from p to
+    -p gives the two quarter arcs (p, m) and (m, -p); every other edge is
+    one arc.  Arcs are shorter arcs, and two shorter arcs ab and cd with
+    frames N = unit(a x b), U = b x N, V = N x a meet in the sweep's
+    triple products, with X = N_ab x N_cd,
         X.U_ab = -det(b,c,d)/|c x d|,   X.V_ab = det(a,c,d)/|c x d|,
         X.U_cd =  det(a,b,d)/|a x b|,   X.V_cd = -det(a,b,c)/|a x b|,
-    so the arcs cross iff, with s = sign det(a,b,c), det(a,b,d) = -s,
-    det(b,c,d) = s and det(a,c,d) = -s.  If every triple of distinct
-    vertices has |det| > margin >= tol.general_position, the sweep refuses
-    no pair: |X| >= |X.U_cd| >= |det(a,b,d)| > margin > tol.sign, and its
-    mags, the least of the four |X.w| >= |det|, exceed margin >
-    tol.sign >= tol.sign * |X|.  It also decides every sign as the
-    determinants do, since margin >= _DET_FLOOR lies far above the
-    rounding of either computation.  Repeated-index triples (det(a,b,a)
-    is about 1e-17, not 0) are masked by their indices, never by size.
+    so they cross iff, with s = sign det(a,b,c), det(a,b,d) = -s,
+    det(b,c,d) = s and det(a,c,d) = -s.  A half-circle's own frame is
+    (p x m, m, m).  Against arc cd the sweep's products are det(p,m,d),
+    -det(p,m,c) and, twice, (det(c,d,p) - (p.m) det(c,d,m))/|c x d|;
+    against half-circle (q, w) they are det(q,w,p) - (p.m) det(q,w,m) and
+    -det(p,m,q) + (q.w) det(p,m,w).
 
-    The signs are packed into bitsets over d: pos[a, b] and neg[a, b] hold
-    the d with det(a,b,d) > 0 and < 0.  Edge ab then crosses
-    sum_c popcount(neg[a,b] & pos[b,c] & neg[a,c]) / 2 edges over the c
-    with det(a,b,c) > 0 (pos and neg swapped where it is < 0): each
-    crossing edge cd is found once from c and once from d.
+    Masks and guard.  Three kinds of triple are masked by index, never by
+    size: a repeated index (det(a,b,a) is about 1e-17, not 0), an
+    antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep skips
+    every edge pair that splits a couple, such as a quarter arc (p, m)
+    and an arc at -p), and three midpoints (every arc has at most one, so
+    no arc pair uses such a triple, while blowups put many midpoints on
+    one great circle).  A masked triple has neither sign, so
+    a rule that needs it finds nothing; a masked det(a,b,c) reads as
+    negative below, but then det(a,c,d) or det(b,c,d) is masked too.  If
+    any other triple has |det| <= margin = max(tol.general_position,
+    _DET_FLOOR) + max |p.m|, None is returned.
+
+    Why a passing guard means the sweep's counts.  Every product above is
+    a guarded determinant, up to positive factors and a p.m term of at
+    most max |p.m|; with margin far above the rounding of either
+    computation, the sweep decides every sign as the determinants do.  It
+    also refuses no pair: each product exceeds general_position >
+    tol.sign in size, so mags > tol.sign >= tol.sign * |X|, and |X|, at
+    least any product with a unit vector, exceeds tol.sign.  In exact
+    arithmetic, with p.m = 0, a half-circle minus m is the union of its
+    two open quarter arcs, and the sign rule on them is the sweep's own
+    test.  A half-circle meets another curve at most once: the great
+    circles share only +-x, and the half-circle holds one of them.  A
+    guarded midpoint lies on no other arc either, since det(m,c,d) is
+    guarded.  So each crossing falls inside exactly one quarter arc:
+    no edge pair is counted twice, and none is lost at m.  The rule's
+    extra det(m,c,d) is guarded as well; it can only make the counter
+    fall back more often.
+
+    Counting.  The signs are packed into bitsets over d: pos[a, b] and
+    neg[a, b] hold the d with det(a,b,d) > 0 and < 0, and arcs[c] the d
+    joined to c by an arc.  Arc ab then crosses sum_c popcount(neg[a,b] &
+    pos[b,c] & neg[a,c] & arcs[c]) / 2 arcs over the c with det(a,b,c) > 0
+    (pos and neg swapped where it is < 0): each crossing arc cd is found
+    once from c and once from d.  The arcs are taken in blocks; where
+    every point pair is an arc, as in a point drawing, the AND with
+    arcs[c] is skipped and the pairs a < b are taken vertex by vertex, so
+    that rows are slices rather than gathers.  The quarter arcs' counts
+    are summed onto their edges.
+
+    A drawing validate_drawing would refuse, e.g. a half-circle whose
+    ends are not the exact antipodal couple it joins, an arc joining a
+    couple or a repeated point pair, is left to the sweep.
     """
-    n = len(verts)
-    words = (n + 63) // 64
-    pos = np.zeros((n, n, words), dtype=np.uint64)
+    n = d.n
+    uv, half = _edge_arrays(d)
+    partner = _partners(d)
+    hidx = np.flatnonzero(half)
+    u, v = uv[hidx, 0], uv[hidx, 1]
+    ends = np.array([d.edges[i].curve.p for i in hidx]).reshape(-1, 3)
+    mids = np.array([d.edges[i].curve.m for i in hidx]).reshape(-1, 3)
+    pts = np.concatenate([d.vertices, mids])
+    P = len(pts)
+    at = np.arange(n, P)
+    arcs = np.concatenate([uv[~half], np.stack([u, at], axis=1),
+                           np.stack([at, v], axis=1)])
+    owner = np.concatenate([np.flatnonzero(~half), hidx, hidx])
+    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+    key = lo * P + hi
+    if (not np.array_equal(partner[uv[:, 0]] == uv[:, 1], half)
+            or not np.array_equal(ends, d.vertices[u])
+            or not np.array_equal(d.vertices[v], -ends)
+            or (lo == hi).any() or (np.diff(np.sort(key)) == 0).any()):
+        return None
+    margin = max(tol.general_position, _DET_FLOOR) + float(
+        np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
+
+    words = (P + 63) // 64
+    pos = np.zeros((P, P, words), dtype=np.uint64)
     neg = np.zeros_like(pos)
-    idx = np.arange(n)
-    for a0, a1 in row_blocks(n, n * n):
-        rows = np.arange(a1 - a0)
+    idx = np.arange(P)
+    partner = np.concatenate([partner, np.full(len(hidx), -1)])
+    # pair[x, y]: x = y or an antipodal couple, masked in every triple
+    pair = (idx[:, None] == idx) | (partner[:, None] == idx)
+    mid = idx >= n
+    for a0, a1 in row_blocks(P, P * P):
         # dets[r, b, c] = det(a0 + r, b, c)
-        dets = (np.cross(verts[a0:a1, None], verts).reshape(-1, 3)
-                @ verts.T).reshape(a1 - a0, n, n)
-        repeated = np.zeros(dets.shape, dtype=bool)
-        repeated[rows, a0 + rows, :] = True
-        repeated[rows, :, a0 + rows] = True
-        repeated[:, idx, idx] = True
-        if not (repeated | (np.abs(dets) > margin)).all():
+        dets = (np.cross(pts[a0:a1, None], pts).reshape(-1, 3)
+                @ pts.T).reshape(a1 - a0, P, P)
+        masked = pair[a0:a1, :, None] | pair[a0:a1, None, :] | pair
+        if len(hidx):
+            masked |= mid[a0:a1, None, None] & mid[:, None] & mid
+        if not (masked | (np.abs(dets) > margin)).all():
             return None
-        bits = np.zeros((a1 - a0, n, 64 * words), dtype=bool)
+        bits = np.zeros((a1 - a0, P, 64 * words), dtype=bool)
         for out, sign in ((pos, dets > 0.0), (neg, dets < 0.0)):
-            bits[..., :n] = sign & ~repeated
+            bits[..., :P] = sign & ~masked
             out[a0:a1] = np.packbits(bits, axis=-1,
                                      bitorder="little").view(np.uint64)
-    crossed = np.zeros((n, n), dtype=np.int64)
-    for a in range(n - 1):
-        rest = slice(a + 1, n)
-        pa, na = pos[a], neg[a]
-        above = np.unpackbits(pa[rest].view(np.uint8), axis=-1, count=n,
+
+    joined = None
+    if len(key) < P * (P - 1) // 2:
+        joined = np.zeros((P, 64 * words), dtype=bool)
+        joined[lo, hi] = joined[hi, lo] = True
+        joined = np.packbits(joined, axis=-1,
+                             bitorder="little").view(np.uint64)
+
+    def crossings(pab, nab, pb, nb, pa, na):
+        """Arcs crossed by arcs ab, given pos and neg at [a, b], [b] and
+        [a]; the [a] rows may be one row shared by every ab."""
+        above = np.unpackbits(pab.view(np.uint8), axis=-1, count=P,
                               bitorder="little").view(bool)
-        # [b, c]: the d completing a crossing, by the sign of det(a,b,c)
-        found = np.where(above[..., None], na[rest, None] & pos[rest] & na,
-                         pa[rest, None] & neg[rest] & pa)
-        crossed[a, rest] = np.bitwise_count(found).reshape(n - 1 - a, -1).sum(
-            axis=1, dtype=np.int64) // 2
-    return crossed[uv.min(axis=1), uv.max(axis=1)]
+        # [ab, c]: the d completing a crossing, by the sign of det(a,b,c)
+        found = np.where(above[..., None], nab[:, None] & pb & na,
+                         pab[:, None] & nb & pa)
+        if joined is not None:
+            found &= joined
+        return np.bitwise_count(found).sum(axis=(1, 2), dtype=np.int64) // 2
+
+    if joined is None:
+        # every point pair is an arc: vertex by vertex, rows are slices;
+        # gathered per arc, as below, they nearly double the time on K_100
+        crossed = np.zeros((P, P), dtype=np.int64)
+        for a in range(P - 1):
+            rest = slice(a + 1, P)
+            crossed[a, rest] = crossings(pos[a, rest], neg[a, rest],
+                                         pos[rest], neg[rest], pos[a], neg[a])
+        crossed = crossed[lo, hi]
+    else:
+        crossed = np.zeros(len(lo), dtype=np.int64)
+        for s0, s1 in row_blocks(len(lo), P * words):
+            a, b = lo[s0:s1], hi[s0:s1]
+            crossed[s0:s1] = crossings(pos[a, b], neg[a, b], pos[b], neg[b],
+                                       pos[a], neg[a])
+    return np.bincount(owner, weights=crossed,
+                       minlength=len(uv)).astype(np.int64)
 
 
 def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
                     workers: int = 1) -> CrossingReport:
     """Count all edge crossings of a drawing.
 
-    A point drawing (see :func:`_is_point_drawing`) whose vertex triples
-    all clear the general-position margin is counted from orientation
-    signs in O(n^3 * n/64) word operations; its report's pair list is
-    swept on first read, with the same ``workers``.  Every other drawing
-    is swept pair by pair: adjacent pairs and pairs splitting an antipodal
-    couple are excluded structurally (see :func:`_sweep`); every other pair
-    goes through the sign predicate, tile by tile, so scratch memory stays
+    Every drawing is first counted from the orientation signs of its
+    vertices and half-circle midpoints (see :func:`_sign_counts`), in
+    O(P^3 * P/64) word operations over its P points; the report's pair
+    list is then swept on first read, with the same ``workers``.  Where
+    some triple falls inside the counter's guard, the drawing is swept
+    pair by pair instead, with the sweep's counts, errors and first
+    refused pair: adjacent pairs and pairs splitting an antipodal couple
+    are excluded structurally (see :func:`_sweep`); every other pair goes
+    through the sign predicate, tile by tile, so working memory stays
     bounded.  With ``workers > 1`` the tiles are dealt out over a process
     pool and the merged pairs are sorted, so counts and pair lists are
     independent of scheduling.
     """
     tol = tol or d.tol
-    uv, half = _edge_arrays(d)
-    per_edge = None
-    if _is_point_drawing(d, uv, half):
-        per_edge = _point_drawing_counts(
-            d.vertices, uv, max(tol.general_position, _DET_FLOOR))
+    uv, _ = _edge_arrays(d)
+
+    def pairs():
+        return _sweep_pairs(_pack_drawing(d), tol.sign, workers)
+
+    per_edge = _sign_counts(d, tol)
     if per_edge is None:
-        pairs = _sweep_pairs(_pack_drawing(d), tol.sign, workers)
+        pairs = pairs()
         per_edge = np.bincount(pairs.ravel(), minlength=len(uv))
-    else:
-        def pairs():
-            return _sweep_pairs(_pack_drawing(d), tol.sign, workers)
     # each edge's crossings count once for each of its two endpoints
     per_vertex = np.bincount(uv.ravel(), weights=np.repeat(per_edge, 2),
                              minlength=d.n).astype(np.int64)
@@ -798,14 +875,17 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
 
 def count_crossings_by_circle_pairs(d: Drawing,
                                     tol: ToleranceConfig | None = None) -> int:
-    """Independent crossing total for a matching-free antipodal drawing.
+    """Crossing total of a matching-free antipodal drawing by circle pairs.
 
     Every edge is one arc of a cycle a -> b -> -a -> -b -> a on the great
     circle of two antipodal pairs, and all crossings happen between two
     such circles.  Each circle pair's intersections +-(n1 x n2) are
     attributed to the unique containing arc on both cycles; circles sharing
-    a base pair meet on its axis and contribute nothing.  Unrelated to the
-    pairwise sweep, so the two counters are mutual oracles.  Circle pairs
+    a base pair meet on its axis and contribute nothing.  On a validated
+    drawing the total cannot differ from the closed form, so this checks
+    the attribution argument and that no decision came near the dead zone,
+    not the sweep's count; the sign counter is the sweep's cross-check.
+    Circle pairs
     are walked in geom.triangle_tiles, a tile at a time; the first refused
     pair raises, its checks in the order same circle, shared-pair axis,
     dead zone on the first cycle, then on the second, more than one arc.

@@ -41,8 +41,10 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("norm", "perp", "general_position", "sign"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
+            x = getattr(self, name)
+            if not (x > 0.0 and math.isfinite(x)):
+                raise ValueError(f"tolerance {name!r} must be strictly "
+                                 "positive and finite")
         if self.sign >= self.general_position:
             raise ValueError("sign dead zone must be smaller than the "
                              "general-position margin")
@@ -57,8 +59,21 @@ class ToleranceConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToleranceConfig":
-        return cls(**{k: float(d[k]) for k in
-                      ("norm", "perp", "general_position", "sign")})
+        """Tolerances from a mapping; a missing key keeps its default.
+        Raises ValueError for anything but a mapping of known keys to
+        numbers, and for the margins __post_init__ rejects."""
+        if not isinstance(d, dict):
+            raise ValueError("tolerances must be an object")
+        unknown = sorted(set(d) - set(cls().to_dict()))
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {', '.join(unknown)}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in d.values()):
+            raise ValueError("tolerance values must be numbers")
+        try:
+            return cls(**{k: float(x) for k, x in d.items()})
+        except OverflowError:
+            raise ValueError("tolerance values must be finite") from None
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -17,7 +17,8 @@ from hilldraw.construct import (BlowupPlan, blowup, default_plan_chain,
                                 perturb, recursive_construct, seed_four,
                                 seed_single, seed_two)
 from hilldraw.docio import drawing_to_doc
-from hilldraw.drawing import (add_random_apex, build_cocktail_party,
+from hilldraw.drawing import (_pack_drawing, _sign_counts, _sweep_pairs,
+                              add_random_apex, build_cocktail_party,
                               complete_drawing_from_points,
                               count_crossings, count_crossings_by_circle_pairs,
                               delete_vertex, double, extend_partial_matching,
@@ -85,7 +86,7 @@ def _half_circle_edge_hits(config, asg, drawing, tol=DEFAULT_TOL):
 def dn_corpus_stats():
     """Criteria 2 and 5 share this sweep over 100 configs per k in 3..10."""
     stats = {"count_mismatches": [], "increment_mismatches": [],
-             "oracle_mismatches": [], "drawings": 0,
+             "oracle_mismatches": [], "sign_mismatches": [], "drawings": 0,
              "count_seconds": 0.0}
     for k in CORPUS_KS:
         expected_total = k * (k - 1) * (k - 2) * (k - 3) // 4
@@ -107,6 +108,15 @@ def dn_corpus_stats():
             if aggregated != total:
                 stats["oracle_mismatches"].append((k, trial, total,
                                                    aggregated))
+            # the sign counter against the sweep, on the matching-free and
+            # the complete drawing: determinants against frame products
+            for d in (drawing, extend_to_complete(config, asg)):
+                signs = _sign_counts(d, d.tol)
+                swept = np.bincount(
+                    _sweep_pairs(_pack_drawing(d), d.tol.sign, 1).ravel(),
+                    minlength=len(d.edges))
+                if signs is None or not np.array_equal(signs, swept):
+                    stats["sign_mismatches"].append((k, trial, d.kind.value))
             stats["drawings"] += 1
     return stats
 
@@ -203,8 +213,11 @@ def test_criterion_5_oracle_equivalence(dn_corpus_stats):
     s = dn_corpus_stats
     assert s["drawings"] >= 800
     assert s["oracle_mismatches"] == []
-    _report(5, f"pairwise and circle-pair counters agree on "
-               f"{s['drawings']} matching-free drawings")
+    assert s["sign_mismatches"] == []
+    _report(5, f"pairwise and circle-pair totals agree on "
+               f"{s['drawings']} matching-free drawings, and sign-counter "
+               f"and sweep per-edge counts on these and their "
+               f"{s['drawings']} complete drawings")
 
 
 def test_criterion_6_flag_diversity():

@@ -4,6 +4,7 @@ import pytest
 
 from hilldraw.cli import main
 from hilldraw.docio import load_drawing
+from hilldraw.geom import ToleranceConfig
 
 
 def run(argv, capsys):
@@ -203,6 +204,40 @@ class TestGlobalOptions:
         code, _, _ = run(["verify", str(k8_file), "--tolerances",
                           str(tolfile)], capsys)
         assert code == 0
+
+    def test_partial_tolerances_file(self, tmp_path, capsys):
+        tolfile = tmp_path / "tol.json"
+        tolfile.write_text(json.dumps({"general_position": 1e-11}))
+        path = tmp_path / "k8.json"
+        code, _, err = run(["generate", "--seed-arrangement", "single",
+                            "--multiplicities", "4", "--rng-seed", "7",
+                            "--tolerances", str(tolfile), "-o", str(path)],
+                           capsys)
+        assert code == 0, err
+        assert load_drawing(path).tol == ToleranceConfig(
+            general_position=1e-11)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"general_position": 1e-11, "slack": 1}', "unknown tolerance keys"),
+        ('{"sign": 0}', "strictly positive"),
+        ('{"sign": "1e-13"}', "must be numbers"),
+        ('{"norm": true}', "must be numbers"),
+        ('{"general_position": Infinity}', "positive and finite"),
+        ('[1e-12]', "must be an object"),
+        ('{"sign": ', "Expecting value"),
+    ])
+    def test_invalid_tolerances_file_exits_2(self, k8_file, tmp_path,
+                                             capsys, text, message):
+        tolfile = tmp_path / "tol.json"
+        tolfile.write_text(text)
+        for argv in (["verify", str(k8_file)],
+                     ["generate", "--seed-arrangement", "single",
+                      "--multiplicities", "4"]):
+            code, out, err = run(argv + ["--tolerances", str(tolfile)],
+                                 capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"hilldraw: error: --tolerances {tolfile}")
+            assert message in err and "Traceback" not in err
 
     def test_file_tolerances_survive_verify_count_mutate(self, k8_file,
                                                           tmp_path, capsys):

@@ -118,6 +118,34 @@ class TestValidation:
         loaded = doc_to_drawing(doc, loose)
         assert loaded.tol.norm == 1e-6
 
+    def test_partial_tolerances_merge_over_defaults(self, hill_k4):
+        doc = drawing_to_doc(hill_k4)
+        doc["tolerances"] = {"general_position": 1e-11}
+        loaded = doc_to_drawing(doc)
+        assert loaded.tol == ToleranceConfig(general_position=1e-11)
+        for missing in (None, {}):
+            doc["tolerances"] = missing
+            assert doc_to_drawing(doc).tol == ToleranceConfig()
+
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"general_position": 1e-11, "slack": 1.0}, "unknown tolerance keys"),
+        ({"sign": -1.0}, "strictly positive"),
+        ({"sign": "tiny"}, "must be numbers"),
+        ({"sign": "1e-13"}, "must be numbers"),
+        ({"norm": True}, "must be numbers"),
+        ({"sign": [1e-12]}, "must be numbers"),
+        ({"general_position": float("inf")}, "positive and finite"),
+        ({"general_position": float("nan")}, "positive and finite"),
+        ({"general_position": 10 ** 400}, "must be finite"),
+        ({"sign": 1e-8}, "smaller than the general-position"),
+        ([1e-12], "must be an object"),
+    ])
+    def test_invalid_tolerances_raise(self, hill_k4, tolerances, message):
+        doc = drawing_to_doc(hill_k4)
+        doc["tolerances"] = tolerances
+        with pytest.raises(DocumentError, match=f"tolerances: .*{message}"):
+            doc_to_drawing(doc)
+
 
 class TestReportDoc:
     def test_shape_and_pairs(self, hill_k4):

@@ -1,4 +1,4 @@
-"""The batched kernels: tiled sweep, point-drawing counter, half-circle
+"""The batched kernels: tiled sweep, orientation-sign counter, half-circle
 checks, circle-pair counter, bulk arc frames and validation.
 
 Shrinking the tile constant makes tiles split rows into column chunks and
@@ -30,7 +30,8 @@ from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
                            half_circles_cross, unit)
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
-from .conftest import random_unit_points
+from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
+                       splits)
 from .oracles import brute_count, circle_pair_count_reference
 from .test_drawing import hill_pairs, random_config
 
@@ -213,7 +214,7 @@ class TestPointDrawingCounter:
         assert len(d.edges) >= 64        # smaller drawings never reach the pool
         assert count_crossings(d, workers=2) == _sweep_report(d)
 
-    def test_shuffled_document(self, rng):
+    def test_shuffled_document(self, rng, sweep_calls):
         pts = sample_points(24, DistributionSpec(), rng)
         doc = drawing_to_doc(complete_drawing_from_points(pts))
         order = rng.permutation(len(doc["edges"]))
@@ -222,8 +223,9 @@ class TestPointDrawingCounter:
             rec["u"], rec["v"] = rec["v"], rec["u"]
         d = doc_to_drawing(json.loads(json.dumps(doc)))
         assert [(e.u, e.v) for e in d.edges][:2] != [(0, 1), (0, 2)]
-        assert drawing_mod._is_point_drawing(d, *drawing_mod._edge_arrays(d))
-        assert count_crossings(d) == _sweep_report(d)
+        rep = count_crossings(d)
+        assert sweep_calls == []            # counted from signs
+        assert rep == _sweep_report(d)
 
     @pytest.mark.parametrize("det", (0.5e-9, 1e-14))
     def test_triple_inside_general_position_falls_back(self, det,
@@ -268,6 +270,130 @@ class TestPointDrawingCounter:
         rep = count_crossings(d)
         assert sweep_calls == []
         assert rep == _sweep_report(d)
+
+
+def _antipodal_drawings():
+    """Hill complete drawings from every seed, all of their vertex
+    deletions for k <= 8 and two apexes each; cocktail drawings; partial
+    drawings whose random assignments have strength > 0."""
+    for seed in SEEDS:
+        for k in (*range(3, 9), 12, 16):
+            if k < len(splits(seed, k)):
+                continue
+            config, asg = hill(seed, k, [len(seed), k])
+            d = extend_to_complete(config, asg)
+            yield d
+            if k <= 8:
+                yield from (delete_vertex(d, v) for v in range(d.n))
+            rng = np.random.default_rng([k, len(seed)])
+            yield from (add_random_apex(config, asg, rng) for _ in range(2))
+    rng = np.random.default_rng(77)
+    for k in range(3, 11):
+        config = random_config(k, rng)
+        yield build_cocktail_party(config)
+        asg = random_assignment(config, rng)
+        while strength(config, asg) == 0:
+            asg = random_assignment(config, rng)
+        for t in (1, k - 1):
+            chosen = rng.choice(k, size=k - t, replace=False)
+            yield extend_partial_matching(config, asg, chosen)
+        yield extend_to_complete(config, asg)
+
+
+class TestSignCounter:
+    """Drawings with antipodal couples and half-circles are counted from
+    the orientation signs of their vertices and midpoints, like point
+    drawings; the reports must be the sweep's, and so must the error
+    whenever the guard sends a drawing to the sweep."""
+
+    def test_reports_equal_the_sweep(self, sweep_calls):
+        kinds = set()
+        for d in _antipodal_drawings():
+            sweep_calls.clear()                   # constructions sweep too
+            rep = count_crossings(d)
+            assert sweep_calls == []              # counted without a sweep
+            assert rep == _sweep_report(d)
+            kinds.add(d.kind)
+            if len(d.edges) <= 70:
+                total, pairs = brute_count(d)
+                assert rep.total == total
+                assert rep.pair_set() == frozenset(pairs)
+        assert kinds == set(DrawingKind)
+
+    def test_verify_sweeps_only_when_pairs_are_read(self, sweep_calls):
+        config, asg = hill("two", 10, [3, 10])
+        d = extend_to_complete(config, asg)
+        sweep_calls.clear()
+        report = verify(d)
+        assert report.passed and sweep_calls == []
+        report.crossings.pairs
+        assert sweep_calls != []
+
+    def test_pairs_use_the_report_workers(self):
+        config, asg = hill("four", 8, [4, 8])
+        d = add_random_apex(config, asg, np.random.default_rng(4))
+        assert count_crossings(d, workers=2) == _sweep_report(d)
+
+    @pytest.mark.parametrize("det", (5e-10, 1e-14, 0.0))
+    def test_midpoint_on_an_arc_falls_back(self, det, sweep_calls):
+        """Midpoint 2 sits on the interior of arc ab up to a determinant
+        of ``det``: a quarter arc would end on ab's great circle, and the
+        counter must leave the drawing to the sweep."""
+        rng = np.random.default_rng(31)
+        config = random_config(6, rng)
+        d, (a, b) = midpoint_near_arc(
+            config, random_assignment(config, rng), 2, det)
+        m = next(e.curve.m for e in d.edges if (e.u, e.v) == (2, 8))
+        assert abs(np.linalg.det(d.vertices[[a, b]].tolist() + [m])) \
+            <= max(det * 1.01, 1e-16)
+        try:
+            want = _sweep_report(d)
+        except DegenerateConfigurationError as exc:
+            with pytest.raises(DegenerateConfigurationError) as err:
+                count_crossings(d)
+            assert str(err.value) == str(exc)
+        else:
+            calls = len(sweep_calls)
+            rep = count_crossings(d)
+            assert len(sweep_calls) > calls     # the sweep did the counting
+            assert rep == want
+
+    @pytest.mark.parametrize("floor", (drawing_mod._DET_FLOOR, 0.0))
+    def test_couple_triples_masked_by_index(self, floor, monkeypatch,
+                                            sweep_calls):
+        """Triples like det(a,b,-a) come out near 1e-17, not 0: above a
+        general-position margin of 1e-17 they would read as signs unless
+        they are masked by their indices."""
+        monkeypatch.setattr(drawing_mod, "_DET_FLOOR", floor)
+        tol = ToleranceConfig(sign=1e-18, general_position=1e-17)
+        rng = np.random.default_rng(9)
+        config = random_config(12, rng, tol)
+        d = extend_partial_matching(config, random_assignment(config, rng,
+                                                              tol),
+                                    range(6), tol)
+        pts = d.vertices
+        couple = np.einsum("abk,ak->ab", np.cross(pts[:, None], pts),
+                           pts[[config.partner(i) for i in range(d.n)]])
+        assert (np.abs(couple) > 1e-17).any()
+        sweep_calls.clear()
+        rep = count_crossings(d)
+        assert sweep_calls == []
+        assert rep == _sweep_report(d)
+
+    def test_invalid_drawings_go_to_the_sweep(self, sweep_calls):
+        """A repeated edge, or a half-circle whose far end is not the exact
+        antipode, leaves the counting to the sweep."""
+        config, asg = hill("single", 4, [6, 4])
+        d = extend_to_complete(config, asg)
+        twice = Drawing(vertices=d.vertices, kind=d.kind,
+                        edges=d.edges + d.edges[:1], pairing=d.pairing)
+        moved = Drawing(vertices=d.vertices.copy(), kind=d.kind,
+                        edges=d.edges, pairing=d.pairing)
+        moved.vertices[4] = unit(moved.vertices[4] + 1e-9)
+        for bad in (twice, moved):
+            calls = len(sweep_calls)
+            assert count_crossings(bad) == _sweep_report(bad)
+            assert len(sweep_calls) > calls
 
 
 def _scalar_crossings(halves):

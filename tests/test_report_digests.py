@@ -1,0 +1,137 @@
+"""Crossing reports pinned by digest.
+
+Every case below is a drawing built from fixed seeds.  Its count_crossings
+outcome is reduced to a sha256 over the total and the dtype, shape and
+bytes of per_edge, per_vertex and pairs, or to the error type and text
+where counting refuses.  The pinned digests in
+``data/report_digests.json`` were computed before the orientation-sign
+counter took over antipodal drawings; any change to a counter must leave
+every one of them unchanged.
+
+    PYTHONPATH=src python -m tests.test_report_digests [STREAMS] > out.json
+
+prints the digests of the current code, e.g. to compare two checkouts:
+of the pinned corpus, or with STREAMS of a larger one over that many rng
+streams (Hill k = 3..20, random K_5..K_50; 12 streams give 2388 drawings).
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hilldraw.drawing import (add_random_apex, build_cocktail_party,
+                              complete_drawing_from_points, count_crossings,
+                              delete_vertex, double, extend_partial_matching,
+                              extend_to_complete, random_assignment)
+from hilldraw.geom import DegenerateConfigurationError, unit
+from hilldraw.montecarlo import DistributionSpec, sample_points
+
+from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
+                       splits)
+
+PINNED = Path(__file__).parent / "data" / "report_digests.json"
+def _config(k, rng):
+    """A random general-position antipodal configuration on k pairs."""
+    while True:
+        try:
+            return double(random_unit_points(k, rng))
+        except DegenerateConfigurationError:
+            continue
+
+
+def _near_circle(pts, i, j, w, det):
+    """Point w moved onto the great circle of points i and j, outside their
+    arc, up to a determinant of det."""
+    a, b = pts[i], pts[j]
+    pole = unit(np.cross(a, b))
+    pts[w] = unit(unit(-(a + b)) + det / np.linalg.norm(np.cross(a, b))
+                  * pole)
+    return pts
+
+
+def cases(hill_ks=range(3, 13), random_ns=range(5, 41),
+          antipodal_ks=range(3, 13),
+          rng_seed=0):
+    """(name, drawing) pairs of the pinned corpus; larger ranges and other
+    rng seeds give larger corpora of the same kinds."""
+    for seed in SEEDS:
+        for k in hill_ks:
+            if k < len(splits(seed, k)):
+                continue
+            rng = np.random.default_rng([rng_seed, 1, len(seed), k])
+            config, asg = hill(seed, k, rng)
+            d = extend_to_complete(config, asg)
+            yield f"hill-{seed}-k{k}", d
+            v = int(rng.integers(d.n))
+            yield f"hill-{seed}-k{k}-minus{v}", delete_vertex(d, v)
+            yield f"hill-{seed}-k{k}-apex", add_random_apex(config, asg, rng)
+    for k in antipodal_ks:
+        rng = np.random.default_rng([rng_seed, 2, k])
+        config = _config(k, rng)
+        yield f"cocktail-k{k}", build_cocktail_party(config)
+        asg = random_assignment(config, rng)
+        chosen = rng.choice(k, size=int(rng.integers(1, k)), replace=False)
+        yield (f"partial-k{k}-t{k - len(chosen)}",
+               extend_partial_matching(config, asg, chosen))
+    for n in random_ns:
+        rng = np.random.default_rng([rng_seed, 3, n])
+        yield f"random-K{n}", complete_drawing_from_points(
+            sample_points(n, DistributionSpec(), rng))
+    # near-degenerate inputs: counted or refused by the sweep
+    for det in (5e-10, 1e-14):
+        rng = np.random.default_rng([rng_seed, 4])
+        pts = _near_circle(sample_points(12, DistributionSpec(), rng),
+                           0, 1, 5, det)
+        yield f"random-K12-near{det:g}", complete_drawing_from_points(pts)
+        rng = np.random.default_rng([rng_seed, 5])
+        config = _config(6, rng)
+        d, _ = midpoint_near_arc(config, random_assignment(config, rng), 2,
+                                 det)
+        yield f"complete-k6-midpoint-near{det:g}", d
+
+
+def digest(d) -> dict:
+    """Total and sha256 of d's crossing report, or its refusal."""
+    try:
+        rep = count_crossings(d)
+        arrays = (rep.per_edge, rep.per_vertex, rep.pairs)
+    except DegenerateConfigurationError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    h = hashlib.sha256(f"{type(rep.total).__name__}:{rep.total}".encode())
+    for a in arrays:
+        h.update(f"|{a.dtype.str}{a.shape}|".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return {"total": rep.total, "sha256": h.hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_kind(pinned):
+    names = list(pinned)
+    for prefix in ("hill-single", "hill-two", "hill-four", "cocktail",
+                   "partial", "random-K"):
+        assert any(n.startswith(prefix) for n in names)
+    assert sum("-minus" in n for n in names) == sum(
+        n.endswith("-apex") for n in names) == 29
+
+
+def test_reports_match_pinned_digests(pinned):
+    got = {name: digest(d) for name, d in cases()}
+    assert list(got) == list(pinned)
+    assert [n for n in got if got[n] != pinned[n]] == []
+
+
+if __name__ == "__main__":
+    streams = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    corpus = cases() if not streams else (
+        (f"s{s}-{name}", d) for s in range(streams)
+        for name, d in cases(range(3, 21), range(5, 51, 3), rng_seed=s))
+    json.dump({name: digest(d) for name, d in corpus}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
