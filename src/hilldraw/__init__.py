@@ -15,8 +15,8 @@ from .construct import (BlowupPlan, ConstructionError, HalfCircleArrangement,
                         perturb, recursive_construct, seed_four, seed_single,
                         seed_two)
 from .drawing import (AntipodalConfig, CrossingReport, Drawing, DrawingKind,
-                      Edge, HalfCircleAssignment, VerificationReport,
-                      add_apex, add_random_apex, build_cocktail_party,
+                      HalfCircleAssignment, VerificationReport, add_apex,
+                      add_random_apex, build_cocktail_party,
                       complete_drawing_from_points, config_from_drawing,
                       count_crossings, count_crossings_by_circle_pairs,
                       delete_vertex, double, extend_partial_matching,
@@ -36,7 +36,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AntipodalConfig", "BlowupPlan", "CensusResult", "ConstructionError",
     "CrossingReport", "DEFAULT_TOL", "DegenerateConfigurationError",
-    "DistributionSpec", "Drawing", "DrawingKind", "Edge", "ExperimentConfig",
+    "DistributionSpec", "Drawing", "DrawingKind", "ExperimentConfig",
     "ExperimentResult", "GeodesicArc", "HalfCircle", "HalfCircleArrangement",
     "HalfCircleAssignment", "PerturbationError", "SamplingError",
     "ToleranceConfig", "VerificationReport", "add_apex", "add_random_apex",

@@ -216,7 +216,7 @@ def _cmd_generate(args, tol) -> int:
     d = extend_to_complete(config, asg, tol, provenance)
     _write_json(drawing_to_doc(d), args.output)
     print(f"generated complete drawing on {d.n} vertices "
-          f"({len(d.edges)} edges)", file=sys.stderr)
+          f"({len(d.uv)} edges)", file=sys.stderr)
     return 0
 
 

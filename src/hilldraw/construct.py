@@ -56,15 +56,16 @@ class HalfCircleArrangement:
 def validate_arrangement(halves, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise ConstructionError unless the half-circles are pairwise disjoint
     and their endpoints are a general-position point set."""
+    pts = np.array([h.p for h in halves])
     try:
-        crossing = half_circle_crossings(halves, tol)
+        crossing = half_circle_crossings(pts, np.array([h.m for h in halves]),
+                                         tol)
     except DegenerateConfigurationError as exc:
         raise ConstructionError(f"half-circles are degenerate: {exc}"
                                 ) from exc
     if len(crossing):
         i, j = crossing[0]
         raise ConstructionError(f"half-circles {i} and {j} cross")
-    pts = np.stack([h.p for h in halves])
     if len(pts) >= 3 and not is_general_position(pts, tol):
         raise ConstructionError("arrangement endpoints are not in general "
                                 "position")

@@ -2,7 +2,10 @@
 
 Coordinates are serialized through Python's shortest round-trip float repr,
 so parse(serialize(drawing)) restores every binary64 bit and therefore every
-crossing count exactly.
+crossing count exactly.  A drawing document lists one record per row of
+``Drawing.uv``: ``{"u", "v", "curve": "arc"}`` for an arc, and a
+``"half_circle"`` record with its ``Drawing.midpoints`` row for a
+half-circle.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ import json
 
 import numpy as np
 
-from .drawing import (Drawing, DrawingKind, Edge, VerificationReport,
+from .drawing import (Drawing, DrawingKind, VerificationReport,
                       validate_drawing)
 from .geom import (DegenerateConfigurationError, HalfCircle,
-                   ToleranceConfig, geodesic_arcs)
+                   ToleranceConfig, loose_midpoints, require_arc_rows)
 
 DRAWING_FORMAT = "hilldraw/drawing/v1"
 REPORT_FORMAT = "hilldraw/report/v1"
@@ -27,17 +30,15 @@ class DocumentError(ValueError):
 
 def drawing_to_doc(d: Drawing) -> dict:
     pairs = sorted({tuple(sorted((a, b))) for a, b in d.pairing.items()})
-    edges = []
-    for e in d.edges:
-        if isinstance(e.curve, HalfCircle):
-            edges.append({"u": e.u, "v": e.v, "curve": "half_circle",
-                          "midpoint": [float(c) for c in e.curve.m]})
-        else:
-            edges.append({"u": e.u, "v": e.v, "curve": "arc"})
+    half = d.half
+    mids = iter(d.midpoints[half].tolist())
+    edges = [{"u": u, "v": v, "curve": "half_circle", "midpoint": next(mids)}
+             if h else {"u": u, "v": v, "curve": "arc"}
+             for (u, v), h in zip(d.uv.tolist(), half.tolist())]
     return {
         "format": DRAWING_FORMAT,
         "kind": d.kind.value,
-        "vertices": [[float(c) for c in v] for v in d.vertices],
+        "vertices": np.asarray(d.vertices, dtype=float).tolist(),
         "pairing": [list(p) for p in pairs] or None,
         "edges": edges,
         "provenance": d.provenance,
@@ -106,9 +107,8 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise DocumentError("edges: expected a list")
-    ends = []
-    curves = []
-    arc_idx = []    # arc curves are built in bulk after the loop
+    ends, mids = [], []
+    failure = None      # (record index, error) of the first failing record
     try:
         for idx, rec in enumerate(raw_edges):
             if not isinstance(rec, dict):
@@ -119,49 +119,55 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
                 raise DocumentError(f"edges[{idx}]: bad endpoints") from None
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise DocumentError(f"edges[{idx}]: endpoint out of range")
-            ends.append((u, v))
-            curve_kind = rec.get("curve")
+            curve_kind, mp = rec.get("curve"), rec.get("midpoint")
             if curve_kind == "arc":
-                arc_idx.append(idx)
-                curves.append(None)
-            elif curve_kind == "half_circle":
-                mp = rec.get("midpoint")
-                if (not isinstance(mp, list) or len(mp) != 3
-                        or not all(isinstance(c, (int, float)) for c in mp)):
-                    raise DocumentError(f"edges[{idx}]: half_circle needs a "
-                                        "[x, y, z] midpoint")
-                if pairing.get(u) != v:
-                    raise DocumentError(f"edges[{idx}]: half_circle joins an "
-                                        "unpaired couple")
-                curves.append(HalfCircle(verts[u], np.array(mp, dtype=float),
-                                         tol))
-            else:
+                mp = (np.nan,) * 3
+            elif curve_kind != "half_circle":
                 raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
                                     f"'half_circle', got {curve_kind!r}")
-    except (ValueError, DegenerateConfigurationError):
-        # an arc before the failing record fails first
-        _build_arcs(verts, ends, arc_idx, tol)
-        raise
-    for idx, arc in zip(arc_idx, _build_arcs(verts, ends, arc_idx, tol)):
-        curves[idx] = arc
-    edges = [Edge(u, v, c) for (u, v), c in zip(ends, curves)]
+            elif (not isinstance(mp, list) or len(mp) != 3
+                    or not all(isinstance(c, (int, float)) for c in mp)):
+                raise DocumentError(f"edges[{idx}]: half_circle needs a "
+                                    "[x, y, z] midpoint")
+            elif pairing.get(u) != v:
+                raise DocumentError(f"edges[{idx}]: half_circle joins an "
+                                    "unpaired couple")
+            ends.append((u, v))
+            mids.append(mp)
+    except DocumentError as exc:
+        failure = idx, exc
+    uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    midpoints = np.array(mids, dtype=float).reshape(-1, 3)
+    half = ~np.isnan(midpoints).all(axis=1)
+    # midpoints are orthonormalized in bulk; only loose ones go through
+    # HalfCircle, whose error is its record's
+    rows = np.flatnonzero(half)
+    starts = verts[uv[rows, 0]]
+    for i in np.flatnonzero(loose_midpoints(starts, midpoints[rows], tol)):
+        try:
+            midpoints[rows[i]] = HalfCircle(starts[i], midpoints[rows[i]],
+                                            tol).m
+        except (ValueError, DegenerateConfigurationError) as exc:
+            failure = rows[i], exc
+            break
+    # equal or antipodal arc endpoints are refused in record order, before
+    # the first failing record and before validate_drawing's checks
+    idx, exc = failure or (len(uv), None)
+    arcs = uv[:idx][~half[:idx]]
+    require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], tol)
+    if exc is not None:
+        raise exc
 
     prov = doc.get("provenance") or {}
     if not isinstance(prov, dict):
         raise DocumentError("provenance: expected an object")
-    d = Drawing(vertices=verts, kind=kind, edges=tuple(edges),
+    d = Drawing(vertices=verts, kind=kind, uv=uv, midpoints=midpoints,
                 pairing=pairing, provenance=prov, tol=tol)
     try:
         validate_drawing(d)
     except ValueError as exc:
         raise DocumentError(f"drawing invalid: {exc}") from exc
     return d
-
-
-def _build_arcs(verts, ends, arc_idx, tol) -> list:
-    """The arc curves of the records arc_idx, frames computed in bulk."""
-    uv = np.array([ends[i] for i in arc_idx], dtype=np.int64).reshape(-1, 2)
-    return geodesic_arcs(verts[uv[:, 0]], verts[uv[:, 1]], tol)
 
 
 def dump_drawing(d: Drawing, path) -> None:
@@ -200,9 +206,3 @@ def experiment_to_doc(result) -> dict:
     doc = {"format": EXPERIMENT_FORMAT}
     doc.update(result.to_dict())
     return doc
-
-
-def dump_experiment(result, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(experiment_to_doc(result), fh, indent=1)
-        fh.write("\n")

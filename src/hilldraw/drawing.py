@@ -3,7 +3,9 @@
 The central objects are an antipodal point configuration (k base points plus
 their antipodes), a choice of matching half-circles, and drawings of the
 complete graph and its matching-removed subgraphs whose crossing totals are
-verified against closed-form integer counts.
+verified against closed-form integer counts.  A drawing is arrays only:
+its vertices, Drawing.uv (the endpoints of each edge) and
+Drawing.midpoints (NaN for an arc, the midpoint witness of a half-circle).
 
 Every drawing is counted from the orientation signs of its vertices and
 half-circle midpoints; where a triple is too close to coplanar, it is swept
@@ -24,11 +26,11 @@ from enum import Enum
 import numpy as np
 
 from .formulas import hill_number, partial_matching_target, per_vertex_target
-from .geom import (DEFAULT_TOL, Curve, DegenerateConfigurationError,
-                   HalfCircle, ToleranceConfig, arc_frames, cross3,
-                   curve_frame, dot3, frame_signs, geodesic_arcs,
-                   is_general_position, require_unit, require_unit_rows,
-                   row_blocks, triangle_tiles, unit)
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
+                   ToleranceConfig, arc_frames, cross3, dot3, frame_signs,
+                   is_general_position, loose_midpoints, require_arc_rows,
+                   require_unit, require_unit_rows, row_blocks,
+                   triangle_tiles, unit)
 
 
 class DrawingKind(str, Enum):
@@ -90,23 +92,21 @@ def double(points, tol: ToleranceConfig = DEFAULT_TOL) -> AntipodalConfig:
 
 @dataclass(frozen=True)
 class HalfCircleAssignment:
-    """One midpoint witness per antipodal pair, fixing the matching edges."""
+    """One midpoint witness per antipodal pair, fixing the matching edges;
+    midpoints[i] is orthonormal to base point i."""
 
     midpoints: np.ndarray
-
-    def half_circle(self, config: AntipodalConfig, i: int,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircle:
-        return HalfCircle(config.base[i], self.midpoints[i], tol)
 
 
 def make_assignment(config: AntipodalConfig, midpoints,
                     tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleAssignment:
-    """Validate and orthonormalize midpoints against their base points."""
+    """Validate and orthonormalize midpoints against their base points:
+    orthonormal rows are kept bit for bit, others go through HalfCircle."""
     mids = np.asarray(midpoints, dtype=float)
     if mids.shape != config.base.shape:
         raise ValueError("need exactly one midpoint per base point")
-    fixed = np.empty_like(mids)
-    for i in range(config.k):
+    fixed = mids.copy()
+    for i in np.flatnonzero(loose_midpoints(config.base, mids, tol)):
         fixed[i] = HalfCircle(config.base[i], mids[i], tol).m
     # midpoints must not coincide with any configuration vertex
     align = np.abs(fixed @ config.doubled.T)
@@ -134,16 +134,14 @@ def random_assignment(config: AntipodalConfig, rng,
         "could not sample a valid midpoint assignment")
 
 
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    curve: Curve
-
-
 @dataclass
 class Drawing:
-    """A spherical drawing: vertices, one curve per edge, and metadata.
+    """A spherical drawing: vertices, edge arrays, and metadata.
+
+    The e-th edge joins the vertices uv[e] = (u, v): the shorter arc if
+    midpoints[e] is NaN, else the half-circle from vertices[u] through that
+    unit midpoint witness to -vertices[u].  ``uv`` (E, 2) and
+    ``midpoints`` (E, 3) are read-only copies of the arrays passed in.
 
     ``pairing`` maps each vertex to its antipodal partner where one exists;
     it is structural metadata (never inferred geometrically) and drives both
@@ -152,29 +150,40 @@ class Drawing:
 
     vertices: np.ndarray
     kind: DrawingKind
-    edges: tuple[Edge, ...]
+    uv: np.ndarray
+    midpoints: np.ndarray
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
-    # (edges, uv, half) as last built by _edge_arrays
-    _edge_cache: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+
+    def __post_init__(self):
+        self.uv = np.array(self.uv, dtype=np.int64).reshape(-1, 2)
+        self.midpoints = np.array(self.midpoints, dtype=float).reshape(-1, 3)
+        if len(self.midpoints) != len(self.uv):
+            raise ValueError("need one midpoint row per edge")
+        self.uv.flags.writeable = self.midpoints.flags.writeable = False
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
+    @property
+    def half(self) -> np.ndarray:
+        """(E,) mask of the half-circle edges: rows not all NaN."""
+        return ~np.isnan(self.midpoints).all(axis=1)
+
     def matching_size(self) -> int:
         """Number of matching edges missing from the complete graph."""
-        return self.n * (self.n - 1) // 2 - len(self.edges)
+        return self.n * (self.n - 1) // 2 - len(self.uv)
 
 
 def validate_drawing(d: Drawing) -> None:
     """Check structural and geometric invariants; raise on violation.
 
-    Geometric failures (a vertex inside an edge's curve) raise
-    DegenerateConfigurationError; structural mismatches raise ValueError.
-    Edges are checked in order and the first offending edge is reported.
+    Geometric failures (arc endpoints equal or antipodal, a vertex inside
+    an edge's curve) raise DegenerateConfigurationError; structural
+    mismatches raise ValueError.  Edges are checked in order and the first
+    offending edge is reported.
     """
     n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
@@ -184,7 +193,7 @@ def validate_drawing(d: Drawing) -> None:
         if not np.array_equal(verts[b], -verts[a]):
             raise ValueError(f"paired vertices {a},{b} are not exact antipodes")
 
-    uv, half = _edge_arrays(d)
+    uv, half = d.uv, d.half
     u, v = uv[:, 0], uv[:, 1]
     invalid = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
     u, v = np.clip(u, 0, n - 1), np.clip(v, 0, n - 1)
@@ -192,19 +201,11 @@ def validate_drawing(d: Drawing) -> None:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     duplicate = first[inverse] != np.arange(len(key))
     paired = _partners(d)[u] == v
-    # half-circles store their endpoint as p, arcs as a and b
-    starts = np.array([e.curve.p if h else e.curve.a
-                       for e, h in zip(d.edges, half)]).reshape(-1, 3)
-    ends = np.array([e.curve.b for e, h in zip(d.edges, half)
-                     if not h]).reshape(-1, 3)
-    start_ok = np.all(starts == verts[u], axis=1)
-    end_ok = np.ones_like(start_ok)
-    end_ok[~half] = np.all(ends == verts[v[~half]], axis=1)
-    bad = (invalid | duplicate | (half & ~(paired & start_ok))
-           | (~half & (paired | ~(start_ok & end_ok))))
+    loose = half & loose_midpoints(verts[u], d.midpoints, d.tol)
+    bad = invalid | duplicate | (half & ~paired) | loose | (~half & paired)
     if bad.any():
         i = int(np.argmax(bad))
-        eu, ev = d.edges[i].u, d.edges[i].v
+        eu, ev = uv[i].tolist()
         if invalid[i]:
             raise ValueError(f"edge ({eu},{ev}) has invalid endpoints")
         if duplicate[i]:
@@ -214,14 +215,11 @@ def validate_drawing(d: Drawing) -> None:
                 f"half-circle edge ({eu},{ev}) does not join a paired "
                 "antipodal couple")
         if half[i]:
-            raise ValueError(f"half-circle edge ({eu},{ev}) endpoint "
-                             "disagrees with the vertex array")
-        if paired[i]:
-            raise ValueError(
-                f"matching edge ({eu},{ev}) must be a half-circle")
-        raise ValueError(f"arc edge ({eu},{ev}) endpoints disagree "
-                         "with the vertex array")
+            raise ValueError(f"half-circle edge ({eu},{ev}) midpoint is not "
+                             "a unit vector orthogonal to its endpoint")
+        raise ValueError(f"matching edge ({eu},{ev}) must be a half-circle")
 
+    require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
     _check_edge_census(d, int(half.sum()))
     _check_vertices_off_curves(d)
 
@@ -230,7 +228,7 @@ def _check_edge_census(d: Drawing, matching_edges: int) -> None:
     n = d.n
     complete = n * (n - 1) // 2
     npairs = len(d.pairing) // 2
-    got = len(d.edges)
+    got = len(d.uv)
     if d.kind is DrawingKind.COCKTAIL_PARTY:
         want = complete - npairs
         if n % 2 != 0 or npairs != n // 2 or got != want or matching_edges:
@@ -262,24 +260,20 @@ def _check_vertices_off_curves(d: Drawing) -> None:
         bad[rows, uv[start:stop]] = False
         if bad.any():
             idx, w = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            e = d.edges[start + idx]
+            eu, ev = d.uv[start + idx].tolist()
             raise DegenerateConfigurationError(
-                f"vertex {w} lies on edge ({e.u},{e.v}) within tolerance")
+                f"vertex {w} lies on edge ({eu},{ev}) within tolerance")
 
 
-def _arc_edges(verts: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-               tol: ToleranceConfig) -> list[Edge]:
-    """Shorter-arc edges (ii[e], jj[e]), their frames computed in bulk."""
-    arcs = geodesic_arcs(verts[ii], verts[jj], tol)
-    return list(map(Edge, ii.tolist(), jj.tolist(), arcs))
+def _arc_midpoints(uv: np.ndarray) -> np.ndarray:
+    """The NaN midpoint rows of the arc edges uv."""
+    return np.full((len(uv), 3), np.nan)
 
 
-def _cocktail_arcs(config: AntipodalConfig,
-                   tol: ToleranceConfig) -> list[Edge]:
-    """Arcs joining every non-antipodal pair i < j of the doubled set."""
-    ii, jj = np.triu_indices(config.n, 1)
-    keep = jj != ii + config.k
-    return _arc_edges(config.doubled, ii[keep], jj[keep], tol)
+def _cocktail_uv(config: AntipodalConfig) -> np.ndarray:
+    """Every non-antipodal pair i < j of the doubled set, as (E, 2)."""
+    uv = np.stack(np.triu_indices(config.n, 1), axis=1)
+    return uv[uv[:, 1] != uv[:, 0] + config.k]
 
 
 def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
@@ -292,9 +286,9 @@ def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
     verts = np.asarray(points, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
         raise ValueError("expected an (n, 3) array with n >= 4")
-    edges = _arc_edges(verts, *np.triu_indices(len(verts), 1), tol)
-    d = Drawing(vertices=verts.copy(), kind=DrawingKind.COMPLETE,
-                edges=tuple(edges), pairing={},
+    uv = np.stack(np.triu_indices(len(verts), 1), axis=1)
+    d = Drawing(vertices=verts.copy(), kind=DrawingKind.COMPLETE, uv=uv,
+                midpoints=_arc_midpoints(uv), pairing={},
                 provenance=dict(provenance or {}), tol=tol)
     validate_drawing(d)
     return d
@@ -308,9 +302,10 @@ def build_cocktail_party(config: AntipodalConfig,
     The result is the complete graph minus the antipodal perfect matching,
     drawn with 2k^2 - 2k geodesic edges.
     """
+    uv = _cocktail_uv(config)
     d = Drawing(vertices=config.doubled.copy(),
-                kind=DrawingKind.COCKTAIL_PARTY,
-                edges=tuple(_cocktail_arcs(config, tol)),
+                kind=DrawingKind.COCKTAIL_PARTY, uv=uv,
+                midpoints=_arc_midpoints(uv),
                 pairing=config.pairing(),
                 provenance=dict(provenance or {}),
                 tol=tol)
@@ -321,8 +316,7 @@ def build_cocktail_party(config: AntipodalConfig,
 def strength(config: AntipodalConfig, asg: HalfCircleAssignment,
              tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of crossing pairs among the k matching half-circles."""
-    halves = [asg.half_circle(config, i, tol) for i in range(config.k)]
-    return len(half_circle_crossings(halves, tol))
+    return len(half_circle_crossings(config.base, asg.midpoints, tol))
 
 
 def extend_partial_matching(config: AntipodalConfig,
@@ -335,13 +329,24 @@ def extend_partial_matching(config: AntipodalConfig,
     With every pair chosen this is the full complete-graph drawing; with no
     pair chosen it degenerates to the matching-free drawing.
     """
+    d = _matching_drawing(config, asg, chosen, tol, provenance)
+    validate_drawing(d)
+    return d
+
+
+def _matching_drawing(config: AntipodalConfig, asg: HalfCircleAssignment,
+                      chosen, tol: ToleranceConfig,
+                      provenance: dict | None) -> Drawing:
+    """extend_partial_matching's drawing, not yet validated."""
     chosen = sorted(set(int(i) for i in chosen))
     k = config.k
     if chosen and not (0 <= chosen[0] and chosen[-1] < k):
         raise ValueError(f"pair indices must lie in [0, {k})")
-    edges = _cocktail_arcs(config, tol)
-    for i in chosen:
-        edges.append(Edge(i, i + k, asg.half_circle(config, i, tol)))
+    arcs = _cocktail_uv(config)
+    halves = np.array([(i, i + k) for i in chosen], dtype=np.int64)
+    uv = np.concatenate([arcs, halves.reshape(-1, 2)])
+    midpoints = np.concatenate([_arc_midpoints(arcs),
+                                asg.midpoints[chosen]])
     t = k - len(chosen)
     if t == 0:
         kind = DrawingKind.COMPLETE
@@ -351,11 +356,9 @@ def extend_partial_matching(config: AntipodalConfig,
         kind = DrawingKind.PARTIAL_MATCHING
     prov = dict(provenance or {})
     prov.setdefault("matching_pairs", chosen)
-    d = Drawing(vertices=config.doubled.copy(), kind=kind,
-                edges=tuple(edges), pairing=config.pairing(),
-                provenance=prov, tol=tol)
-    validate_drawing(d)
-    return d
+    return Drawing(vertices=config.doubled.copy(), kind=kind, uv=uv,
+                   midpoints=midpoints, pairing=config.pairing(),
+                   provenance=prov, tol=tol)
 
 
 def extend_to_complete(config: AntipodalConfig, asg: HalfCircleAssignment,
@@ -379,21 +382,16 @@ def delete_vertex(d: Drawing, v: int,
         raise ValueError("vertex deletion expects a complete-graph drawing")
     if not 0 <= v < d.n:
         raise ValueError(f"vertex index {v} out of range")
-    keep = [i for i in range(d.n) if i != v]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for e in d.edges:
-        if v in (e.u, e.v):
-            continue
-        edges.append(Edge(remap[e.u], remap[e.v], e.curve))
-    pairing = {remap[a]: remap[b] for a, b in d.pairing.items()
+    rows = (d.uv != v).all(axis=1)
+    uv = d.uv[rows]
+    pairing = {a - (a > v): b - (b > v) for a, b in d.pairing.items()
                if v not in (a, b)}
     prov = dict(d.provenance)
     prov["deleted_vertex"] = v
-    out = Drawing(vertices=d.vertices[keep].copy(),
+    out = Drawing(vertices=np.delete(d.vertices, v, axis=0),
                   kind=DrawingKind.COMPLETE_MINUS_VERTEX,
-                  edges=tuple(edges), pairing=pairing,
-                  provenance=prov, tol=tol)
+                  uv=uv - (uv > v), midpoints=d.midpoints[rows],
+                  pairing=pairing, provenance=prov, tol=tol)
     validate_drawing(out)
     return out
 
@@ -406,10 +404,12 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     The apex must be in general position with respect to the doubled set:
     every triple through q and two non-antipodal vertices non-coplanar, and
     q off every existing edge's curve.  Violations raise
-    DegenerateConfigurationError; callers should resample q.
+    DegenerateConfigurationError; callers should resample q.  The full
+    drawing is validated once, as part of the result.
     """
     q = require_unit(q, tol)
-    base_drawing = extend_to_complete(config, asg, tol, provenance)
+    base_drawing = _matching_drawing(config, asg, range(config.k), tol,
+                                     provenance)
     verts = base_drawing.vertices
     n = len(verts)
     N, U, V, _, partner = _pack_drawing(base_drawing)
@@ -428,18 +428,19 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     on_curve = ((np.abs(N @ q) <= tol.general_position)
                 & (U @ q > 0.0) & (V @ q > 0.0))
     if on_curve.any():
-        e = base_drawing.edges[int(np.argmax(on_curve))]
+        eu, ev = base_drawing.uv[int(np.argmax(on_curve))].tolist()
         raise DegenerateConfigurationError(
-            f"apex lies on edge ({e.u},{e.v}); resample the apex")
-    all_verts = np.concatenate([verts, q[None, :]], axis=0)
-    edges = list(base_drawing.edges)
-    edges += _arc_edges(all_verts, cols, np.full(n, n), tol)
+            f"apex lies on edge ({eu},{ev}); resample the apex")
+    spokes = np.stack([cols, np.full(n, n)], axis=1)
     prov = dict(provenance or {})
     prov["apex"] = [float(c) for c in q]
-    out = Drawing(vertices=all_verts,
+    out = Drawing(vertices=np.concatenate([verts, q[None, :]], axis=0),
                   kind=DrawingKind.COMPLETE_PLUS_APEX,
-                  edges=tuple(edges), pairing=dict(base_drawing.pairing),
-                  provenance=prov, tol=tol)
+                  uv=np.concatenate([base_drawing.uv, spokes]),
+                  midpoints=np.concatenate([base_drawing.midpoints,
+                                            _arc_midpoints(spokes)]),
+                  pairing=dict(base_drawing.pairing), provenance=prov,
+                  tol=tol)
     validate_drawing(out)
     return out
 
@@ -458,15 +459,13 @@ def config_from_drawing(d: Drawing
     reps = sorted(a for a, b in d.pairing.items() if a < b)
     if 2 * len(reps) != d.n:
         raise ValueError("pairing does not cover all vertices")
-    mid_by_vertex = {}
-    for e in d.edges:
-        if isinstance(e.curve, HalfCircle):
-            mid_by_vertex[min(e.u, e.v)] = e.curve.m
-    if sorted(mid_by_vertex) != reps:
+    half = d.half
+    lower = d.uv[half].min(axis=1)
+    order = np.argsort(lower)
+    if lower[order].tolist() != reps:
         raise ValueError("drawing lacks a matching half-circle per pair")
     config = double(d.vertices[reps], d.tol)
-    asg = make_assignment(config,
-                          np.stack([mid_by_vertex[r] for r in reps]), d.tol)
+    asg = make_assignment(config, d.midpoints[half][order], d.tol)
     return config, asg
 
 
@@ -525,25 +524,6 @@ class CrossingReport:
                 and np.array_equal(self.pairs, other.pairs))
 
 
-def _edge_arrays(d: Drawing) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint indices (E, 2) and the half-circle mask (E,) of d's edges.
-
-    Built once per edge tuple and cached on the drawing, read-only; a new
-    tuple assigned to ``d.edges`` is picked up on the next call.
-    """
-    cache = d._edge_cache
-    if cache is None or cache[0] is not d.edges:
-        edges = d.edges
-        E = len(edges)
-        uv = np.fromiter((x for e in edges for x in (e.u, e.v)),
-                         dtype=np.int64, count=2 * E).reshape(E, 2)
-        half = np.fromiter((isinstance(e.curve, HalfCircle) for e in edges),
-                           dtype=bool, count=E)
-        uv.flags.writeable = half.flags.writeable = False
-        cache = d._edge_cache = (edges, uv, half)
-    return cache[1], cache[2]
-
-
 def _partners(d: Drawing) -> np.ndarray:
     """Antipodal partner of each vertex, or -1 for an unpaired one."""
     partner = np.full(d.n, -1, dtype=np.int64)
@@ -556,17 +536,18 @@ def _pack_drawing(d: Drawing):
     """Arrays consumed by the vectorized predicates: edge frames N, U, V
     (each (E, 3)), endpoints uv and the partner map.
 
-    Arc frames are rebuilt from the vertex array in bulk; only half-circle
-    edges go through their curve objects.
+    The frames are curve_frame's, built in bulk: (unit(a x b), b x N,
+    N x a) for an arc ab, and (p x m, m, m) for a half-circle.
     """
-    uv, half = _edge_arrays(d)
+    uv, half = d.uv, d.half
     E = len(uv)
     N, U, V = (np.empty((E, 3)) for _ in range(3))
     arcs = uv[~half]
     N[~half], U[~half], V[~half] = arc_frames(d.vertices[arcs[:, 0]],
                                               d.vertices[arcs[:, 1]])
-    for i in np.flatnonzero(half):
-        N[i], U[i], V[i] = curve_frame(d.edges[i].curve)
+    mids = d.midpoints[half]
+    N[half] = np.cross(d.vertices[uv[half, 0]], mids)
+    U[half] = V[half] = mids
     return N, U, V, uv, _partners(d)
 
 
@@ -640,21 +621,20 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
     return np.concatenate(found, axis=0, dtype=np.int64)
 
 
-def half_circle_crossings(halves, tol: ToleranceConfig = DEFAULT_TOL
+def half_circle_crossings(P, M, tol: ToleranceConfig = DEFAULT_TOL
                           ) -> np.ndarray:
-    """Crossing pairs (i, j) among half-circles, as _sweep returns them.
+    """Crossing pairs (i, j) among the half-circles from P[i] through the
+    orthonormal midpoint M[i], both (k, 3) arrays, as _sweep returns them.
 
-    The sweep runs over the half-circles' frames (normal, m, m); half-circle
+    The sweep runs over the half-circles' frames (P x M, M, M); half-circle
     i joins the vertices i and i + k, so no pair is skipped.  The first pair
     on one great circle or in the dead zone raises
     DegenerateConfigurationError.
     """
-    k = len(halves)
-    N = np.array([h.normal for h in halves]).reshape(k, 3)
-    M = np.array([h.m for h in halves]).reshape(k, 3)
+    k = len(P)
     uv = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1)
-    return _sweep((N, M, M, uv, np.full(2 * k, -1)), triangle_tiles(k),
-                  tol.sign)
+    return _sweep((np.cross(P, M), M, M, uv, np.full(2 * k, -1)),
+                  triangle_tiles(k), tol.sign)
 
 
 _POOL_DATA = None
@@ -756,12 +736,11 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     couple or a repeated point pair, is left to the sweep.
     """
     n = d.n
-    uv, half = _edge_arrays(d)
+    uv, half = d.uv, d.half
     partner = _partners(d)
     hidx = np.flatnonzero(half)
     u, v = uv[hidx, 0], uv[hidx, 1]
-    ends = np.array([d.edges[i].curve.p for i in hidx]).reshape(-1, 3)
-    mids = np.array([d.edges[i].curve.m for i in hidx]).reshape(-1, 3)
+    ends, mids = d.vertices[u], d.midpoints[hidx]
     pts = np.concatenate([d.vertices, mids])
     P = len(pts)
     at = np.arange(n, P)
@@ -771,7 +750,6 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     lo, hi = arcs.min(axis=1), arcs.max(axis=1)
     key = lo * P + hi
     if (not np.array_equal(partner[uv[:, 0]] == uv[:, 1], half)
-            or not np.array_equal(ends, d.vertices[u])
             or not np.array_equal(d.vertices[v], -ends)
             or (lo == hi).any() or (np.diff(np.sort(key)) == 0).any()):
         return None
@@ -857,7 +835,7 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     independent of scheduling.
     """
     tol = tol or d.tol
-    uv, _ = _edge_arrays(d)
+    uv = d.uv
 
     def pairs():
         return _sweep_pairs(_pack_drawing(d), tol.sign, workers)

@@ -232,15 +232,6 @@ class GeodesicArc:
         self.wedge_u = np.cross(b, self.normal)
         self.wedge_v = np.cross(self.normal, a)
 
-    @classmethod
-    def from_frame(cls, a, b, normal, wedge_u, wedge_v) -> "GeodesicArc":
-        """An arc whose frame was already computed, e.g. by arc_frames;
-        nothing is checked or recomputed."""
-        arc = object.__new__(cls)
-        arc.a, arc.b = a, b
-        arc.normal, arc.wedge_u, arc.wedge_v = normal, wedge_u, wedge_v
-        return arc
-
     def length(self) -> float:
         return angular_distance(self.a, self.b)
 
@@ -261,17 +252,16 @@ class GeodesicArc:
 def arc_frames(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frames (normal, wedge_u, wedge_v), each (E, 3), of the arcs from
     A[e] to B[e], with GeodesicArc's formulas applied to all rows at once.
-    The endpoints are not checked; see geodesic_arcs."""
+    The endpoints are not checked; see require_arc_rows."""
     N = np.cross(A, B)
     N /= np.linalg.norm(N, axis=1, keepdims=True)
     return N, np.cross(B, N), np.cross(N, A)
 
 
-def geodesic_arcs(A, B, tol: ToleranceConfig = DEFAULT_TOL
-                  ) -> list[GeodesicArc]:
-    """GeodesicArc(A[e], B[e], tol) for every row e, with the frames
-    computed in bulk.  Raises the error GeodesicArc raises for the first
-    offending row."""
+def require_arc_rows(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Row-wise GeodesicArc endpoint checks on (E, 3) arrays: raises the
+    error GeodesicArc(A[e], B[e], tol) raises for the first offending row
+    e, a non-unit endpoint before equal or antipodal endpoints."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     bad = ((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) > tol.norm)
@@ -279,7 +269,6 @@ def geodesic_arcs(A, B, tol: ToleranceConfig = DEFAULT_TOL
            | (np.linalg.norm(np.cross(A, B), axis=1) <= tol.general_position))
     for e in np.flatnonzero(bad):
         GeodesicArc(A[e], B[e], tol)
-    return list(map(GeodesicArc.from_frame, A, B, *arc_frames(A, B)))
 
 
 class HalfCircle:
@@ -332,6 +321,14 @@ class HalfCircle:
         return f"HalfCircle(p={self.p.tolist()}, m={self.m.tolist()})"
 
 
+def loose_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """(E,) mask of the rows e where M[e] is not a unit vector orthogonal to
+    P[e] within tol, i.e. where HalfCircle(P[e], M[e], tol) would change
+    the witness; NaN rows are loose."""
+    return ~((np.abs(np.einsum("ij,ij->i", M, M) - 1.0) <= tol.norm)
+             & (np.abs(np.einsum("ij,ij->i", P, M)) <= tol.perp))
+
+
 Curve = GeodesicArc | HalfCircle
 
 
@@ -369,7 +366,8 @@ def frame_signs(Fa, Fb):
     returns (crossing, nx, mags): whether the four triple products X . w,
     w in (U_a, V_a, U_b, V_b), share one strict sign; |X|, at most tol.sign
     for curves on one great circle; and min |X . w|, whose dead zone
-    mags <= tol.sign * nx is _frames_cross's without the divisions.
+    mags <= tol.sign * nx is min |(X / |X|) . w| <= tol.sign without the
+    division.  arcs_cross and its siblings refuse both dead zones.
     """
     (Na, Ua, Va), (Nb, Ub, Vb) = Fa, Fb
     X = cross3(Na, Nb)
@@ -387,21 +385,17 @@ def frame_signs(Fa, Fb):
     return pos, nx, mags
 
 
-def _frames_cross(f1, f2, tol: ToleranceConfig) -> bool:
-    """Scalar crossing test of one frame pair: frame_signs's reference."""
-    n1, u1, v1 = f1
-    n2, u2, v2 = f2
-    x = np.cross(n1, n2)
-    nx = float(np.linalg.norm(x))
-    if nx <= tol.sign:
+def _curves_cross(c1: Curve, c2: Curve, tol: ToleranceConfig) -> bool:
+    """frame_signs on one curve pair, refusing its two dead zones."""
+    crossing, nx, mags = frame_signs(
+        *(tuple(w[:, None] for w in curve_frame(c)) for c in (c1, c2)))
+    if nx[0] <= tol.sign:
         raise DegenerateConfigurationError(
             "curves lie on the same great circle within tolerance")
-    x /= nx
-    dots = (float(u1 @ x), float(v1 @ x), float(u2 @ x), float(v2 @ x))
-    if min(abs(d) for d in dots) <= tol.sign:
+    if mags[0] <= tol.sign * nx[0]:
         raise DegenerateConfigurationError(
             "intersection direction inside the sign dead zone")
-    return all(d > 0.0 for d in dots) or all(d < 0.0 for d in dots)
+    return bool(crossing[0])
 
 
 def arcs_cross(e1: GeodesicArc, e2: GeodesicArc,
@@ -413,17 +407,17 @@ def arcs_cross(e1: GeodesicArc, e2: GeodesicArc,
     great circle (or a decision inside the dead zone) raise
     DegenerateConfigurationError; the caller must perturb or reject.
     """
-    return _frames_cross(curve_frame(e1), curve_frame(e2), tol)
+    return _curves_cross(e1, e2, tol)
 
 
 def half_circle_crosses_arc(h: HalfCircle, e: GeodesicArc,
                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Does the half-circle meet the open arc?  Same +-x contract, with
     half membership x . m >= 0 on the half-circle's great circle."""
-    return _frames_cross(curve_frame(h), curve_frame(e), tol)
+    return _curves_cross(h, e, tol)
 
 
 def half_circles_cross(h1: HalfCircle, h2: HalfCircle,
                        tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Do two half-circles with disjoint endpoint pairs cross?"""
-    return _frames_cross(curve_frame(h1), curve_frame(h2), tol)
+    return _curves_cross(h1, h2, tol)

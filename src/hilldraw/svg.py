@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .drawing import Drawing, count_crossings
-from .geom import GeodesicArc, ToleranceConfig
+from .geom import GeodesicArc, HalfCircle, ToleranceConfig
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
@@ -70,7 +70,7 @@ def export_svg(d: Drawing, tol: ToleranceConfig | None = None,
         raise ValueError("need at least 64 segments per edge")
     tol = tol or d.tol
     if crossings is None:
-        crossings = count_crossings(d, tol).total if d.edges else 0
+        crossings = count_crossings(d, tol).total if len(d.uv) else 0
 
     colors = {}
     next_color = 0
@@ -96,10 +96,14 @@ def export_svg(d: Drawing, tol: ToleranceConfig | None = None,
                      "text-anchor='middle' font-size='14' "
                      f"fill='#555'>{label}</text>")
 
-    for e in d.edges:
-        samples = _sample_curve(e.curve, segments_per_edge)
-        stroke = "#444" if isinstance(e.curve, GeodesicArc) else colors[e.u]
-        width = "0.8" if isinstance(e.curve, GeodesicArc) else "1.6"
+    for (u, v), half, m in zip(d.uv.tolist(), d.half, d.midpoints):
+        if half:
+            curve = HalfCircle(d.vertices[u], m, d.tol)
+            stroke, width = colors[u], "1.6"
+        else:
+            curve = GeodesicArc(d.vertices[u], d.vertices[v], d.tol)
+            stroke, width = "#444", "0.8"
+        samples = _sample_curve(curve, segments_per_edge)
         for run in _polyline_runs(samples):
             coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in run)
             parts.append(f"<polyline points='{coords}' fill='none' "

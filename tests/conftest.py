@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from hilldraw.construct import BlowupPlan, blowup, seed_four, seed_single, \
     seed_two
 from hilldraw.drawing import extend_to_complete, make_assignment
-from hilldraw.geom import DegenerateConfigurationError, unit
+from hilldraw.geom import DegenerateConfigurationError, HalfCircle, unit
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None,
@@ -40,6 +40,11 @@ def hill(seed, k, rng):
     seed for one."""
     return blowup(SEEDS[seed](), BlowupPlan(multiplicities=splits(seed, k)),
                   np.random.default_rng(rng))
+
+
+def half_circles(config, asg):
+    """The k matching half-circles of an assignment, as scalar curves."""
+    return [HalfCircle(p, m) for p, m in zip(config.base, asg.midpoints)]
 
 
 def midpoint_near_arc(config, asg, i, det):

@@ -3,9 +3,11 @@
 Nothing here shares code paths with the package predicates: crossings are
 decided by dense sampling or by sign bisection along one curve plus
 arc-length membership on the other, and the reference counter walks edge
-pairs with its own bookkeeping.  circle_pair_count_reference is the scalar
-loop that the batched circle-pair counter replaced, one circle pair at a
-time.
+pairs with its own bookkeeping and its own scalar curves.
+circle_pair_count_reference is the scalar loop that the batched
+circle-pair counter replaced, one circle pair at a time, and
+frames_cross_reference the scalar test that the batched frame_signs
+replaced, one frame pair at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from hilldraw.drawing import DrawingKind
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle, unit)
+                           HalfCircle, ToleranceConfig, unit)
 
 
 def sample_curve(curve, segments: int) -> np.ndarray:
@@ -165,24 +167,49 @@ def bulk_bisection_oracle(A, B, C, D, iterations: int = 60):
     return verdict, margin
 
 
+def frames_cross_reference(f1, f2, tol: ToleranceConfig) -> bool:
+    """Scalar crossing test of one frame pair (normal, wedge_u, wedge_v):
+    frame_signs's reference, with its two refusals."""
+    n1, u1, v1 = f1
+    n2, u2, v2 = f2
+    x = np.cross(n1, n2)
+    nx = float(np.linalg.norm(x))
+    if nx <= tol.sign:
+        raise DegenerateConfigurationError(
+            "curves lie on the same great circle within tolerance")
+    x /= nx
+    dots = (float(u1 @ x), float(v1 @ x), float(u2 @ x), float(v2 @ x))
+    if min(abs(d) for d in dots) <= tol.sign:
+        raise DegenerateConfigurationError(
+            "intersection direction inside the sign dead zone")
+    return all(d > 0.0 for d in dots) or all(d < 0.0 for d in dots)
+
+
+def _curves(drawing) -> list:
+    """One scalar curve per edge row of the drawing's arrays."""
+    verts, tol = drawing.vertices, drawing.tol
+    return [HalfCircle(verts[u], m, tol) if not np.isnan(m).all()
+            else GeodesicArc(verts[u], verts[v], tol)
+            for (u, v), m in zip(drawing.uv.tolist(), drawing.midpoints)]
+
+
 def brute_count(drawing) -> tuple[int, set]:
     """Reference crossing counter: plain pair loop over edges with its own
-    skip bookkeeping and the scalar predicates."""
+    skip bookkeeping, its own curves and the scalar predicates."""
     from hilldraw.geom import (arcs_cross, half_circle_crosses_arc,
                                half_circles_cross)
-    edges = drawing.edges
+    ends = [set(e) for e in drawing.uv.tolist()]
+    curves = _curves(drawing)
     pairing = drawing.pairing
     pairs = set()
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e1, e2 = edges[i], edges[j]
-            ends1 = {e1.u, e1.v}
-            ends2 = {e2.u, e2.v}
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            ends1, ends2 = ends[i], ends[j]
             if ends1 & ends2:
                 continue
             if any(pairing.get(w) in ends2 for w in ends1):
                 continue
-            c1, c2 = e1.curve, e2.curve
+            c1, c2 = curves[i], curves[j]
             h1 = isinstance(c1, HalfCircle)
             h2 = isinstance(c2, HalfCircle)
             if h1 and h2:

@@ -27,7 +27,7 @@ from hilldraw.drawing import (_pack_drawing, _sign_counts, _sweep_pairs,
 from hilldraw.formulas import (hill_number, partial_matching_target,
                                per_vertex_target)
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                           curve_frame)
+                           arc_frames)
 from hilldraw.montecarlo import (DistributionSpec, ExperimentConfig,
                                  k4_census, ratio_experiment, sample_points)
 
@@ -50,15 +50,12 @@ def _random_general_position_config(k, rng):
 
 
 def _half_circle_edge_hits(config, asg, drawing, tol=DEFAULT_TOL):
-    """Vectorized: how many drawing edges each matching half-circle crosses."""
-    E = len(drawing.edges)
-    N = np.empty((E, 3))
-    U = np.empty((E, 3))
-    V = np.empty((E, 3))
-    uv = np.empty((E, 2), dtype=int)
-    for idx, e in enumerate(drawing.edges):
-        N[idx], U[idx], V[idx] = curve_frame(e.curve)
-        uv[idx] = (e.u, e.v)
+    """Vectorized: how many edges of the matching-free drawing each matching
+    half-circle crosses."""
+    uv = drawing.uv
+    E = len(uv)
+    assert np.isnan(drawing.midpoints).all()
+    N, U, V = arc_frames(*drawing.vertices[uv.T])
     k = config.k
     hits = []
     for i in range(k):
@@ -114,7 +111,7 @@ def dn_corpus_stats():
                 signs = _sign_counts(d, d.tol)
                 swept = np.bincount(
                     _sweep_pairs(_pack_drawing(d), d.tol.sign, 1).ravel(),
-                    minlength=len(d.edges))
+                    minlength=len(d.uv))
                 if signs is None or not np.array_equal(signs, swept):
                     stats["sign_mismatches"].append((k, trial, d.kind.value))
             stats["drawings"] += 1
@@ -274,7 +271,7 @@ def test_criterion_8_performance():
     pts = sample_points(100, DistributionSpec(),
                         np.random.default_rng(777))
     d = complete_drawing_from_points(pts)
-    assert len(d.edges) == 4950
+    assert len(d.uv) == 4950
     # each timing covers the report and its pair list: a point drawing's
     # pairs are swept on first read, with the report's workers
     start = time.perf_counter()

@@ -8,7 +8,8 @@ from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
                             dump_drawing, load_drawing, report_to_doc)
 from hilldraw.drawing import (complete_drawing_from_points, count_crossings,
                               extend_to_complete, verify)
-from hilldraw.geom import ToleranceConfig
+from hilldraw.geom import (DegenerateConfigurationError, HalfCircle,
+                           ToleranceConfig)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +32,10 @@ class TestRoundTrip:
     def test_half_circle_witness_bits_survive(self, hill_k4):
         doc = drawing_to_doc(hill_k4)
         loaded = doc_to_drawing(doc)
-        for e1, e2 in zip(hill_k4.edges, loaded.edges):
-            if hasattr(e1.curve, "m"):
-                assert np.array_equal(e1.curve.m, e2.curve.m)
+        assert np.array_equal(loaded.uv, hill_k4.uv)
+        assert np.array_equal(loaded.midpoints, hill_k4.midpoints,
+                              equal_nan=True)
+        assert loaded.half.sum() == 4
 
     def test_json_text_roundtrip(self, hill_k4):
         text = json.dumps(drawing_to_doc(hill_k4))
@@ -98,6 +100,36 @@ class TestValidation:
                 rec["v"] = (rec["v"] + 1) % len(doc["vertices"])
                 break
         with pytest.raises(DocumentError):
+            doc_to_drawing(doc)
+
+    def test_loose_midpoints_are_orthonormalized(self, hill_k4):
+        """A midpoint that is not unit, or not orthogonal to its endpoint,
+        is fixed by HalfCircle's arithmetic; every other row keeps its
+        bits."""
+        doc = drawing_to_doc(hill_k4)
+        rec = doc["edges"][-2]
+        p = np.array(doc["vertices"][rec["u"]])
+        raw = 2.0 * np.array(rec["midpoint"]) + 0.1 * p
+        rec["midpoint"] = raw.tolist()
+        loaded = doc_to_drawing(doc)
+        want = hill_k4.midpoints.copy()
+        want[-2] = HalfCircle(p, raw).m
+        assert np.array_equal(loaded.midpoints, want, equal_nan=True)
+
+    def test_degenerate_midpoint_in_record_order(self, hill_k4):
+        """A midpoint along its endpoint is refused as its record's error:
+        after an equal or antipodal arc before it, before a bad record
+        after it."""
+        doc = drawing_to_doc(hill_k4)
+        rec = doc["edges"][-3]
+        rec["midpoint"] = doc["vertices"][rec["u"]]
+        doc["edges"][-1]["curve"] = "spline"
+        with pytest.raises(DegenerateConfigurationError, match="parallel"):
+            doc_to_drawing(doc)
+        u, v = hill_k4.uv[-1].tolist()
+        doc["edges"][0] = {"u": u, "v": v, "curve": "arc"}
+        with pytest.raises(DegenerateConfigurationError,
+                           match="equal or antipodal"):
             doc_to_drawing(doc)
 
     def test_edge_census_enforced(self, hill_k4):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hilldraw import drawing as drawing_mod
 from hilldraw.construct import BlowupPlan, blowup, seed_single
 from hilldraw.drawing import (DrawingKind, add_apex, add_random_apex,
                               build_cocktail_party,
@@ -14,9 +15,9 @@ from hilldraw.drawing import (DrawingKind, add_apex, add_random_apex,
                               random_assignment, strength, verify)
 from hilldraw.formulas import hill_number
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                           HalfCircle, unit)
+                           GeodesicArc, HalfCircle, unit)
 
-from .conftest import random_unit_points
+from .conftest import half_circles, random_unit_points
 from .oracles import brute_count
 
 X = np.array([1.0, 0.0, 0.0])
@@ -69,17 +70,19 @@ class TestDouble:
 class TestBuildCocktailParty:
     def test_octahedral_drawing(self):
         d = build_cocktail_party(double([X, Y, Z]))
-        assert len(d.edges) == 12
+        assert len(d.uv) == 12
         assert d.kind is DrawingKind.COCKTAIL_PARTY
         assert count_crossings(d).total == 0
 
     def test_edge_count_k4(self, rng):
         d = build_cocktail_party(random_config(4, rng))
-        assert len(d.edges) == 24
+        assert len(d.uv) == 24
 
     def test_all_edges_shorter_arcs(self, rng):
         d = build_cocktail_party(random_config(4, rng))
-        assert all(e.curve.length() < math.pi for e in d.edges)
+        assert np.isnan(d.midpoints).all()
+        assert all(GeodesicArc(*d.vertices[e]).length() < math.pi
+                   for e in d.uv)
 
 
 class TestCountCrossings:
@@ -134,8 +137,7 @@ class TestCountCrossings:
         d = build_cocktail_party(config)
         rep = count_crossings(d)
         for i, j in rep.pairs.tolist():
-            e1, e2 = d.edges[i], d.edges[j]
-            ends1, ends2 = {e1.u, e1.v}, {e2.u, e2.v}
+            ends1, ends2 = set(d.uv[i].tolist()), set(d.uv[j].tolist())
             assert not ends1 & ends2
             assert not any(d.pairing.get(w) in ends2 for w in ends1)
 
@@ -144,11 +146,11 @@ class TestCountCrossings:
         config = random_config(5, rng)
         d = build_cocktail_party(config)
         rep = count_crossings(d)
-        index_of = {frozenset((e.u, e.v)): i for i, e in enumerate(d.edges)}
+        index_of = {frozenset(e): i for i, e in enumerate(d.uv.tolist())}
 
         def image(edge_idx):
-            e = d.edges[edge_idx]
-            return index_of[frozenset((d.pairing[e.u], d.pairing[e.v]))]
+            u, v = d.uv[edge_idx].tolist()
+            return index_of[frozenset((d.pairing[u], d.pairing[v]))]
 
         pair_set = rep.pair_set()
         for i, j in rep.pairs.tolist():
@@ -185,7 +187,7 @@ class TestStrength:
         every crossing with the other half-circles."""
         config, asg = hill_pairs(4)
         k = config.k
-        halves = [asg.half_circle(config, i) for i in range(k)]
+        halves = half_circles(config, asg)
         from hilldraw.geom import half_circles_cross
         flipped = HalfCircle(config.base[0], -asg.midpoints[0])
         for j in range(1, k):
@@ -201,7 +203,7 @@ class TestExtensions:
             d = extend_to_complete(config, asg)
             assert count_crossings(d).total == hill_number(2 * k)
             assert d.kind is DrawingKind.COMPLETE
-            assert len(d.edges) == (2 * k) * (2 * k - 1) // 2
+            assert len(d.uv) == (2 * k) * (2 * k - 1) // 2
 
     def test_partial_subsets(self):
         config, asg = hill_pairs(4)
@@ -275,6 +277,37 @@ class TestAddApex:
         config, asg = hill_pairs(3)
         with pytest.raises(DegenerateConfigurationError):
             add_apex(config, asg, -config.base[0])
+
+    def test_validates_once(self, rng, monkeypatch):
+        config, asg = hill_pairs(4)
+        calls = []
+        validate = drawing_mod.validate_drawing
+
+        def counted(d):
+            calls.append(d.kind)
+            validate(d)
+
+        monkeypatch.setattr(drawing_mod, "validate_drawing", counted)
+        out = add_random_apex(config, asg, rng)
+        assert calls == [DrawingKind.COMPLETE_PLUS_APEX]
+        assert count_crossings(out).total == hill_number(9)
+
+    def test_invalid_full_drawing_still_refused(self, rng):
+        """Half-circle 0 is turned through vertex 1: the full drawing fails
+        validation, and so must every apex over it."""
+        config = random_config(4, rng)
+        p, w = config.base[0], config.base[1]
+        mids = random_assignment(config, rng).midpoints.copy()
+        mids[0] = unit(w - (w @ p) * p)
+        asg = make_assignment(config, mids)
+        message = r"vertex 1 lies on edge \(0,4\)"
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            extend_to_complete(config, asg)
+        q = unit(rng.normal(size=3))
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            add_apex(config, asg, q)
+        with pytest.raises(DegenerateConfigurationError):
+            add_random_apex(config, asg, rng)
 
 
 class TestVerify:

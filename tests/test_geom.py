@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            GeodesicArc, HalfCircle, ToleranceConfig,
                            angular_distance, antipode, arcs_cross,
-                           half_circle_crosses_arc, half_circles_cross,
-                           is_general_position, orient, rotate, unit)
+                           curve_frame, half_circle_crosses_arc,
+                           half_circles_cross, is_general_position, orient,
+                           rotate, unit)
 
-from .oracles import crossing_oracle_bisect, crossing_oracle_sampled
+from .oracles import (crossing_oracle_bisect, crossing_oracle_sampled,
+                      frames_cross_reference)
 
 S3 = 1.0 / math.sqrt(3.0)
 S2 = 1.0 / math.sqrt(2.0)
@@ -26,6 +28,24 @@ def coords(st_float=st.floats(-1.0, 1.0, allow_nan=False)):
 
 
 unit_vectors = coords().map(lambda t: unit(np.array(t)))
+
+
+def _outcome(test, *args):
+    try:
+        return test(*args)
+    except DegenerateConfigurationError as exc:
+        return DegenerateConfigurationError, str(exc)
+
+
+def checked(predicate, c1, c2):
+    """predicate(c1, c2), asserted equal to the scalar reference on the
+    curves' frames, refusal messages included."""
+    got = _outcome(predicate, c1, c2)
+    assert got == _outcome(frames_cross_reference, curve_frame(c1),
+                           curve_frame(c2), DEFAULT_TOL)
+    if isinstance(got, tuple):
+        raise got[0](got[1])
+    return got
 
 
 class TestToleranceConfig:
@@ -152,25 +172,25 @@ class TestArcsCross:
         e2 = GeodesicArc(unit(np.array([1.0, 1.0, 1.0])),
                          unit(np.array([1.0, 1.0, -1.0])))
         assert crossing_oracle_sampled(e1, e2)
-        assert arcs_cross(e1, e2)
+        assert checked(arcs_cross, e1, e2)
 
     def test_disjoint_pair(self):
         # the second arc stays strictly above the equator
         e1 = GeodesicArc(X, Y)
         e2 = GeodesicArc(Z, unit(np.array([1.0, 1.0, 1.0])))
         assert not crossing_oracle_sampled(e1, e2)
-        assert not arcs_cross(e1, e2)
+        assert not checked(arcs_cross, e1, e2)
 
     def test_self_pair_degenerate(self):
         e = GeodesicArc(X, Y)
         with pytest.raises(DegenerateConfigurationError):
-            arcs_cross(e, e)
+            checked(arcs_cross, e, e)
 
     def test_same_circle_degenerate(self):
         e1 = GeodesicArc(X, Y)
         e2 = GeodesicArc(unit(X + 2 * Y), unit(2 * X + Y))
         with pytest.raises(DegenerateConfigurationError):
-            arcs_cross(e1, e2)
+            checked(arcs_cross, e1, e2)
 
 
 class TestHalfCircleCrossesArc:
@@ -180,30 +200,30 @@ class TestHalfCircleCrossesArc:
     def test_crossing_side(self):
         h = HalfCircle(Z, X)
         assert crossing_oracle_bisect(h, self.ARC)[0]
-        assert half_circle_crosses_arc(h, self.ARC)
+        assert checked(half_circle_crosses_arc, h, self.ARC)
 
     def test_flipped_midpoint_misses(self):
         h = HalfCircle(Z, -X)
         assert not crossing_oracle_bisect(h, self.ARC)[0]
-        assert not half_circle_crosses_arc(h, self.ARC)
+        assert not checked(half_circle_crosses_arc, h, self.ARC)
 
     def test_arc_in_far_hemisphere(self):
         h = HalfCircle(Z, X)
         arc = GeodesicArc(unit(np.array([-1.0, 0.5, 0.3])),
                           unit(np.array([-1.0, -0.5, 0.2])))
-        assert not half_circle_crosses_arc(h, arc)
+        assert not checked(half_circle_crosses_arc, h, arc)
 
 
 class TestHalfCirclesCross:
     def test_common_midpoint_direction(self):
         h1 = HalfCircle(X, Y)
         h2 = HalfCircle(Z, Y)
-        assert half_circles_cross(h1, h2)
+        assert checked(half_circles_cross, h1, h2)
 
     def test_opposite_midpoints_miss(self):
         h1 = HalfCircle(X, Y)
         h2 = HalfCircle(Z, -Y)
-        assert not half_circles_cross(h1, h2)
+        assert not checked(half_circles_cross, h1, h2)
 
     def test_oracle_agreement_on_fixed_cases(self):
         h1 = HalfCircle(X, Y)
@@ -217,8 +237,8 @@ def test_arcs_cross_symmetric(a, b, c, d):
     try:
         e1 = GeodesicArc(a, b)
         e2 = GeodesicArc(c, d)
-        r1 = arcs_cross(e1, e2)
-        r2 = arcs_cross(e2, e1)
+        r1 = checked(arcs_cross, e1, e2)
+        r2 = checked(arcs_cross, e2, e1)
     except DegenerateConfigurationError:
         assume(False)
     assert r1 == r2
@@ -227,8 +247,8 @@ def test_arcs_cross_symmetric(a, b, c, d):
 @given(unit_vectors, unit_vectors, unit_vectors, unit_vectors)
 def test_arcs_cross_antipodal_equivariance(a, b, c, d):
     try:
-        r1 = arcs_cross(GeodesicArc(a, b), GeodesicArc(c, d))
-        r2 = arcs_cross(GeodesicArc(-a, -b), GeodesicArc(-c, -d))
+        r1 = checked(arcs_cross, GeodesicArc(a, b), GeodesicArc(c, d))
+        r2 = checked(arcs_cross, GeodesicArc(-a, -b), GeodesicArc(-c, -d))
     except DegenerateConfigurationError:
         assume(False)
     assert r1 == r2
@@ -246,7 +266,7 @@ def test_adjacent_arcs_refused_by_predicate(a, b, c):
     e2 = GeodesicArc(a, c)
     assume(float(np.linalg.norm(np.cross(e1.normal, e2.normal))) > 1e-3)
     with pytest.raises(DegenerateConfigurationError):
-        arcs_cross(e1, e2)
+        checked(arcs_cross, e1, e2)
 
 
 @given(unit_vectors, unit_vectors, unit_vectors, unit_vectors)
@@ -260,14 +280,26 @@ def test_half_circle_parity_on_antipodal_arc_images(p, m, a, b):
         pierces = (float(a @ h.normal) > 1e-6) != (float(b @ h.normal) > 1e-6)
         assume(abs(float(a @ h.normal)) > 1e-6)
         assume(abs(float(b @ h.normal)) > 1e-6)
-        r1 = half_circle_crosses_arc(h, e)
-        r2 = half_circle_crosses_arc(h, e.antipodal_image())
+        r1 = checked(half_circle_crosses_arc, h, e)
+        r2 = checked(half_circle_crosses_arc, h, e.antipodal_image())
     except DegenerateConfigurationError:
         assume(False)
     if pierces:
         assert r1 != r2
     else:
         assert not r1 and not r2
+
+
+@given(unit_vectors, unit_vectors, unit_vectors, unit_vectors)
+def test_half_circles_cross_matches_reference(p, m, q, w):
+    try:
+        h1, h2 = HalfCircle(p, m), HalfCircle(q, w)
+    except DegenerateConfigurationError:
+        assume(False)
+    try:
+        checked(half_circles_cross, h1, h2)
+    except DegenerateConfigurationError:
+        pass        # refused by both, with one message
 
 
 def test_predicate_agrees_with_independent_oracle_100k(rng):
@@ -307,14 +339,14 @@ def test_predicate_agrees_with_sampled_proximity_oracle(rng):
 
     segments = 4000
     exclusion = 4.0 * math.pi / segments
-    checked = 0
-    while checked < 40:
+    compared = 0
+    while compared < 40:
         pts = rng.normal(size=(4, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         try:
             e1 = GeodesicArc(pts[0], pts[1])
             e2 = GeodesicArc(pts[2], pts[3])
-            got = arcs_cross(e1, e2)
+            got = checked(arcs_cross, e1, e2)
         except DegenerateConfigurationError:
             continue
         _, margin = bulk_bisection_oracle(pts[None, 0], pts[None, 1],
@@ -322,7 +354,7 @@ def test_predicate_agrees_with_sampled_proximity_oracle(rng):
         if margin[0] < exclusion:
             continue
         assert crossing_oracle_sampled(e1, e2, segments) == got
-        checked += 1
+        compared += 1
 
 
 def test_angular_distance_matches_acos(rng):

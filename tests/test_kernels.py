@@ -17,7 +17,7 @@ from hilldraw import geom
 from hilldraw.construct import ConstructionError, validate_arrangement
 from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
                             report_to_doc)
-from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind, Edge,
+from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
                               add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               count_crossings_by_circle_pairs, delete_vertex,
@@ -26,12 +26,12 @@ from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind, Edge,
                               random_assignment, strength, validate_drawing,
                               verify)
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           ToleranceConfig, geodesic_arcs,
-                           half_circles_cross, unit)
+                           ToleranceConfig, arc_frames, half_circles_cross,
+                           require_arc_rows, unit)
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
-from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
-                       splits)
+from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
+                       random_unit_points, splits)
 from .oracles import brute_count, circle_pair_count_reference
 from .test_drawing import hill_pairs, random_config
 
@@ -76,7 +76,7 @@ def test_workers_agree_with_serial(tile, monkeypatch):
     monkeypatch.setattr(geom, "_TILE", tile)
     config, asg = hill_pairs(8)
     d = extend_to_complete(config, asg)
-    assert len(d.edges) >= 64        # smaller drawings never reach the pool
+    assert len(d.uv) >= 64        # smaller drawings never reach the pool
     assert count_crossings(d, workers=2) == count_crossings(d)
 
 
@@ -103,19 +103,18 @@ def _degenerate_drawing(same_circle_row):
     rng = np.random.default_rng(8)
     base = complete_drawing_from_points(random_unit_points(8, rng))
     pts = list(base.vertices)
-    edges = list(base.edges)
+    uv = base.uv.tolist()
     pts.append(unit(pts[2] + pts[0]))
-    edges.append(Edge(2, 8, GeodesicArc(pts[2], pts[8])))
+    uv.append((2, 8))
     for v in range(9, 15, 2):
         pts += list(random_unit_points(2, rng))
-        edges.append(Edge(v, v + 1, GeodesicArc(pts[v], pts[v + 1])))
+        uv.append((v, v + 1))
     if same_circle_row is not None:
-        e = edges[same_circle_row]
-        a, b = e.curve.a, e.curve.b
+        a, b = (pts[i] for i in uv[same_circle_row])
         pts += [unit(-a + 0.2 * b), unit(-b + 0.3 * a)]
-        edges.append(Edge(15, 16, GeodesicArc(pts[15], pts[16])))
-    return Drawing(vertices=np.array(pts), kind=DrawingKind.COMPLETE,
-                   edges=tuple(edges))
+        uv.append((15, 16))
+    return Drawing(vertices=np.array(pts), kind=DrawingKind.COMPLETE, uv=uv,
+                   midpoints=np.full((len(uv), 3), np.nan))
 
 
 @pytest.mark.parametrize("tile", (4, geom._TILE))
@@ -141,7 +140,7 @@ def _sweep_report(d, tol=None):
     packed = drawing_mod._pack_drawing(d)
     pairs = drawing_mod._sweep(packed, geom.triangle_tiles(len(packed[0])),
                                tol.sign)
-    per_edge = np.bincount(pairs.ravel(), minlength=len(d.edges))
+    per_edge = np.bincount(pairs.ravel(), minlength=len(d.uv))
     per_vertex = np.bincount(packed[3][pairs].ravel(), minlength=d.n)
     return CrossingReport(len(pairs), per_edge, per_vertex, pairs)
 
@@ -211,7 +210,7 @@ class TestPointDrawingCounter:
     def test_pairs_use_the_report_workers(self):
         pts = sample_points(16, DistributionSpec(), np.random.default_rng(6))
         d = complete_drawing_from_points(pts)
-        assert len(d.edges) >= 64        # smaller drawings never reach the pool
+        assert len(d.uv) >= 64        # smaller drawings never reach the pool
         assert count_crossings(d, workers=2) == _sweep_report(d)
 
     def test_shuffled_document(self, rng, sweep_calls):
@@ -222,7 +221,7 @@ class TestPointDrawingCounter:
         for rec in doc["edges"][::3]:
             rec["u"], rec["v"] = rec["v"], rec["u"]
         d = doc_to_drawing(json.loads(json.dumps(doc)))
-        assert [(e.u, e.v) for e in d.edges][:2] != [(0, 1), (0, 2)]
+        assert d.uv[:2].tolist() != [[0, 1], [0, 2]]
         rep = count_crossings(d)
         assert sweep_calls == []            # counted from signs
         assert rep == _sweep_report(d)
@@ -314,7 +313,7 @@ class TestSignCounter:
             assert sweep_calls == []              # counted without a sweep
             assert rep == _sweep_report(d)
             kinds.add(d.kind)
-            if len(d.edges) <= 70:
+            if len(d.uv) <= 70:
                 total, pairs = brute_count(d)
                 assert rep.total == total
                 assert rep.pair_set() == frozenset(pairs)
@@ -343,7 +342,7 @@ class TestSignCounter:
         config = random_config(6, rng)
         d, (a, b) = midpoint_near_arc(
             config, random_assignment(config, rng), 2, det)
-        m = next(e.curve.m for e in d.edges if (e.u, e.v) == (2, 8))
+        m = d.midpoints[(d.uv == (2, 8)).all(axis=1)][0]
         assert abs(np.linalg.det(d.vertices[[a, b]].tolist() + [m])) \
             <= max(det * 1.01, 1e-16)
         try:
@@ -386,9 +385,12 @@ class TestSignCounter:
         config, asg = hill("single", 4, [6, 4])
         d = extend_to_complete(config, asg)
         twice = Drawing(vertices=d.vertices, kind=d.kind,
-                        edges=d.edges + d.edges[:1], pairing=d.pairing)
-        moved = Drawing(vertices=d.vertices.copy(), kind=d.kind,
-                        edges=d.edges, pairing=d.pairing)
+                        uv=np.concatenate([d.uv, d.uv[:1]]),
+                        midpoints=np.concatenate([d.midpoints,
+                                                  d.midpoints[:1]]),
+                        pairing=d.pairing)
+        moved = Drawing(vertices=d.vertices.copy(), kind=d.kind, uv=d.uv,
+                        midpoints=d.midpoints, pairing=d.pairing)
         moved.vertices[4] = unit(moved.vertices[4] + 1e-9)
         for bad in (twice, moved):
             calls = len(sweep_calls)
@@ -412,7 +414,7 @@ class TestHalfCircleChecks:
         for k in (3, 5, 8, 12):
             config = random_config(k, rng)
             asg = random_assignment(config, rng)
-            halves = [asg.half_circle(config, i) for i in range(k)]
+            halves = half_circles(config, asg)
             pairs = _scalar_crossings(halves)
             assert strength(config, asg) == len(pairs)
             if pairs:
@@ -423,7 +425,7 @@ class TestHalfCircleChecks:
                     validate_arrangement(halves)
         assert crossed >= 3
         config, asg = hill_pairs(8)
-        halves = [asg.half_circle(config, i) for i in range(8)]
+        halves = half_circles(config, asg)
         assert _scalar_crossings(halves) == [] and strength(config, asg) == 0
         validate_arrangement(halves)
 
@@ -435,7 +437,7 @@ class TestHalfCircleChecks:
         mids[1], mids[3] = np.cross(pole, pts[1]), np.cross(pole, pts[3])
         config = double(pts)
         asg = make_assignment(config, mids)
-        halves = [asg.half_circle(config, i) for i in range(5)]
+        halves = half_circles(config, asg)
         with pytest.raises(DegenerateConfigurationError,
                            match="same great circle"):
             half_circles_cross(halves[1], halves[3])
@@ -480,7 +482,7 @@ def _unchecked_cocktail(base, anti):
     k = len(base)
     pairing = {i: i + k for i in range(k)} | {i + k: i for i in range(k)}
     return Drawing(vertices=np.concatenate([base, anti]),
-                   kind=DrawingKind.COCKTAIL_PARTY, edges=(),
+                   kind=DrawingKind.COCKTAIL_PARTY, uv=(), midpoints=(),
                    pairing=pairing)
 
 
@@ -585,8 +587,7 @@ class TestCirclePairCounter:
         def forbidden(*args, **kwargs):
             raise AssertionError("the circle-pair counter used the sweep")
 
-        for name in ("frame_signs", "arc_frames", "geodesic_arcs",
-                     "_pack_drawing", "_sweep"):
+        for name in ("frame_signs", "arc_frames", "_pack_drawing", "_sweep"):
             monkeypatch.setattr(drawing_mod, name, forbidden)
             monkeypatch.setattr(geom, name, forbidden, raising=False)
         assert count_crossings_by_circle_pairs(d) == 7 * 6 * 5 * 4 // 4
@@ -613,29 +614,26 @@ class TestValidationReportsFirstBadEdge:
         monkeypatch.setattr(geom, "_TILE", tile)
         config, asg = hill_pairs(4)
         d = extend_to_complete(config, asg)
-        edges = list(d.edges)
-        assert (edges[5].u, edges[5].v) == (0, 7)
-        arc = edges[0].curve
-        half = edges[-1]
+        assert d.uv[5].tolist() == [0, 7]
+        hu, hv = d.uv[-1].tolist()
+        arc, mid = [np.nan] * 3, d.midpoints[-1]
         cases = [
-            (Edge(3, 3, arc), r"edge \(3,3\) has invalid endpoints"),
-            (Edge(1, 0, arc), r"duplicate edge \(1,0\)"),
-            (Edge(0, 7, half.curve),
-             r"half-circle edge \(0,7\) does not join"),
-            (Edge(half.v, half.u, half.curve),
-             rf"half-circle edge \({half.v},{half.u}\) endpoint disagrees"),
-            (Edge(half.u, half.v, arc),
-             rf"matching edge \({half.u},{half.v}\) must be a half-circle"),
-            (Edge(0, 7, arc), r"arc edge \(0,7\) endpoints disagree"),
+            ((3, 3), arc, r"edge \(3,3\) has invalid endpoints"),
+            ((1, 0), arc, r"duplicate edge \(1,0\)"),
+            ((0, 7), mid, r"half-circle edge \(0,7\) does not join"),
+            ((hu, hv), 2.0 * mid,
+             rf"half-circle edge \({hu},{hv}\) midpoint is not a unit"),
+            ((hu, hv), arc,
+             rf"matching edge \({hu},{hv}\) must be a half-circle"),
         ]
-        for bad, message in cases:
-            broken = list(edges)
-            broken[5] = bad
+        for bad, m, message in cases:
+            uv, mids = d.uv.copy(), d.midpoints.copy()
+            uv[5], mids[5] = bad, m
             # a later fault must not be reported first
-            broken[-2] = Edge(-1, 2, arc)
+            uv[-2], mids[-2] = (-1, 2), arc
             with pytest.raises(ValueError, match=message):
                 validate_drawing(Drawing(vertices=d.vertices, kind=d.kind,
-                                         edges=tuple(broken),
+                                         uv=uv, midpoints=mids,
                                          pairing=d.pairing))
 
     @pytest.mark.parametrize("tile", (1, geom._TILE))
@@ -648,15 +646,37 @@ class TestValidationReportsFirstBadEdge:
             complete_drawing_from_points(pts)
 
 
+def _scalar_endpoint_error(A, B):
+    """The error GeodesicArc raises for the first row it refuses."""
+    for a, b in zip(A, B):
+        try:
+            GeodesicArc(a, b)
+        except (ValueError, DegenerateConfigurationError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
 class TestBulkArcs:
     def test_frames_match_scalar_constructor(self, rng):
+        """arc_frames computes GeodesicArc's frames, and require_arc_rows
+        raises GeodesicArc's error for the first row it refuses."""
         A = random_unit_points(50, rng)
         B = random_unit_points(50, rng)
-        for arc, a, b in zip(geodesic_arcs(A, B), A, B):
-            ref = GeodesicArc(a, b)
-            for name in ("a", "b", "normal", "wedge_u", "wedge_v"):
-                np.testing.assert_allclose(getattr(arc, name),
-                                           getattr(ref, name), atol=1e-15)
+        require_arc_rows(A, B)
+        for N, name in zip(arc_frames(A, B), ("normal", "wedge_u", "wedge_v")):
+            ref = [getattr(GeodesicArc(a, b), name) for a, b in zip(A, B)]
+            np.testing.assert_allclose(N, ref, atol=1e-15)
+        for fault in range(18):
+            A2, B2 = A.copy(), B.copy()
+            rows = rng.choice(50, size=2, replace=False)
+            A2[rows[0]] = (B2[rows[0]], -B2[rows[0]], 1.5 * A2[rows[0]])[
+                fault % 3]
+            B2[rows[1]] = (A2[rows[1]], -A2[rows[1]], 0.5 * B2[rows[1]])[
+                fault // 3 % 3]
+            want = _scalar_endpoint_error(A2, B2)
+            with pytest.raises(want[0]) as err:
+                require_arc_rows(A2, B2)
+            assert str(err.value) == want[1]
 
     def test_first_offending_row_raises(self, rng):
         A = random_unit_points(6, rng)
@@ -664,11 +684,15 @@ class TestBulkArcs:
         B[2] *= 2.0
         A[4] = -B[4]
         with pytest.raises(ValueError, match="not unit length"):
-            geodesic_arcs(A, B)
+            require_arc_rows(A, B)
         B[2] /= 2.0
         with pytest.raises(DegenerateConfigurationError,
                            match="equal or antipodal"):
-            geodesic_arcs(A, B)
+            require_arc_rows(A, B)
+        # within one row, a non-unit endpoint is reported first
+        A[4] *= 2.0
+        with pytest.raises(ValueError, match="not unit length"):
+            require_arc_rows(A, B)
 
     def test_document_reports_first_bad_record(self):
         config, asg = hill_pairs(3)

@@ -6,13 +6,16 @@ bytes of per_edge, per_vertex and pairs, or to the error type and text
 where counting refuses.  The pinned digests in
 ``data/report_digests.json`` were computed before the orientation-sign
 counter took over antipodal drawings; any change to a counter must leave
-every one of them unchanged.
+every one of them unchanged.  Each drawing's document is pinned as well,
+by the sha256 of ``json.dumps(drawing_to_doc(d), indent=1)`` in
+``data/document_digests.json``, and must parse back to itself.
 
     PYTHONPATH=src python -m tests.test_report_digests [STREAMS] > out.json
 
-prints the digests of the current code, e.g. to compare two checkouts:
-of the pinned corpus, or with STREAMS of a larger one over that many rng
-streams (Hill k = 3..20, random K_5..K_50; 12 streams give 2388 drawings).
+prints the report and document digests of the current code, e.g. to
+compare two checkouts: of the pinned corpus, or with STREAMS of a larger
+one over that many rng streams (Hill k = 3..20, random K_5..K_50; 12
+streams give 2388 drawings).
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hilldraw.docio import doc_to_drawing, drawing_to_doc
 from hilldraw.drawing import (add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               delete_vertex, double, extend_partial_matching,
@@ -34,6 +38,8 @@ from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
                        splits)
 
 PINNED = Path(__file__).parent / "data" / "report_digests.json"
+PINNED_DOCUMENTS = Path(__file__).parent / "data" / "document_digests.json"
+
 def _config(k, rng):
     """A random general-position antipodal configuration on k pairs."""
     while True:
@@ -108,9 +114,20 @@ def digest(d) -> dict:
     return {"total": rep.total, "sha256": h.hexdigest()}
 
 
+def document_digest(d) -> str:
+    """sha256 of d's drawing document as dump_drawing writes it."""
+    text = json.dumps(drawing_to_doc(d), indent=1)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return list(cases())
 
 
 def test_corpus_covers_every_kind(pinned):
@@ -122,10 +139,23 @@ def test_corpus_covers_every_kind(pinned):
         n.endswith("-apex") for n in names) == 29
 
 
-def test_reports_match_pinned_digests(pinned):
-    got = {name: digest(d) for name, d in cases()}
+def test_reports_match_pinned_digests(pinned, corpus):
+    got = {name: digest(d) for name, d in corpus}
     assert list(got) == list(pinned)
     assert [n for n in got if got[n] != pinned[n]] == []
+
+
+def test_documents_match_pinned_digests(corpus):
+    pinned = json.loads(PINNED_DOCUMENTS.read_text(encoding="utf-8"))
+    got = {name: document_digest(d) for name, d in corpus}
+    assert list(got) == list(pinned)
+    assert [n for n in got if got[n] != pinned[n]] == []
+
+
+def test_documents_parse_back_to_themselves(corpus):
+    for name, d in corpus:
+        doc = drawing_to_doc(d)
+        assert drawing_to_doc(doc_to_drawing(doc)) == doc, name
 
 
 if __name__ == "__main__":
@@ -133,5 +163,6 @@ if __name__ == "__main__":
     corpus = cases() if not streams else (
         (f"s{s}-{name}", d) for s in range(streams)
         for name, d in cases(range(3, 21), range(5, 51, 3), rng_seed=s))
-    json.dump({name: digest(d) for name, d in corpus}, sys.stdout, indent=1)
+    json.dump({name: {**digest(d), "document": document_digest(d)}
+               for name, d in corpus}, sys.stdout, indent=1)
     sys.stdout.write("\n")

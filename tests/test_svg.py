@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hilldraw.construct import BlowupPlan, blowup, seed_four, seed_single
-from hilldraw.drawing import (Drawing, DrawingKind, Edge,
-                              build_cocktail_party, double,
-                              extend_to_complete)
+from hilldraw.drawing import (Drawing, DrawingKind, build_cocktail_party,
+                              double, extend_to_complete)
 from hilldraw.svg import export_svg
 
 X = np.array([1.0, 0.0, 0.0])
@@ -31,9 +30,9 @@ def test_seed_four_arrangement_renders_four_halves():
     arr = seed_four()
     verts = np.concatenate([arr.endpoints(), -arr.endpoints()], axis=0)
     pairing = {i: i + 4 for i in range(4)} | {i + 4: i for i in range(4)}
-    edges = tuple(Edge(i, i + 4, h) for i, h in enumerate(arr.halves))
     d = Drawing(vertices=verts, kind=DrawingKind.PARTIAL_MATCHING,
-                edges=edges, pairing=pairing)
+                uv=[(i, i + 4) for i in range(4)],
+                midpoints=[h.m for h in arr.halves], pairing=pairing)
     text = export_svg(d, crossings=0)
     assert text.count("<polyline") >= 4
     assert text.count("<circle") >= 8 + 2  # vertices plus the two disks
@@ -41,7 +40,7 @@ def test_seed_four_arrangement_renders_four_halves():
 
 def test_empty_edge_list_still_valid_svg():
     d = Drawing(vertices=np.stack([X, Y, Z]), kind=DrawingKind.COMPLETE,
-                edges=(), pairing={})
+                uv=(), midpoints=(), pairing={})
     text = export_svg(d)
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert "crossings: 0" in text
@@ -59,13 +58,13 @@ def test_vertices_color_coded_by_pair():
 
 def test_rejects_unknown_projection():
     d = Drawing(vertices=np.stack([X, Y, Z]), kind=DrawingKind.COMPLETE,
-                edges=(), pairing={})
+                uv=(), midpoints=(), pairing={})
     with pytest.raises(ValueError):
         export_svg(d, projection="stereographic")
 
 
 def test_rejects_coarse_sampling():
     d = Drawing(vertices=np.stack([X, Y, Z]), kind=DrawingKind.COMPLETE,
-                edges=(), pairing={})
+                uv=(), midpoints=(), pairing={})
     with pytest.raises(ValueError):
         export_svg(d, segments_per_edge=16)
