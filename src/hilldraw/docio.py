@@ -46,6 +46,11 @@ def drawing_to_doc(d: Drawing) -> dict:
     }
 
 
+def _is_index(x) -> bool:
+    """A JSON integer: not a float, a string or a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     """Parse and fully validate a drawing document.
 
@@ -91,7 +96,7 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
             raise DocumentError("pairing: expected a list of [i, j] pairs")
         for idx, pair in enumerate(raw_pairing):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, int) for x in pair)):
+                    or not all(_is_index(x) for x in pair)):
                 raise DocumentError(f"pairing[{idx}]: expected [i, j]")
             a, b = pair
             if not (0 <= a < n and 0 <= b < n) or a == b:
@@ -113,10 +118,9 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
         for idx, rec in enumerate(raw_edges):
             if not isinstance(rec, dict):
                 raise DocumentError(f"edges[{idx}]: expected an object")
-            try:
-                u, v = int(rec["u"]), int(rec["v"])
-            except (KeyError, TypeError, ValueError):
-                raise DocumentError(f"edges[{idx}]: bad endpoints") from None
+            u, v = rec.get("u"), rec.get("v")
+            if not (_is_index(u) and _is_index(v)):
+                raise DocumentError(f"edges[{idx}]: bad endpoints")
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise DocumentError(f"edges[{idx}]: endpoint out of range")
             curve_kind, mp = rec.get("curve"), rec.get("midpoint")

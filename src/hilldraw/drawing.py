@@ -472,13 +472,18 @@ def config_from_drawing(d: Drawing
 def add_random_apex(config: AntipodalConfig, asg: HalfCircleAssignment,
                     rng, tol: ToleranceConfig = DEFAULT_TOL,
                     provenance: dict | None = None) -> Drawing:
-    """Sample uniform apexes until one is accepted by :func:`add_apex`."""
-    for _ in range(_MAX_TRIES):
+    """Sample uniform apexes until one is accepted by :func:`add_apex`.
+
+    If the first apex is refused, the full drawing is validated on its own:
+    when it is at fault no apex can help, so its own error is raised.
+    """
+    for attempt in range(_MAX_TRIES):
         q = unit(rng.normal(size=3))
         try:
             return add_apex(config, asg, q, tol, provenance)
         except DegenerateConfigurationError:
-            continue
+            if attempt == 0:
+                extend_to_complete(config, asg, tol, provenance)
     raise DegenerateConfigurationError(
         f"no valid apex found in {_MAX_TRIES} samples")
 

@@ -7,7 +7,8 @@ pairs with its own bookkeeping and its own scalar curves.
 circle_pair_count_reference is the scalar loop that the batched
 circle-pair counter replaced, one circle pair at a time, and
 frames_cross_reference the scalar test that the batched frame_signs
-replaced, one frame pair at a time.
+replaced, one frame pair at a time.  uniform_draw_reference is the row-norm
+formula the component-wise uniform draw must match bit for bit.
 """
 
 from __future__ import annotations
@@ -298,6 +299,12 @@ def circle_pair_count_reference(d, tol=None) -> int:
                 if in1 and in2:
                     total += 1
     return total
+
+
+def uniform_draw_reference(rng, size: int) -> np.ndarray:
+    """Normalized Gaussian triples through numpy's row norm."""
+    pts = rng.normal(size=(size, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def hill_closed_form(n: int) -> int:

@@ -162,12 +162,15 @@ class TestMonteCarlo:
         assert doc["n"] == 10 and len(doc["counts"]) == 5
         assert doc["distribution"] == {"kind": "uniform"}
 
-    def test_census_mode(self, capsys):
+    @pytest.mark.parametrize("dist, counts", [
+        ([], [2473, 1527, 0, 0]),
+        (["--dist", "cap:0.3"], [1171, 2829, 0, 0]),
+    ], ids=["uniform", "cap"])
+    def test_census_mode(self, capsys, dist, counts):
         code, out, _ = run(["montecarlo", "--trials", "4000", "--census-k4",
-                            "--rng-seed", "9"], capsys)
+                            "--rng-seed", "9", *dist], capsys)
         assert code == 0
-        doc = json.loads(out)
-        assert sum(doc["counts"]) == 4000
+        assert json.loads(out)["counts"] == counts
 
     def test_cap_distribution(self, capsys):
         code, out, _ = run(["montecarlo", "--n", "8", "--trials", "3",

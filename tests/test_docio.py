@@ -132,6 +132,21 @@ class TestValidation:
                            match="equal or antipodal"):
             doc_to_drawing(doc)
 
+    @pytest.mark.parametrize("value", [0.7, 1.0, True, "1"])
+    def test_endpoints_must_be_json_integers(self, hill_k4, value):
+        doc = drawing_to_doc(hill_k4)
+        doc["edges"][3]["v"] = value
+        with pytest.raises(DocumentError, match=r"edges\[3\]: bad endpoints"):
+            doc_to_drawing(doc)
+
+    @pytest.mark.parametrize("value", [0.7, 1.0, True, "1"])
+    def test_pairing_must_be_json_integers(self, hill_k4, value):
+        doc = drawing_to_doc(hill_k4)
+        doc["pairing"][1][0] = value
+        with pytest.raises(DocumentError,
+                           match=r"pairing\[1\]: expected \[i, j\]"):
+            doc_to_drawing(doc)
+
     def test_edge_census_enforced(self, hill_k4):
         doc = drawing_to_doc(hill_k4)
         doc["edges"] = doc["edges"][:-1]

@@ -259,6 +259,18 @@ class TestDeleteVertex:
             delete_vertex(d, 0)
 
 
+class ScriptedNormal:
+    """Stands in for a Generator whose normal() returns the given draws."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+        self.draws = 0
+
+    def normal(self, size):
+        self.draws += 1
+        return np.asarray(next(self._draws), dtype=float).reshape(size)
+
+
 class TestAddApex:
     def test_random_apexes_reach_next_hill_number(self, rng):
         config, asg = hill_pairs(3)
@@ -306,8 +318,24 @@ class TestAddApex:
         q = unit(rng.normal(size=3))
         with pytest.raises(DegenerateConfigurationError, match=message):
             add_apex(config, asg, q)
-        with pytest.raises(DegenerateConfigurationError):
-            add_random_apex(config, asg, rng)
+        # the base drawing's own fault, on the first apex: none can mend it
+        scripted = ScriptedNormal([rng.normal(size=3)
+                                   for _ in range(drawing_mod._MAX_TRIES)])
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            add_random_apex(config, asg, scripted)
+        assert scripted.draws == 1
+
+    def test_apex_refusals_resample(self, rng):
+        """An apex on a base arc is refused and the next sample is tried."""
+        config, asg = hill_pairs(3)
+        d = extend_to_complete(config, asg)
+        u, v = d.uv[~d.half][0]
+        scripted = ScriptedNormal([d.vertices[u] + d.vertices[v],
+                                   rng.normal(size=3)])
+        out = add_random_apex(config, asg, scripted)
+        assert scripted.draws == 2
+        assert out.n == 7
+        assert count_crossings(out).total == hill_number(7)
 
 
 class TestVerify:
