@@ -45,11 +45,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _worker_count(text) -> int:
+    """--threads value: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerances", metavar="FILE",
                         help="JSON file overriding the numeric tolerances")
-    common.add_argument("--threads", type=int, default=1, metavar="T",
+    common.add_argument("--threads", type=_worker_count, default=1,
+                        metavar="T",
                         help="worker processes for crossing counting "
                              "(results are independent of T)")
     return common
@@ -136,9 +149,18 @@ def _load_tolerances(path) -> ToleranceConfig | None:
 
 
 def _rng_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("HILLDRAW_SEED", "0"))
+    """--rng-seed, else HILLDRAW_SEED, else 0: a non-negative integer."""
+    name = "--rng-seed"
+    if value is None:
+        name, value = "HILLDRAW_SEED", os.environ.get("HILLDRAW_SEED", "0")
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise UsageError(f"{name}: expected a non-negative integer, "
+                         f"got {value!r}")
+    return seed
 
 
 def _read_drawing(spec, tol):

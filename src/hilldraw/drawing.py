@@ -702,11 +702,9 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     every edge pair that splits a couple, such as a quarter arc (p, m)
     and an arc at -p), and three midpoints (every arc has at most one, so
     no arc pair uses such a triple, while blowups put many midpoints on
-    one great circle).  A masked triple has neither sign, so
-    a rule that needs it finds nothing; a masked det(a,b,c) reads as
-    negative below, but then det(a,c,d) or det(b,c,d) is masked too.  If
-    any other triple has |det| <= margin = max(tol.general_position,
-    _DET_FLOOR) + max |p.m|, None is returned.
+    one great circle).  A masked triple has neither sign, so a rule that
+    needs it finds nothing.  If any other triple has |det| <= margin =
+    max(tol.general_position, _DET_FLOOR) + max |p.m|, None is returned.
 
     Why a passing guard means the sweep's counts.  Every product above is
     a guarded determinant, up to positive factors and a p.m term of at
@@ -727,14 +725,25 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
 
     Counting.  The signs are packed into bitsets over d: pos[a, b] and
     neg[a, b] hold the d with det(a,b,d) > 0 and < 0, and arcs[c] the d
-    joined to c by an arc.  Arc ab then crosses sum_c popcount(neg[a,b] &
-    pos[b,c] & neg[a,c] & arcs[c]) / 2 arcs over the c with det(a,b,c) > 0
-    (pos and neg swapped where it is < 0): each crossing arc cd is found
-    once from c and once from d.  The arcs are taken in blocks; where
-    every point pair is an arc, as in a point drawing, the AND with
-    arcs[c] is skipped and the pairs a < b are taken vertex by vertex, so
-    that rows are slices rather than gathers.  The quarter arcs' counts
-    are summed onto their edges.
+    joined to c by an arc.  A crossing arc cd has one end on each side of
+    ab's great circle (det(a,b,d) = -s above), so arc ab crosses
+    sum_c popcount(neg[a,b] & pos[b,c] & neg[a,c] & arcs[c]) arcs over
+    the c with det(a,b,c) > 0.  The mirrored rule over the c with
+    det(a,b,c) < 0, pos[a,b] & neg[b,c] & pos[a,c], would find each of
+    these arcs once more from its other end d, since det(b,d,c) =
+    -det(b,c,d) and det(a,d,c) = -det(a,c,d), and nothing else: its
+    count equals this one, so one side suffices.
+    Only pos is packed: neg[a, b] = pos[b, a].  Every mask is symmetric
+    in the triple's indices, and every unmasked det is guarded, so far
+    beyond the rounding of either evaluation, det(a,b,d) = -det(b,a,d)
+    holds in sign.  The bitsets are held word-major, posT[a, w, c] =
+    word w of pos[a, c] and negT[a, w, c] = word w of neg[a, c] =
+    posT[c, w, a], and arcs likewise, so that every AND runs along the P
+    columns c rather than along a row's few words.  The arcs are taken in
+    blocks; where every point pair is an arc, as in a point drawing, the
+    AND with arcs[c] is skipped and the pairs a < b are taken vertex by
+    vertex, so that rows are slices rather than gathers.  The quarter
+    arcs' counts are summed onto their edges.
 
     A drawing validate_drawing would refuse, e.g. a half-circle whose
     ends are not the exact antipodal couple it joins, an arc joining a
@@ -762,8 +771,7 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
         np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
 
     words = (P + 63) // 64
-    pos = np.zeros((P, P, words), dtype=np.uint64)
-    neg = np.zeros_like(pos)
+    posT = np.empty((P, words, P), dtype=np.uint64)
     idx = np.arange(P)
     partner = np.concatenate([partner, np.full(len(hidx), -1)])
     # pair[x, y]: x = y or an antipodal couple, masked in every triple
@@ -779,45 +787,43 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
         if not (masked | (np.abs(dets) > margin)).all():
             return None
         bits = np.zeros((a1 - a0, P, 64 * words), dtype=bool)
-        for out, sign in ((pos, dets > 0.0), (neg, dets < 0.0)):
-            bits[..., :P] = sign & ~masked
-            out[a0:a1] = np.packbits(bits, axis=-1,
-                                     bitorder="little").view(np.uint64)
+        bits[..., :P] = (dets > 0.0) & ~masked
+        posT[a0:a1] = np.packbits(bits, axis=-1, bitorder="little").view(
+            np.uint64).transpose(0, 2, 1)
+    negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
 
-    joined = None
+    joinedT = None
     if len(key) < P * (P - 1) // 2:
-        joined = np.zeros((P, 64 * words), dtype=bool)
-        joined[lo, hi] = joined[hi, lo] = True
-        joined = np.packbits(joined, axis=-1,
-                             bitorder="little").view(np.uint64)
+        joinedT = np.zeros((P, 64 * words), dtype=bool)
+        joinedT[lo, hi] = joinedT[hi, lo] = True
+        joinedT = np.ascontiguousarray(np.packbits(
+            joinedT, axis=-1, bitorder="little").view(np.uint64).T)
 
-    def crossings(pab, nab, pb, nb, pa, na):
-        """Arcs crossed by arcs ab, given pos and neg at [a, b], [b] and
-        [a]; the [a] rows may be one row shared by every ab."""
-        above = np.unpackbits(pab.view(np.uint8), axis=-1, count=P,
-                              bitorder="little").view(bool)
-        # [ab, c]: the d completing a crossing, by the sign of det(a,b,c)
-        found = np.where(above[..., None], nab[:, None] & pb & na,
-                         pab[:, None] & nb & pa)
-        if joined is not None:
-            found &= joined
-        return np.bitwise_count(found).sum(axis=(1, 2), dtype=np.int64) // 2
+    def crossings(a, b):
+        """Arcs crossed by the arcs ab, for b a slice or an index array
+        and a one index or one per ab."""
+        # pos[a, b] = negT[b, :, a] and neg[a, b] = posT[b, :, a]
+        above = np.unpackbits(np.ascontiguousarray(negT[b, :, a]).view(
+            np.uint8), axis=-1, count=P, bitorder="little")
+        # [ab, w, c]: word w of neg[a,b] & pos[b,c] & neg[a,c]
+        found = posT[b, :, a][..., None] & posT[b] & negT[a]
+        if joinedT is not None:
+            found &= joinedT
+        counts = np.bitwise_count(found)
+        counts *= above[:, None]          # the c with det(a,b,c) > 0
+        return counts.sum(axis=(1, 2), dtype=np.int64)
 
-    if joined is None:
+    if joinedT is None:
         # every point pair is an arc: vertex by vertex, rows are slices;
         # gathered per arc, as below, they nearly double the time on K_100
         crossed = np.zeros((P, P), dtype=np.int64)
         for a in range(P - 1):
-            rest = slice(a + 1, P)
-            crossed[a, rest] = crossings(pos[a, rest], neg[a, rest],
-                                         pos[rest], neg[rest], pos[a], neg[a])
+            crossed[a, a + 1:] = crossings(a, slice(a + 1, P))
         crossed = crossed[lo, hi]
     else:
         crossed = np.zeros(len(lo), dtype=np.int64)
         for s0, s1 in row_blocks(len(lo), P * words):
-            a, b = lo[s0:s1], hi[s0:s1]
-            crossed[s0:s1] = crossings(pos[a, b], neg[a, b], pos[b], neg[b],
-                                       pos[a], neg[a])
+            crossed[s0:s1] = crossings(lo[s0:s1], hi[s0:s1])
     return np.bincount(owner, weights=crossed,
                        minlength=len(uv)).astype(np.int64)
 

@@ -300,3 +300,36 @@ class TestGlobalOptions:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 64
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("threads", ["0", "-5", "two"])
+    def test_bad_threads_is_usage_error(self, k8_file, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", str(k8_file), "--threads", threads])
+        assert exc.value.code == 64
+        assert f"argument --threads: expected a positive integer, got " \
+               f"'{threads}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HILLDRAW_SEED", value)
+        for argv in (["montecarlo", "--n", "5", "--trials", "1"],
+                     ["generate", "--seed-arrangement", "single",
+                      "--multiplicities", "3"]):
+            code, out, err = run(argv, capsys)
+            assert code == 64 and out == ""
+            assert err == ("hilldraw: error: HILLDRAW_SEED: expected a "
+                           f"non-negative integer, got '{value}'\n")
+
+    def test_negative_rng_seed_is_usage_error(self, capsys):
+        code, _, err = run(["montecarlo", "--n", "5", "--trials", "1",
+                            "--rng-seed", "-3"], capsys)
+        assert code == 64
+        assert "--rng-seed: expected a non-negative integer" in err
+
+    def test_explicit_seed_overrides_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HILLDRAW_SEED", "abc")
+        code, out, _ = run(["montecarlo", "--n", "5", "--trials", "1",
+                            "--rng-seed", "3"], capsys)
+        assert code == 0 and json.loads(out)["seed"] == 3

@@ -179,7 +179,8 @@ class TestPointDrawingCounter:
     @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
     def test_reports_equal_the_sweep(self, dist, sweep_calls):
         rng = np.random.default_rng([41, len(dist)])
-        for n in (*range(4, 12), 18, 25, 39, 60):
+        # past 64 points, bitset rows span several 64-bit words
+        for n in (*range(4, 12), 18, 25, 39, 60, 63, 64, 65, 100):
             pts = sample_points(n, DISTRIBUTIONS[dist], rng)
             d = complete_drawing_from_points(pts)
             calls = len(sweep_calls)
@@ -273,17 +274,18 @@ class TestPointDrawingCounter:
 
 def _antipodal_drawings():
     """Hill complete drawings from every seed, all of their vertex
-    deletions for k <= 8 and two apexes each; cocktail drawings; partial
-    drawings whose random assignments have strength > 0."""
+    deletions for k <= 8 and one beyond, and two apexes each; at k = 22
+    and 24 they hold 64 to 73 points, two bitset words; cocktail drawings;
+    partial drawings whose random assignments have strength > 0."""
     for seed in SEEDS:
-        for k in (*range(3, 9), 12, 16):
+        for k in (*range(3, 9), 12, 16, 22, 24):
             if k < len(splits(seed, k)):
                 continue
             config, asg = hill(seed, k, [len(seed), k])
             d = extend_to_complete(config, asg)
             yield d
-            if k <= 8:
-                yield from (delete_vertex(d, v) for v in range(d.n))
+            vertices = range(d.n) if k <= 8 else (k,)
+            yield from (delete_vertex(d, v) for v in vertices)
             rng = np.random.default_rng([k, len(seed)])
             yield from (add_random_apex(config, asg, rng) for _ in range(2))
     rng = np.random.default_rng(77)

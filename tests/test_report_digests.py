@@ -5,8 +5,10 @@ outcome is reduced to a sha256 over the total and the dtype, shape and
 bytes of per_edge, per_vertex and pairs, or to the error type and text
 where counting refuses.  The pinned digests in
 ``data/report_digests.json`` were computed before the orientation-sign
-counter took over antipodal drawings; any change to a counter must leave
-every one of them unchanged.  Each drawing's document is pinned as well,
+counter took over antipodal drawings, and those of the drawings on more
+than 64 points (K_65, K_100, Hill k = 24) before its counting kernel
+went word-major; any change to a counter must leave every one of them
+unchanged.  Each drawing's document is pinned as well,
 by the sha256 of ``json.dumps(drawing_to_doc(d), indent=1)`` in
 ``data/document_digests.json``, and must parse back to itself.
 
@@ -59,11 +61,12 @@ def _near_circle(pts, i, j, w, det):
     return pts
 
 
-def cases(hill_ks=range(3, 13), random_ns=range(5, 41),
-          antipodal_ks=range(3, 13),
-          rng_seed=0):
+def cases(hill_ks=range(3, 13), random_ns=(*range(5, 41), 65, 100),
+          antipodal_ks=range(3, 13), complete_ks=(24,), rng_seed=0):
     """(name, drawing) pairs of the pinned corpus; larger ranges and other
-    rng seeds give larger corpora of the same kinds."""
+    rng seeds give larger corpora of the same kinds.  complete_ks gives
+    Hill complete drawings alone, and with random_ns past 64 they hold more
+    than 64 points: several words of the sign counter's bitsets."""
     for seed in SEEDS:
         for k in hill_ks:
             if k < len(splits(seed, k)):
@@ -75,6 +78,9 @@ def cases(hill_ks=range(3, 13), random_ns=range(5, 41),
             v = int(rng.integers(d.n))
             yield f"hill-{seed}-k{k}-minus{v}", delete_vertex(d, v)
             yield f"hill-{seed}-k{k}-apex", add_random_apex(config, asg, rng)
+        for k in complete_ks:
+            rng = np.random.default_rng([rng_seed, 1, len(seed), k])
+            yield f"hill-{seed}-k{k}", extend_to_complete(*hill(seed, k, rng))
     for k in antipodal_ks:
         rng = np.random.default_rng([rng_seed, 2, k])
         config = _config(k, rng)
@@ -162,7 +168,8 @@ if __name__ == "__main__":
     streams = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     corpus = cases() if not streams else (
         (f"s{s}-{name}", d) for s in range(streams)
-        for name, d in cases(range(3, 21), range(5, 51, 3), rng_seed=s))
+        for name, d in cases(range(3, 21), range(5, 51, 3), complete_ks=(),
+                             rng_seed=s))
     json.dump({name: {**digest(d), "document": document_digest(d)}
                for name, d in corpus}, sys.stdout, indent=1)
     sys.stdout.write("\n")
