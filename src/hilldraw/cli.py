@@ -45,23 +45,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _worker_count(text) -> int:
-    """--threads value: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """Argument type: an integer >= low, else a usage error that says what
+    was expected."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerances", metavar="FILE",
                         help="JSON file overriding the numeric tolerances")
-    common.add_argument("--threads", type=_worker_count, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         metavar="T",
                         help="worker processes for crossing counting "
                              "(results are independent of T)")
@@ -117,8 +123,9 @@ def build_parser() -> _Parser:
 
     mc = sub.add_parser("montecarlo", parents=[common],
                         help="random-drawing experiments")
-    mc.add_argument("--n", type=int, default=None)
-    mc.add_argument("--trials", type=int, required=True)
+    mc.add_argument("--n", type=_int_at_least(4, "an integer >= 4"),
+                    default=None)
+    mc.add_argument("--trials", type=_positive_int, required=True)
     mc.add_argument("--dist", default="uniform", metavar="SPEC",
                     help="'uniform' or 'cap:THETA'")
     mc.add_argument("--rng-seed", type=int, default=None)

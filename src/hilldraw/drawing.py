@@ -140,8 +140,10 @@ class Drawing:
 
     The e-th edge joins the vertices uv[e] = (u, v): the shorter arc if
     midpoints[e] is NaN, else the half-circle from vertices[u] through that
-    unit midpoint witness to -vertices[u].  ``uv`` (E, 2) and
-    ``midpoints`` (E, 3) are read-only copies of the arrays passed in.
+    unit midpoint witness to -vertices[u].  ``vertices``, ``uv`` (E, 2)
+    and ``midpoints`` (E, 3) are read-only copies of the arrays passed in,
+    so the orientation signs validation computes, which count_crossings
+    reuses, cannot go stale.
 
     ``pairing`` maps each vertex to its antipodal partner where one exists;
     it is structural metadata (never inferred geometrically) and drives both
@@ -155,13 +157,18 @@ class Drawing:
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
+    # the last _orientation_signs result, see _cached_signs
+    _signs: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __post_init__(self):
+        self.vertices = np.array(self.vertices, dtype=float)
         self.uv = np.array(self.uv, dtype=np.int64).reshape(-1, 2)
         self.midpoints = np.array(self.midpoints, dtype=float).reshape(-1, 3)
         if len(self.midpoints) != len(self.uv):
             raise ValueError("need one midpoint row per edge")
-        self.uv.flags.writeable = self.midpoints.flags.writeable = False
+        for a in (self.vertices, self.uv, self.midpoints):
+            a.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -184,6 +191,11 @@ def validate_drawing(d: Drawing) -> None:
     an edge's curve) raise DegenerateConfigurationError; structural
     mismatches raise ValueError.  Edges are checked in order and the first
     offending edge is reported.
+
+    The orientation signs of the sign counter are computed here, once, and
+    kept on d for count_crossings.  Where their guard covers the vertex
+    off-curve test (see _off_curve_bound) that test is skipped, since no
+    vertex can fail it; otherwise it runs as it is.
     """
     n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
@@ -221,7 +233,9 @@ def validate_drawing(d: Drawing) -> None:
 
     require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
     _check_edge_census(d, int(half.sum()))
-    _check_vertices_off_curves(d)
+    posT, least = _cached_signs(d, d.tol)
+    if posT is None or not least > _off_curve_bound(d.tol):
+        _check_vertices_off_curves(d)
 
 
 def _check_edge_census(d: Drawing, matching_edges: int) -> None:
@@ -246,6 +260,36 @@ def _check_edge_census(d: Drawing, matching_edges: int) -> None:
             raise ValueError(
                 f"{d.kind.value} drawing must contain all {complete} edges, "
                 f"got {got}")
+
+
+def _off_curve_bound(tol: ToleranceConfig) -> float:
+    """Least unmasked |det| of _orientation_signs above which no vertex
+    can fail _check_vertices_off_curves.
+
+    The test refuses vertex w on edge e if |N.w| <= g = tol.general_position
+    and w lies in e's wedge.  Every vertex w off e's ends meets e in a triple
+    that _orientation_signs guards: (a, b, w) for an arc ab, (p, m, w) for
+    a half-circle from p through m, unless w is the partner of an end.
+    Such a w = -a is masked, but it can never trip the test: it lies
+    outside the arc's wedge, as U.(-a) = -(b x N).a = -N.(a x b) =
+    -|a x b| and likewise V.(-b) = -|a x b|, and require_arc_rows passed
+    only arcs with |a x b| > g, far beyond rounding.  A half-circle's
+    partners are its own ends, which the test exempts.
+
+    On the guarded triples, with u = 2^-53 and s = 1 + tol.norm, so that
+    validated points have |x|^2 <= s: the stage's det = (a x b).w has an
+    error of at most gamma_5 sum |a_i b_j w_k| <= 5u sqrt(3) s^1.5 (a cross
+    product, then a three-term dot product).  For a half-circle, N.w =
+    (p x m).w is the same determinant, evaluated again with the same error
+    bound.  For an arc, N = fl(a x b) / |fl(a x b)|, where fl(a x b) is
+    off by at most 2u sqrt(2) s, |a x b| <= s, the normalization costs a
+    few u relative, and the dot product 3u |N||w|.  So |N.w| exceeds
+    (|det| - 3u s^1.5) / (s (1 + 5u)) - 4u sqrt(s), and the test cannot
+    fire once the stage's |det| exceeds s g (1 + 10u) + 21u s^2.  The
+    bound (g + 1e-14) s^2 is larger for every g a guard can pass, as such
+    a g is below |det| <= s^1.5.
+    """
+    return (tol.general_position + 1e-14) * (1.0 + tol.norm) ** 2
 
 
 def _check_vertices_off_curves(d: Drawing) -> None:
@@ -287,7 +331,7 @@ def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
         raise ValueError("expected an (n, 3) array with n >= 4")
     uv = np.stack(np.triu_indices(len(verts), 1), axis=1)
-    d = Drawing(vertices=verts.copy(), kind=DrawingKind.COMPLETE, uv=uv,
+    d = Drawing(vertices=verts, kind=DrawingKind.COMPLETE, uv=uv,
                 midpoints=_arc_midpoints(uv), pairing={},
                 provenance=dict(provenance or {}), tol=tol)
     validate_drawing(d)
@@ -303,7 +347,7 @@ def build_cocktail_party(config: AntipodalConfig,
     drawn with 2k^2 - 2k geodesic edges.
     """
     uv = _cocktail_uv(config)
-    d = Drawing(vertices=config.doubled.copy(),
+    d = Drawing(vertices=config.doubled,
                 kind=DrawingKind.COCKTAIL_PARTY, uv=uv,
                 midpoints=_arc_midpoints(uv),
                 pairing=config.pairing(),
@@ -356,7 +400,7 @@ def _matching_drawing(config: AntipodalConfig, asg: HalfCircleAssignment,
         kind = DrawingKind.PARTIAL_MATCHING
     prov = dict(provenance or {})
     prov.setdefault("matching_pairs", chosen)
-    return Drawing(vertices=config.doubled.copy(), kind=kind, uv=uv,
+    return Drawing(vertices=config.doubled, kind=kind, uv=uv,
                    midpoints=midpoints, pairing=config.pairing(),
                    provenance=prov, tol=tol)
 
@@ -677,6 +721,84 @@ def _sweep_pairs(packed, sign_tol: float, workers: int) -> np.ndarray:
 _DET_FLOOR = 1e-13
 
 
+def _orientation_signs(d: Drawing, key: float):
+    """The orientation stage of the sign counter: (posT, least).
+
+    The points are d's n vertices followed by one midpoint witness m per
+    half-circle edge, in edge order; posT[a, w, c] is word w of the
+    bitset pos[a, c] of the points x with det(a,c,x) > 0, and least is the
+    smallest |det| of an unmasked triple.
+
+    Masks and guard.  Three kinds of triple are masked by index, never by
+    size: a repeated index (det(a,b,a) is about 1e-17, not 0), an
+    antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep skips
+    every edge pair that splits a couple, such as a quarter arc (p, m)
+    and an arc at -p), and three midpoints (every arc has at most one, so
+    no arc pair uses such a triple, while blowups put many midpoints on
+    one great circle).  A masked triple has neither sign, so a rule that
+    needs it finds nothing.  If any other triple has |det| <= margin =
+    key + max |p.m|, posT is None and least is the smallest |det| seen up
+    to that block, at most margin.  A point that is not finite gives no
+    signs either (least is NaN): masked determinants are NaN here, so
+    determinants made NaN by such a point would pass for masked ones.
+
+    The P^2 cross products a x b are computed once and dotted with every
+    point a block of rows a at a time.
+    """
+    n = d.n
+    hidx = np.flatnonzero(d.half)
+    ends, mids = d.vertices[d.uv[hidx, 0]], d.midpoints[hidx]
+    pts = np.concatenate([d.vertices, mids])
+    P = len(pts)
+    if not np.isfinite(pts).all():
+        return None, np.nan
+    margin = key + float(
+        np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
+
+    words = (P + 63) // 64
+    posT = np.empty((P, words, P), dtype=np.uint64)
+    idx = np.arange(P)
+    partner = np.concatenate([_partners(d), np.full(len(hidx), -1)])
+    # pair[x, y]: x = y or an antipodal couple, masked in every triple
+    pair = (idx[:, None] == idx) | (partner[:, None] == idx)
+    mid = idx >= n
+    cross = np.cross(pts[:, None], pts)
+    least = np.inf
+    for a0, a1 in row_blocks(P, P * P):
+        # dets[r, b, c] = det(a0 + r, b, c)
+        dets = (cross[a0:a1].reshape(-1, 3) @ pts.T).reshape(a1 - a0, P, P)
+        masked = pair[a0:a1, :, None] | pair[a0:a1, None, :] | pair
+        if len(hidx):
+            masked |= mid[a0:a1, None, None] & mid[:, None] & mid
+        # a masked det is NaN: it has neither sign, and fmin skips it
+        np.copyto(dets, np.nan, where=masked)
+        least = min(least, float(np.fmin.reduce(np.abs(dets), axis=None,
+                                                initial=np.inf)))
+        if not least > margin:
+            return None, least
+        bits = np.zeros((a1 - a0, P, 64 * words), dtype=bool)
+        bits[..., :P] = dets > 0.0
+        posT[a0:a1] = np.packbits(bits, axis=-1, bitorder="little").view(
+            np.uint64).transpose(0, 2, 1)
+    return posT, least
+
+
+def _cached_signs(d: Drawing, tol: ToleranceConfig):
+    """_orientation_signs(d, key) with key = max(tol.general_position,
+    _DET_FLOOR).  The result is kept on d and reused while the key, d's
+    arrays and d.pairing stay those it was computed from."""
+    key = max(tol.general_position, _DET_FLOOR)
+    arrays = (d.vertices, d.uv, d.midpoints)
+    if d._signs is not None:
+        kept_key, kept_arrays, kept_pairing, posT, least = d._signs
+        if (kept_key == key and kept_pairing == d.pairing
+                and all(x is y for x, y in zip(kept_arrays, arrays))):
+            return posT, least
+    posT, least = _orientation_signs(d, key)
+    d._signs = (key, arrays, dict(d.pairing), posT, least)
+    return posT, least
+
+
 def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     """Per-edge crossing counts of any drawing from orientation signs, or
     None where the sweep must count instead.
@@ -696,15 +818,10 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     against half-circle (q, w) they are det(q,w,p) - (p.m) det(q,w,m) and
     -det(p,m,q) + (q.w) det(p,m,w).
 
-    Masks and guard.  Three kinds of triple are masked by index, never by
-    size: a repeated index (det(a,b,a) is about 1e-17, not 0), an
-    antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep skips
-    every edge pair that splits a couple, such as a quarter arc (p, m)
-    and an arc at -p), and three midpoints (every arc has at most one, so
-    no arc pair uses such a triple, while blowups put many midpoints on
-    one great circle).  A masked triple has neither sign, so a rule that
-    needs it finds nothing.  If any other triple has |det| <= margin =
-    max(tol.general_position, _DET_FLOOR) + max |p.m|, None is returned.
+    Masks and guard.  The signs come from _orientation_signs, which masks
+    triples by index and returns no signs when some other triple has
+    |det| <= max(tol.general_position, _DET_FLOOR) + max |p.m| =: margin;
+    then None is returned.
 
     Why a passing guard means the sweep's counts.  Every product above is
     a guarded determinant, up to positive factors and a p.m term of at
@@ -747,16 +864,16 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
 
     A drawing validate_drawing would refuse, e.g. a half-circle whose
     ends are not the exact antipodal couple it joins, an arc joining a
-    couple or a repeated point pair, is left to the sweep.
+    couple or a repeated point pair, is left to the sweep; every other
+    drawing reads its signs through _cached_signs, so a validated drawing
+    reuses the ones its validation computed.
     """
     n = d.n
     uv, half = d.uv, d.half
     partner = _partners(d)
     hidx = np.flatnonzero(half)
     u, v = uv[hidx, 0], uv[hidx, 1]
-    ends, mids = d.vertices[u], d.midpoints[hidx]
-    pts = np.concatenate([d.vertices, mids])
-    P = len(pts)
+    P = n + len(hidx)
     at = np.arange(n, P)
     arcs = np.concatenate([uv[~half], np.stack([u, at], axis=1),
                            np.stack([at, v], axis=1)])
@@ -764,32 +881,13 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     lo, hi = arcs.min(axis=1), arcs.max(axis=1)
     key = lo * P + hi
     if (not np.array_equal(partner[uv[:, 0]] == uv[:, 1], half)
-            or not np.array_equal(d.vertices[v], -ends)
+            or not np.array_equal(d.vertices[v], -d.vertices[u])
             or (lo == hi).any() or (np.diff(np.sort(key)) == 0).any()):
         return None
-    margin = max(tol.general_position, _DET_FLOOR) + float(
-        np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
-
-    words = (P + 63) // 64
-    posT = np.empty((P, words, P), dtype=np.uint64)
-    idx = np.arange(P)
-    partner = np.concatenate([partner, np.full(len(hidx), -1)])
-    # pair[x, y]: x = y or an antipodal couple, masked in every triple
-    pair = (idx[:, None] == idx) | (partner[:, None] == idx)
-    mid = idx >= n
-    for a0, a1 in row_blocks(P, P * P):
-        # dets[r, b, c] = det(a0 + r, b, c)
-        dets = (np.cross(pts[a0:a1, None], pts).reshape(-1, 3)
-                @ pts.T).reshape(a1 - a0, P, P)
-        masked = pair[a0:a1, :, None] | pair[a0:a1, None, :] | pair
-        if len(hidx):
-            masked |= mid[a0:a1, None, None] & mid[:, None] & mid
-        if not (masked | (np.abs(dets) > margin)).all():
-            return None
-        bits = np.zeros((a1 - a0, P, 64 * words), dtype=bool)
-        bits[..., :P] = (dets > 0.0) & ~masked
-        posT[a0:a1] = np.packbits(bits, axis=-1, bitorder="little").view(
-            np.uint64).transpose(0, 2, 1)
+    posT, _ = _cached_signs(d, tol)
+    if posT is None:
+        return None
+    words = posT.shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
 
     joinedT = None
@@ -834,8 +932,10 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
 
     Every drawing is first counted from the orientation signs of its
     vertices and half-circle midpoints (see :func:`_sign_counts`), in
-    O(P^3 * P/64) word operations over its P points; the report's pair
-    list is then swept on first read, with the same ``workers``.  Where
+    O(P^3 * P/64) word operations over its P points; a validated drawing
+    reuses the signs its validation computed where ``tol`` gives the same
+    guard margin.  The report's pair list is then swept on first read,
+    with the same ``workers``.  Where
     some triple falls inside the counter's guard, the drawing is swept
     pair by pair instead, with the sweep's counts, errors and first
     refused pair: adjacent pairs and pairs splitting an antipodal couple

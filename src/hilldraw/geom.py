@@ -183,13 +183,15 @@ def triangle_tiles(size: int) -> list[tuple[int, int, int, int]]:
 
 def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     """True iff some triple i < j < l has |det[p_i p_j p_l]| <= margin,
-    i.e. lies on a common great circle within the margin."""
+    i.e. lies on a common great circle within the margin.  The C(n, 2)
+    cross products p_i x p_j are computed once and dotted with every point
+    in blocks of pairs."""
     n = len(points)
     ii, jj = np.triu_indices(n, 1)
+    cross = np.cross(points[ii], points[jj])
     for start, stop in row_blocks(len(ii), n):
-        i, j = ii[start:stop], jj[start:stop]
-        dets = np.abs(np.cross(points[i], points[j]) @ points.T)
-        if np.any((dets <= margin) & (np.arange(n) > j[:, None])):
+        dets = np.abs(cross[start:stop] @ points.T)
+        if np.any((dets <= margin) & (np.arange(n) > jj[start:stop, None])):
             return True
     return False
 

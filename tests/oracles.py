@@ -9,6 +9,10 @@ circle-pair counter replaced, one circle pair at a time, and
 frames_cross_reference the scalar test that the batched frame_signs
 replaced, one frame pair at a time.  uniform_draw_reference is the row-norm
 formula the component-wise uniform draw must match bit for bit.
+block_dets_reference and coplanar_reference compute triple determinants
+as the kernels did before they took their cross products once per point
+set: one np.cross per block of rows; the kernels must give the same
+determinants bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from hilldraw.drawing import DrawingKind
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle, ToleranceConfig, unit)
+                           HalfCircle, ToleranceConfig, row_blocks, unit)
 
 
 def sample_curve(curve, segments: int) -> np.ndarray:
@@ -315,3 +319,25 @@ def hill_closed_form(n: int) -> int:
         q, r = divmod((n - 1) ** 2 * (n - 3) ** 2, 64)
     assert r == 0
     return q
+
+
+def block_dets_reference(pts: np.ndarray) -> np.ndarray:
+    """(P, P, P) array of det(a, b, c), one np.cross per block of rows a
+    of row_blocks(P, P * P)."""
+    P = len(pts)
+    return np.concatenate([
+        (np.cross(pts[a0:a1, None], pts).reshape(-1, 3) @ pts.T).reshape(
+            a1 - a0, P, P) for a0, a1 in row_blocks(P, P * P)])
+
+
+def coplanar_reference(points: np.ndarray) -> float:
+    """Least |det| over the triples i < j < l, one np.cross per block of
+    pairs of row_blocks(C(n, 2), n)."""
+    n = len(points)
+    ii, jj = np.triu_indices(n, 1)
+    least = np.inf
+    for start, stop in row_blocks(len(ii), n):
+        i, j = ii[start:stop], jj[start:stop]
+        dets = np.abs(np.cross(points[i], points[j]) @ points.T)
+        least = min(least, dets[np.arange(n) > j[:, None]].min())
+    return float(least)

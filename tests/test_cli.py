@@ -311,6 +311,27 @@ class TestArgumentValues:
         assert f"argument --threads: expected a positive integer, got " \
                f"'{threads}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "5", "--trials", "0"], "--trials: expected a positive "
+         "integer, got '0'"),
+        (["--n", "5", "--trials", "-2"], "--trials: expected a positive "
+         "integer, got '-2'"),
+        (["--n", "5", "--trials", "many"], "--trials: expected a positive "
+         "integer, got 'many'"),
+        (["--census-k4", "--trials", "0"], "--trials: expected a positive "
+         "integer, got '0'"),
+        (["--n", "3", "--trials", "1"], "--n: expected an integer >= 4, "
+         "got '3'"),
+        (["--n", "-4", "--trials", "1"], "--n: expected an integer >= 4, "
+         "got '-4'"),
+    ])
+    def test_bad_experiment_size_is_usage_error(self, capsys, argv,
+                                                message):
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", *argv])
+        assert exc.value.code == 64
+        assert f"argument {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("HILLDRAW_SEED", value)

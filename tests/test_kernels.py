@@ -25,14 +25,15 @@ from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
                               extend_to_complete, make_assignment,
                               random_assignment, strength, validate_drawing,
                               verify)
-from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           ToleranceConfig, arc_frames, half_circles_cross,
-                           require_arc_rows, unit)
+from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                           GeodesicArc, ToleranceConfig, arc_frames,
+                           half_circles_cross, require_arc_rows, unit)
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
                        random_unit_points, splits)
-from .oracles import brute_count, circle_pair_count_reference
+from .oracles import (block_dets_reference, brute_count,
+                      circle_pair_count_reference, coplanar_reference)
 from .test_drawing import hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
@@ -145,18 +146,23 @@ def _sweep_report(d, tol=None):
     return CrossingReport(len(pairs), per_edge, per_vertex, pairs)
 
 
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    """Counts the calls of the pair sweep."""
+def _counted(monkeypatch, name):
+    """A list that gains an entry at each call of drawing_mod.<name>."""
     calls = []
-    sweep = drawing_mod._sweep
+    func = getattr(drawing_mod, name)
 
     def counted(*args):
         calls.append(1)
-        return sweep(*args)
+        return func(*args)
 
-    monkeypatch.setattr(drawing_mod, "_sweep", counted)
+    monkeypatch.setattr(drawing_mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts the calls of the pair sweep."""
+    return _counted(monkeypatch, "_sweep")
 
 
 def _cap(theta):
@@ -391,13 +397,245 @@ class TestSignCounter:
                         midpoints=np.concatenate([d.midpoints,
                                                   d.midpoints[:1]]),
                         pairing=d.pairing)
-        moved = Drawing(vertices=d.vertices.copy(), kind=d.kind, uv=d.uv,
+        vertices = d.vertices.copy()
+        vertices[4] = unit(vertices[4] + 1e-9)
+        moved = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
                         midpoints=d.midpoints, pairing=d.pairing)
-        moved.vertices[4] = unit(moved.vertices[4] + 1e-9)
         for bad in (twice, moved):
             calls = len(sweep_calls)
             assert count_crossings(bad) == _sweep_report(bad)
             assert len(sweep_calls) > calls
+
+
+def _fresh(d):
+    """d's arrays in a new Drawing, not yet validated."""
+    return Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                   midpoints=d.midpoints, pairing=dict(d.pairing), tol=d.tol)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts the runs of the orientation stage."""
+    return _counted(monkeypatch, "_orientation_signs")
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the runs of the exact vertex off-curve test."""
+    return _counted(monkeypatch, "_check_vertices_off_curves")
+
+
+def _three_kinds():
+    """A Hill complete drawing, one of its vertex deletions and an apex."""
+    config, asg = hill("two", 6, [5, 6])
+    d = extend_to_complete(config, asg)
+    return {"complete": d, "vertex-deleted": delete_vertex(d, 3),
+            "apex": add_random_apex(config, asg, np.random.default_rng(8))}
+
+
+class TestSignCache:
+    """Validation computes the orientation signs once and keeps them on
+    the drawing; count_crossings reuses them only while they are still
+    the drawing's own, for the same guard key."""
+
+    def test_vertices_are_read_only(self, rng):
+        pts = random_unit_points(8, rng)
+        d = complete_drawing_from_points(pts)
+        with pytest.raises(ValueError, match="read-only"):
+            d.vertices[0] = pts[1]
+        pts[0] = pts[1]                 # the caller's array is not d's
+        assert not np.array_equal(d.vertices[0], pts[1])
+
+    @pytest.mark.parametrize("kind", ("complete", "vertex-deleted", "apex"))
+    def test_validate_then_count_runs_the_stage_once(self, kind, stage_calls,
+                                                     sweep_calls):
+        d = _fresh(_three_kinds()[kind])
+        stage_calls.clear()
+        sweep_calls.clear()
+        validate_drawing(d)
+        rep = count_crossings(d)
+        assert verify(d).passed
+        assert len(stage_calls) == 1 and sweep_calls == []
+        assert rep == _sweep_report(d)
+
+    def test_refusing_tolerance_recomputes(self, stage_calls, sweep_calls):
+        d = _three_kinds()["apex"]
+        posT, least = drawing_mod._cached_signs(d, d.tol)
+        assert posT is not None
+        # a general-position margin the guard refuses
+        tol = ToleranceConfig(general_position=2.0 * least)
+        stage_calls.clear()
+        sweep_calls.clear()
+        rep = count_crossings(d, tol)
+        assert len(stage_calls) == 1 and sweep_calls != []
+        assert rep == _sweep_report(d, tol)
+        # the drawing's own tolerance: the signs are computed anew
+        sweep_calls.clear()
+        rep = count_crossings(d)
+        assert len(stage_calls) == 2 and sweep_calls == []
+        assert rep == _sweep_report(d)
+
+    def test_unvalidated_drawings_count(self, sweep_calls):
+        for d in _three_kinds().values():
+            fresh = _fresh(d)
+            sweep_calls.clear()
+            rep = count_crossings(fresh)
+            assert sweep_calls == []
+            assert rep == _sweep_report(fresh) == count_crossings(d)
+
+    def test_non_finite_vertex_goes_to_the_sweep(self, rng, sweep_calls):
+        """NaN determinants of a NaN vertex are not taken for masked ones."""
+        d = complete_drawing_from_points(random_unit_points(8, rng))
+        vertices = d.vertices.copy()
+        vertices[3] = np.nan
+        d = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                    midpoints=d.midpoints)
+        assert drawing_mod._cached_signs(d, d.tol)[0] is None
+        rep = count_crossings(d)
+        assert sweep_calls != []
+        assert rep == _sweep_report(d)
+
+    def test_changed_drawing_is_recounted(self, rng, stage_calls):
+        """Signs kept for other vertices or another pairing are not used."""
+        d = complete_drawing_from_points(random_unit_points(12, rng))
+        d.vertices = random_unit_points(12, rng)
+        stage_calls.clear()
+        assert count_crossings(d) == _sweep_report(d)
+        assert len(stage_calls) == 1
+        d = build_cocktail_party(random_config(6, rng))
+        d.pairing.clear()
+        stage_calls.clear()
+        assert (_outcome(count_crossings, d)
+                == _outcome(lambda d, tol: _sweep_report(d), d))
+        assert len(stage_calls) == 1
+
+
+def _verdict(check, d):
+    """None if check(d) passes, else the type and message it raised."""
+    try:
+        check(d)
+    except (ValueError, DegenerateConfigurationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _near_axis_arc(w, rng):
+    """A complete point drawing, unvalidated, on e1, e2, w and five random
+    points: arc (0,1) has the frame (e3, e1, e2), so N.w = det(e1, e2, w)
+    = w[2] exactly, and w lies in the arc's wedge iff w[0], w[1] > 0."""
+    pts = np.concatenate([np.eye(3)[:2], [w], random_unit_points(5, rng)])
+    uv = np.stack(np.triu_indices(len(pts), 1), axis=1)
+    return Drawing(vertices=pts, kind=DrawingKind.COMPLETE, uv=uv,
+                   midpoints=np.full((len(uv), 3), np.nan)), (0, 1)
+
+
+def _near_axis_half_circle(q, rng):
+    """An apex drawing, unvalidated, whose apex is q and whose half-circle
+    (0, k) runs from e1 through e2: its frame is (e3, e2, e2), so N.q =
+    det(e1, e2, q) = q[2] exactly, and q lies on its half iff q[1] > 0."""
+    while True:
+        try:
+            config = double(np.concatenate([np.eye(3)[:1],
+                                            random_unit_points(4, rng)]))
+            mids = random_assignment(config, rng).midpoints.copy()
+            mids[0] = np.eye(3)[1]
+            full = extend_to_complete(config, make_assignment(config, mids))
+            break
+        except DegenerateConfigurationError:
+            continue
+    n = full.n
+    spokes = np.stack([np.arange(n), np.full(n, n)], axis=1)
+    return Drawing(vertices=np.concatenate([full.vertices, [q]]),
+                   kind=DrawingKind.COMPLETE_PLUS_APEX,
+                   uv=np.concatenate([full.uv, spokes]),
+                   midpoints=np.concatenate([full.midpoints,
+                                             np.full((n, 3), np.nan)]),
+                   pairing=full.pairing), (0, config.k)
+
+
+class TestValidationVerdicts:
+    """validate_drawing skips the exact vertex off-curve test only where
+    the orientation guard covers it, so its verdict and message are always
+    those of the exact test."""
+
+    @pytest.mark.parametrize("factor", (1 - 1e-12, 1 + 1e-12,
+                                        -1 + 1e-12, -1 - 1e-12))
+    @pytest.mark.parametrize("inside", (True, False))
+    @pytest.mark.parametrize("build", (_near_axis_arc,
+                                       _near_axis_half_circle))
+    def test_vertex_at_the_margin(self, build, inside, factor, rng):
+        """A vertex at |det| = general_position (1 +- 1e-12) from an arc
+        or a half-circle, inside or outside its wedge."""
+        z = factor * DEFAULT_TOL.general_position
+        c = np.sqrt((1.0 - z * z) / 2.0) * (1.0 if inside else -1.0)
+        d, (eu, ev) = build(np.array([c, c, z]), rng)
+        w = 2 if build is _near_axis_arc else d.n - 1
+        want = _verdict(drawing_mod._check_vertices_off_curves, _fresh(d))
+        assert _verdict(validate_drawing, d) == want
+        if inside and abs(factor) < 1.0:
+            assert want == (DegenerateConfigurationError,
+                            f"vertex {w} lies on edge ({eu},{ev}) within "
+                            "tolerance")
+        else:
+            assert want is None
+
+    def test_covered_drawings_skip_the_exact_test(self, rng, exact_calls):
+        drawings = [*_three_kinds().values(),
+                    complete_drawing_from_points(random_unit_points(30, rng)),
+                    build_cocktail_party(random_config(7, rng))]
+        exact_calls.clear()
+        for d in drawings:
+            validate_drawing(_fresh(d))
+        assert exact_calls == []
+
+    @pytest.mark.parametrize("det", (5e-10, 1e-14))
+    def test_refused_guard_runs_the_exact_test(self, det, exact_calls):
+        """A midpoint next to an arc: the guard refuses, and the exact test
+        decides, as before."""
+        rng = np.random.default_rng(31)
+        config = random_config(6, rng)
+        d, _ = midpoint_near_arc(config, random_assignment(config, rng), 2,
+                                 det)
+        assert drawing_mod._cached_signs(d, d.tol)[0] is None
+        exact_calls.clear()
+        validate_drawing(_fresh(d))
+        assert exact_calls == [1]
+
+
+class TestDeterminantsOnce:
+    """The kernels take each cross product once per point set; their
+    determinants must be those of one np.cross per block, bit for bit."""
+
+    def test_orientation_stage(self, rng):
+        drawings = [*_three_kinds().values(),
+                    complete_drawing_from_points(random_unit_points(70, rng)),
+                    build_cocktail_party(random_config(6, rng))]
+        for d in drawings:
+            key = max(d.tol.general_position, drawing_mod._DET_FLOOR)
+            posT, least = drawing_mod._orientation_signs(d, key)
+            half = d.half
+            pts = np.concatenate([d.vertices, d.midpoints[half]])
+            dets = block_dets_reference(pts)
+            P = len(pts)
+            idx = np.arange(P)
+            partner = np.concatenate([drawing_mod._partners(d),
+                                      np.full(half.sum(), -1)])
+            pair = (idx[:, None] == idx) | (partner[:, None] == idx)
+            mid = idx >= d.n
+            masked = (pair[:, :, None] | pair[:, None, :] | pair
+                      | mid[:, None, None] & mid[:, None] & mid)
+            assert least == np.abs(dets[~masked]).min()
+            bits = np.zeros((P, P, 64 * posT.shape[1]), dtype=bool)
+            bits[..., :P] = (dets > 0.0) & ~masked
+            assert np.array_equal(posT.transpose(0, 2, 1), np.packbits(
+                bits, axis=-1, bitorder="little").view(np.uint64))
+
+    @pytest.mark.parametrize("n", (5, 40, 150))
+    def test_coplanarity_check(self, n, rng):
+        pts = random_unit_points(n, rng)
+        least = coplanar_reference(pts)
+        assert geom.has_coplanar_triple(pts, least)
+        assert not geom.has_coplanar_triple(pts, np.nextafter(least, 0.0))
 
 
 def _scalar_crossings(halves):

@@ -17,7 +17,9 @@ by the sha256 of ``json.dumps(drawing_to_doc(d), indent=1)`` in
 prints the report and document digests of the current code, e.g. to
 compare two checkouts: of the pinned corpus, or with STREAMS of a larger
 one over that many rng streams (Hill k = 3..20, random K_5..K_50; 12
-streams give 2388 drawings).
+streams give 2388 drawings).  With STREAMS each drawing also gets the
+verdict of validate_drawing on a fresh copy of its arrays: "ok", or the
+type and message of the error.
 """
 
 import hashlib
@@ -29,10 +31,11 @@ import numpy as np
 import pytest
 
 from hilldraw.docio import doc_to_drawing, drawing_to_doc
-from hilldraw.drawing import (add_random_apex, build_cocktail_party,
+from hilldraw.drawing import (Drawing, add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               delete_vertex, double, extend_partial_matching,
-                              extend_to_complete, random_assignment)
+                              extend_to_complete, random_assignment,
+                              validate_drawing)
 from hilldraw.geom import DegenerateConfigurationError, unit
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
@@ -120,6 +123,17 @@ def digest(d) -> dict:
     return {"total": rep.total, "sha256": h.hexdigest()}
 
 
+def verdict(d) -> str:
+    """validate_drawing's verdict on a fresh, unvalidated copy of d."""
+    try:
+        validate_drawing(Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                                 midpoints=d.midpoints,
+                                 pairing=dict(d.pairing), tol=d.tol))
+    except (ValueError, DegenerateConfigurationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
 def document_digest(d) -> str:
     """sha256 of d's drawing document as dump_drawing writes it."""
     text = json.dumps(drawing_to_doc(d), indent=1)
@@ -166,10 +180,14 @@ def test_documents_parse_back_to_themselves(corpus):
 
 if __name__ == "__main__":
     streams = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    corpus = cases() if not streams else (
-        (f"s{s}-{name}", d) for s in range(streams)
-        for name, d in cases(range(3, 21), range(5, 51, 3), complete_ks=(),
-                             rng_seed=s))
-    json.dump({name: {**digest(d), "document": document_digest(d)}
-               for name, d in corpus}, sys.stdout, indent=1)
+    if not streams:
+        out = {name: {**digest(d), "document": document_digest(d)}
+               for name, d in cases()}
+    else:
+        out = {f"s{s}-{name}": {**digest(d), "document": document_digest(d),
+                                "validation": verdict(d)}
+               for s in range(streams)
+               for name, d in cases(range(3, 21), range(5, 51, 3),
+                                    complete_ks=(), rng_seed=s)}
+    json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
