@@ -69,8 +69,9 @@ def _common_options() -> argparse.ArgumentParser:
                         help="JSON file overriding the numeric tolerances")
     common.add_argument("--threads", type=_positive_int, default=1,
                         metavar="T",
-                        help="worker processes for crossing counting "
-                             "(results are independent of T)")
+                        help="worker processes for the pair sweep, which "
+                             "counts only drawings the sign counter's "
+                             "guard refuses (results are independent of T)")
     return common
 
 

@@ -81,10 +81,11 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     verts = np.empty((len(raw_verts), 3))
     for i, row in enumerate(raw_verts):
         if (not isinstance(row, list) or len(row) != 3
-                or not all(isinstance(c, (int, float)) for c in row)):
+                or not all(_is_index(c) or isinstance(c, float) for c in row)):
             raise DocumentError(f"vertices[{i}]: expected [x, y, z]")
         verts[i] = row
-        if abs(float(verts[i] @ verts[i]) - 1.0) > tol.norm:
+        # written so that a NaN or infinite coordinate fails it too
+        if not abs(float(verts[i] @ verts[i]) - 1.0) <= tol.norm:
             raise DocumentError(f"vertices[{i}]: not a unit vector within "
                                 f"tolerance {tol.norm}")
 
@@ -129,8 +130,8 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
             elif curve_kind != "half_circle":
                 raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
                                     f"'half_circle', got {curve_kind!r}")
-            elif (not isinstance(mp, list) or len(mp) != 3
-                    or not all(isinstance(c, (int, float)) for c in mp)):
+            elif (not isinstance(mp, list) or len(mp) != 3 or not all(
+                    _is_index(c) or isinstance(c, float) for c in mp)):
                 raise DocumentError(f"edges[{idx}]: half_circle needs a "
                                     "[x, y, z] midpoint")
             elif pairing.get(u) != v:

@@ -721,6 +721,11 @@ def _sweep_pairs(packed, sign_tol: float, workers: int) -> np.ndarray:
 _DET_FLOOR = 1e-13
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bool rows, of a multiple of 64 entries, as little-endian uint64s."""
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
 def _orientation_signs(d: Drawing, key: float):
     """The orientation stage of the sign counter: (posT, least).
 
@@ -742,8 +747,11 @@ def _orientation_signs(d: Drawing, key: float):
     signs either (least is NaN): masked determinants are NaN here, so
     determinants made NaN by such a point would pass for masked ones.
 
-    The P^2 cross products a x b are computed once and dotted with every
-    point a block of rows a at a time.
+    The P^2 cross products a x b are computed once, and rows a in [a0, a1)
+    are dotted with every point only for b >= a0: as np.cross(b, a) =
+    -np.cross(a, b) exactly, det(b,a,c) = -det(a,b,c) bit for bit, so
+    pos[b, a] for b >= a1 is det(a,b,c) < 0, and with masks symmetric in
+    a triple, posT, least and the guard are those of all P^3 triples.
     """
     n = d.n
     hidx = np.flatnonzero(d.half)
@@ -763,30 +771,52 @@ def _orientation_signs(d: Drawing, key: float):
     pair = (idx[:, None] == idx) | (partner[:, None] == idx)
     mid = idx >= n
     cross = np.cross(pts[:, None], pts)
+    # the rows [a0, a1) of a block against the columns b >= a0, in one
+    # tile of row_blocks; fresh dets arrays of varying size cost more
+    blocks, a0 = [], 0
+    while a0 < P:
+        blocks.append((a0, a0 + row_blocks(P - a0, (P - a0) * P)[0][1]))
+        a0 = blocks[-1][1]
+    dets_buf = np.empty(P * max(((a1 - a0) * (P - a0) for a0, a1 in blocks),
+                                default=0))
     least = np.inf
-    for a0, a1 in row_blocks(P, P * P):
-        # dets[r, b, c] = det(a0 + r, b, c)
-        dets = (cross[a0:a1].reshape(-1, 3) @ pts.T).reshape(a1 - a0, P, P)
-        masked = pair[a0:a1, :, None] | pair[a0:a1, None, :] | pair
+    for a0, a1 in blocks:
+        r = a1 - a0
+        # dets[r, b - a0, c] = det(a0 + r, b, c)
+        dets = dets_buf[:r * (P - a0) * P].reshape(r, -1, P)
+        np.matmul(cross[a0:a1, a0:].reshape(-1, 3), pts.T,
+                  out=dets.reshape(-1, P))
+        masked = pair[a0:a1, a0:, None] | pair[a0:a1, None, :] | pair[a0:]
         if len(hidx):
-            masked |= mid[a0:a1, None, None] & mid[:, None] & mid
+            masked |= mid[a0:a1, None, None] & mid[a0:, None] & mid
         # a masked det is NaN: it has neither sign, and fmin skips it
         np.copyto(dets, np.nan, where=masked)
-        least = min(least, float(np.fmin.reduce(np.abs(dets), axis=None,
-                                                initial=np.inf)))
+        bits = np.zeros((r, P - a0, 64 * words), dtype=bool)
+        np.greater(dets, 0.0, out=bits[..., :P])
+        posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)
+        if a1 < P:  # pos[b, a], b >= a1, from det(b,a,c) = -det(a,b,c)
+            np.less(dets[:, r:], 0.0, out=bits[:, r:, :P])
+            posT[a1:, :, a0:a1] = _pack(bits[:, r:]).transpose(1, 2, 0)
+        least = min(least, float(np.fmin.reduce(
+            np.abs(dets, out=dets), axis=None, initial=np.inf)))
         if not least > margin:
             return None, least
-        bits = np.zeros((a1 - a0, P, 64 * words), dtype=bool)
-        bits[..., :P] = dets > 0.0
-        posT[a0:a1] = np.packbits(bits, axis=-1, bitorder="little").view(
-            np.uint64).transpose(0, 2, 1)
     return posT, least
+
+
+# ((key, vertex shape, vertex bytes), (posT, least)), see _cached_signs
+_POINT_SIGNS = (None, None)
 
 
 def _cached_signs(d: Drawing, tol: ToleranceConfig):
     """_orientation_signs(d, key) with key = max(tol.general_position,
     _DET_FLOOR).  The result is kept on d and reused while the key, d's
-    arrays and d.pairing stay those it was computed from."""
+    arrays and d.pairing stay those it was computed from.  With no pairing
+    and no half-circle it depends on the key and the vertices alone, and
+    its last such run is also kept by their content: validating
+    sample_points' result reuses the sampler's run, edited points do not.
+    """
+    global _POINT_SIGNS
     key = max(tol.general_position, _DET_FLOOR)
     arrays = (d.vertices, d.uv, d.midpoints)
     if d._signs is not None:
@@ -794,7 +824,14 @@ def _cached_signs(d: Drawing, tol: ToleranceConfig):
         if (kept_key == key and kept_pairing == d.pairing
                 and all(x is y for x, y in zip(kept_arrays, arrays))):
             return posT, least
-    posT, least = _orientation_signs(d, key)
+    if d.pairing or d.half.any():
+        posT, least = _orientation_signs(d, key)
+    else:
+        content = (key, d.vertices.shape, d.vertices.tobytes())
+        if _POINT_SIGNS[0] != content:
+            _POINT_SIGNS = None, None       # free the kept bitsets first
+            _POINT_SIGNS = content, _orientation_signs(d, key)
+        posT, least = _POINT_SIGNS[1]
     d._signs = (key, arrays, dict(d.pairing), posT, least)
     return posT, least
 
@@ -850,17 +887,15 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     these arcs once more from its other end d, since det(b,d,c) =
     -det(b,c,d) and det(a,d,c) = -det(a,c,d), and nothing else: its
     count equals this one, so one side suffices.
-    Only pos is packed: neg[a, b] = pos[b, a].  Every mask is symmetric
-    in the triple's indices, and every unmasked det is guarded, so far
-    beyond the rounding of either evaluation, det(a,b,d) = -det(b,a,d)
-    holds in sign.  The bitsets are held word-major, posT[a, w, c] =
-    word w of pos[a, c] and negT[a, w, c] = word w of neg[a, c] =
-    posT[c, w, a], and arcs likewise, so that every AND runs along the P
-    columns c rather than along a row's few words.  The arcs are taken in
-    blocks; where every point pair is an arc, as in a point drawing, the
-    AND with arcs[c] is skipped and the pairs a < b are taken vertex by
-    vertex, so that rows are slices rather than gathers.  The quarter
-    arcs' counts are summed onto their edges.
+    Only pos is packed: neg[a, b] = pos[b, a], as det(b,a,d) =
+    -det(a,b,d) (see _orientation_signs).  The bitsets are held
+    word-major, posT[a, w, c] = word w of pos[a, c] and negT[a, w, c] =
+    word w of neg[a, c] = posT[c, w, a], and arcs likewise, so that every
+    AND runs along the P columns c rather than along a row's few words.
+    The arcs are taken in blocks; where every point pair is an arc, as in
+    a point drawing, the AND with arcs[c] is skipped and the pairs a < b
+    are taken vertex by vertex, so that rows are slices rather than
+    gathers.  The quarter arcs' counts are summed onto their edges.
 
     A drawing validate_drawing would refuse, e.g. a half-circle whose
     ends are not the exact antipodal couple it joins, an arc joining a
@@ -894,8 +929,7 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     if len(key) < P * (P - 1) // 2:
         joinedT = np.zeros((P, 64 * words), dtype=bool)
         joinedT[lo, hi] = joinedT[hi, lo] = True
-        joinedT = np.ascontiguousarray(np.packbits(
-            joinedT, axis=-1, bitorder="little").view(np.uint64).T)
+        joinedT = np.ascontiguousarray(_pack(joinedT).T)
 
     def crossings(a, b):
         """Arcs crossed by the arcs ab, for b a slice or an index array

@@ -108,9 +108,9 @@ def require_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
 
 def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Row-wise require_unit on an (m, 3) array: raises its ValueError for
-    the first row that is not unit length."""
+    the first row that is not unit length, or not finite."""
     P = np.asarray(P, dtype=float)
-    bad = np.abs(np.einsum("ij,ij->i", P, P) - 1.0) > tol.norm
+    bad = ~(np.abs(np.einsum("ij,ij->i", P, P) - 1.0) <= tol.norm)
     for i in np.flatnonzero(bad):
         require_unit(P[i], tol)
     return P
@@ -263,12 +263,13 @@ def arc_frames(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def require_arc_rows(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Row-wise GeodesicArc endpoint checks on (E, 3) arrays: raises the
     error GeodesicArc(A[e], B[e], tol) raises for the first offending row
-    e, a non-unit endpoint before equal or antipodal endpoints."""
+    e, a non-unit or non-finite endpoint before equal or antipodal
+    endpoints."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    bad = ((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) > tol.norm)
-           | (np.abs(np.einsum("ij,ij->i", B, B) - 1.0) > tol.norm)
-           | (np.linalg.norm(np.cross(A, B), axis=1) <= tol.general_position))
+    bad = ~((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) <= tol.norm)
+            & (np.abs(np.einsum("ij,ij->i", B, B) - 1.0) <= tol.norm)
+            & (np.linalg.norm(np.cross(A, B), axis=1) > tol.general_position))
     for e in np.flatnonzero(bad):
         GeodesicArc(A[e], B[e], tol)
 

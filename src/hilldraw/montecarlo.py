@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .drawing import complete_drawing_from_points, count_crossings
+from .drawing import (Drawing, DrawingKind, _cached_signs,
+                      complete_drawing_from_points, count_crossings)
 from .formulas import hill_number
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, cross3, dot3, has_coplanar_triple,
@@ -84,12 +85,16 @@ class DistributionSpec:
 def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     """General position plus no (near-)equal or (near-)antipodal pair."""
     ii, jj = np.triu_indices(len(pts), 1)
+    # |a x b|^2, not require_arc_rows' |a x b|: they round differently
     for start, stop in row_blocks(len(ii), 3):
         cr = np.cross(pts[ii[start:stop]], pts[jj[start:stop]])
         if np.any(np.einsum("ij,ij->i", cr, cr)
                   <= tol.general_position ** 2):
             return False
-    return not has_coplanar_triple(pts, tol.general_position)
+    # edgeless: the stage reads only the vertices of a point drawing
+    d = Drawing(vertices=pts, kind=DrawingKind.COMPLETE, uv=(), midpoints=())
+    return (_cached_signs(d, tol)[0] is not None
+            or not has_coplanar_triple(pts, tol.general_position))
 
 
 _SAMPLE_TRIES = 64  # draws before sample_points gives up on a distribution
@@ -99,7 +104,11 @@ def sample_points(n: int, dist: DistributionSpec, rng,
                   tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """n points from the distribution, rejection-resampled until they are in
     general position with all pairs well separated from equality and
-    antipodality."""
+    antipodality.  A draw whose pairs pass gets the orientation stage of
+    its complete drawing, which decides where its guard passes: every
+    |det| then exceeds general_position, has_coplanar_triple's
+    (p_i x p_j).p_l among them, bit for bit.  Where the guard refuses,
+    has_coplanar_triple decides.  Validation reuses the stage's run."""
     if n < 1:
         raise ValueError("need at least one point")
     if isinstance(rng, (int, np.integer)):

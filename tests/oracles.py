@@ -12,7 +12,9 @@ formula the component-wise uniform draw must match bit for bit.
 block_dets_reference and coplanar_reference compute triple determinants
 as the kernels did before they took their cross products once per point
 set: one np.cross per block of rows; the kernels must give the same
-determinants bit for bit.
+determinants bit for bit.  points_usable_reference is sample_points'
+acceptance test as it was before the orientation stage decided it,
+through the package's has_coplanar_triple.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from hilldraw.drawing import DrawingKind
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle, ToleranceConfig, row_blocks, unit)
+                           HalfCircle, ToleranceConfig, has_coplanar_triple,
+                           row_blocks, unit)
 
 
 def sample_curve(curve, segments: int) -> np.ndarray:
@@ -341,3 +344,16 @@ def coplanar_reference(points: np.ndarray) -> float:
         dets = np.abs(np.cross(points[i], points[j]) @ points.T)
         least = min(least, dets[np.arange(n) > j[:, None]].min())
     return float(least)
+
+
+def points_usable_reference(pts: np.ndarray, tol: ToleranceConfig) -> bool:
+    """General position plus no (near-)equal or (near-)antipodal pair:
+    every |p_i x p_j|^2 > general_position^2 and has_coplanar_triple
+    false at general_position."""
+    ii, jj = np.triu_indices(len(pts), 1)
+    for start, stop in row_blocks(len(ii), 3):
+        cr = np.cross(pts[ii[start:stop]], pts[jj[start:stop]])
+        if np.any(np.einsum("ij,ij->i", cr, cr)
+                  <= tol.general_position ** 2):
+            return False
+    return not has_coplanar_triple(pts, tol.general_position)

@@ -10,6 +10,7 @@ from hilldraw.drawing import (complete_drawing_from_points, count_crossings,
                               extend_to_complete, verify)
 from hilldraw.geom import (DegenerateConfigurationError, HalfCircle,
                            ToleranceConfig)
+from hilldraw.montecarlo import DistributionSpec, sample_points
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,36 @@ class TestValidation:
         doc = drawing_to_doc(hill_k4)
         doc["vertices"][0] = [1.0, 1.0, 0.0]
         with pytest.raises(DocumentError, match="unit"):
+            doc_to_drawing(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vertex(self, value):
+        """A K_8 document with a NaN vertex once validated and counted 17
+        crossings instead of 26."""
+        pts = sample_points(8, DistributionSpec(), np.random.default_rng(1))
+        doc = drawing_to_doc(complete_drawing_from_points(pts))
+        assert count_crossings(doc_to_drawing(doc)).total == 26
+        doc["vertices"][3][1] = value
+        text = json.dumps(doc)
+        with pytest.raises(DocumentError,
+                           match=r"vertices\[3\]: not a unit vector"):
+            doc_to_drawing(json.loads(text))
+
+    @pytest.mark.parametrize("value", [True, False, "1", None])
+    def test_vertices_must_be_json_numbers(self, hill_k4, value):
+        doc = drawing_to_doc(hill_k4)
+        doc["vertices"][2][0] = value
+        with pytest.raises(DocumentError,
+                           match=r"vertices\[2\]: expected \[x, y, z\]"):
+            doc_to_drawing(doc)
+
+    def test_midpoints_must_be_json_numbers(self, hill_k4):
+        doc = drawing_to_doc(hill_k4)
+        i = next(i for i, rec in enumerate(doc["edges"])
+                 if rec["curve"] == "half_circle")
+        doc["edges"][i]["midpoint"][0] = True
+        with pytest.raises(DocumentError, match=rf"edges\[{i}\]: half_circle "
+                           r"needs a \[x, y, z\] midpoint"):
             doc_to_drawing(doc)
 
     def test_missing_pairing_for_matching_kind(self, hill_k4):

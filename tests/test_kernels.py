@@ -33,7 +33,8 @@ from hilldraw.montecarlo import DistributionSpec, sample_points
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
                        random_unit_points, splits)
 from .oracles import (block_dets_reference, brute_count,
-                      circle_pair_count_reference, coplanar_reference)
+                      circle_pair_count_reference, coplanar_reference,
+                      points_usable_reference)
 from .test_drawing import hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
@@ -509,6 +510,71 @@ class TestSignCache:
                 == _outcome(lambda d, tol: _sweep_report(d), d))
         assert len(stage_calls) == 1
 
+    def test_sampled_trial_runs_the_stage_once(self, stage_calls,
+                                               sweep_calls, monkeypatch):
+        """sample_points' pass is the one validation and counting read."""
+        monkeypatch.setattr(drawing_mod, "_POINT_SIGNS", (None, None))
+        for n in (4, 30, 100):
+            rng = np.random.default_rng([53, n])
+            stage_calls.clear()
+            sweep_calls.clear()
+            pts = sample_points(n, DistributionSpec(), rng)
+            d = complete_drawing_from_points(pts)
+            rep = count_crossings(d)
+            assert len(stage_calls) == 1 and sweep_calls == []
+            assert rep == _sweep_report(d)
+
+    def test_sampled_points_edited_or_other_tolerance(self, stage_calls,
+                                                      monkeypatch):
+        """The memo is keyed by content: points the caller edits after
+        sampling, or a drawing whose tolerance gives another guard key,
+        get the stage run anew."""
+        monkeypatch.setattr(drawing_mod, "_POINT_SIGNS", (None, None))
+        rng = np.random.default_rng(54)
+        pts = sample_points(30, DistributionSpec(), rng)
+        pts[7] = unit(pts[7] + 1e-3)
+        stage_calls.clear()
+        d = complete_drawing_from_points(pts)
+        assert len(stage_calls) == 1
+        assert count_crossings(d) == _sweep_report(d)
+        pts = sample_points(30, DistributionSpec(), rng)
+        tol = ToleranceConfig(general_position=1e-8)
+        stage_calls.clear()
+        d = complete_drawing_from_points(pts, tol)
+        assert len(stage_calls) == 1
+        assert count_crossings(d) == _sweep_report(d)
+
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, ToleranceConfig(
+        general_position=5e-14, sign=1e-15)), ids=("default", "below-floor"))
+    @pytest.mark.parametrize("factor", (1 - 1e-12, 1 + 1e-12))
+    def test_sampler_verdict_at_the_margin(self, factor, tol):
+        """A draw with a triple at |det| = general_position (1 +- 1e-12)
+        is kept or redrawn exactly as the former acceptance test did, also
+        where the guard's floor exceeds general_position and refuses both."""
+        z = factor * tol.general_position
+        c = np.sqrt((1.0 - z * z) / 2.0)
+        rest = random_unit_points(12, np.random.default_rng(55))
+        chosen = [np.concatenate([np.eye(3)[:2], [[c, c, z]], rest]),
+                  random_unit_points(len(rest) + 3,
+                                     np.random.default_rng(57))]
+
+        def sampled(usable):
+            sets = iter(chosen)
+            spec = DistributionSpec(kind="antipodal_symmetrized",
+                                    base=lambda rng, size: next(sets))
+            rng = np.random.default_rng(56)
+            if usable is None:
+                return sample_points(len(rest) + 3, spec, rng, tol)
+            while True:
+                pts = spec.draw(rng, len(rest) + 3)
+                if usable(pts, tol):
+                    return pts
+
+        got = sampled(None)
+        assert np.array_equal(got, sampled(points_usable_reference))
+        kept = np.array_equal(np.abs(got[:2]), np.eye(3)[:2])
+        assert kept == (factor > 1.0)
+
 
 def _verdict(check, d):
     """None if check(d) passes, else the type and message it raised."""
@@ -602,33 +668,79 @@ class TestValidationVerdicts:
         assert exact_calls == [1]
 
 
+def _points_drawing(pts):
+    """The complete point drawing on pts, unvalidated: any size."""
+    uv = np.stack(np.triu_indices(len(pts), 1), axis=1)
+    return Drawing(vertices=pts, kind=DrawingKind.COMPLETE, uv=uv,
+                   midpoints=np.full((len(uv), 3), np.nan))
+
+
+@pytest.fixture(scope="module")
+def stage_drawings():
+    """Point drawings of 1 to 3 points and of 1, 2 and 3 bitset words,
+    with Hill, vertex-deleted, apex and cocktail drawings."""
+    rng = np.random.default_rng(617)
+    pts = random_unit_points(129, rng)
+    out = {f"K{P}": _points_drawing(pts[:P])
+           for P in (1, 2, 3, 17, 64, 65, 129)}
+    out.update(_three_kinds())
+    out["cocktail"] = build_cocktail_party(random_config(6, rng))
+    return out
+
+
 class TestDeterminantsOnce:
     """The kernels take each cross product once per point set; their
-    determinants must be those of one np.cross per block, bit for bit."""
+    determinants must be those of one np.cross per block, bit for bit.
+    The orientation stage evaluates only the rows a against the columns
+    b >= a's block and mirrors the rest: its signs and least must still
+    be those of every ordered triple."""
 
-    def test_orientation_stage(self, rng):
-        drawings = [*_three_kinds().values(),
-                    complete_drawing_from_points(random_unit_points(70, rng)),
-                    build_cocktail_party(random_config(6, rng))]
+    def test_orientation_stage(self, stage_drawings, monkeypatch):
+        """Tiles of 5 give one row per block; 1000 gives blocks of several
+        rows and a short last one."""
+        for tile in (5, 1000, geom._TILE):
+            monkeypatch.setattr(geom, "_TILE", tile)
+            for d in stage_drawings.values():
+                self._check_stage(d)
+
+    @staticmethod
+    def _check_stage(d):
+        key = max(d.tol.general_position, drawing_mod._DET_FLOOR)
+        posT, least = drawing_mod._orientation_signs(d, key)
+        half = d.half
+        pts = np.concatenate([d.vertices, d.midpoints[half]])
+        dets = block_dets_reference(pts)
+        P = len(pts)
+        idx = np.arange(P)
+        partner = np.concatenate([drawing_mod._partners(d),
+                                  np.full(half.sum(), -1)])
+        pair = (idx[:, None] == idx) | (partner[:, None] == idx)
+        mid = idx >= d.n
+        masked = (pair[:, :, None] | pair[:, None, :] | pair
+                  | mid[:, None, None] & mid[:, None] & mid)
+        assert least == np.abs(dets[~masked]).min(initial=np.inf)
+        assert posT.shape == (P, (P + 63) // 64, P)
+        bits = np.zeros((P, P, 64 * posT.shape[1]), dtype=bool)
+        bits[..., :P] = (dets > 0.0) & ~masked
+        assert np.array_equal(posT.transpose(0, 2, 1), np.packbits(
+            bits, axis=-1, bitorder="little").view(np.uint64))
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    def test_refused_guard_gives_no_signs(self, tile, monkeypatch):
+        """A point near an arc's great circle, or a midpoint near an arc:
+        no signs, and a least within the margin."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng(31)
+        z = 0.5 * DEFAULT_TOL.general_position
+        c = np.sqrt((1.0 - z * z) / 2.0)
+        config = random_config(6, rng)
+        drawings = [_near_axis_arc(np.array([c, c, z]), rng)[0],
+                    midpoint_near_arc(config, random_assignment(config, rng),
+                                      2, 5e-10)[0]]
         for d in drawings:
             key = max(d.tol.general_position, drawing_mod._DET_FLOOR)
             posT, least = drawing_mod._orientation_signs(d, key)
-            half = d.half
-            pts = np.concatenate([d.vertices, d.midpoints[half]])
-            dets = block_dets_reference(pts)
-            P = len(pts)
-            idx = np.arange(P)
-            partner = np.concatenate([drawing_mod._partners(d),
-                                      np.full(half.sum(), -1)])
-            pair = (idx[:, None] == idx) | (partner[:, None] == idx)
-            mid = idx >= d.n
-            masked = (pair[:, :, None] | pair[:, None, :] | pair
-                      | mid[:, None, None] & mid[:, None] & mid)
-            assert least == np.abs(dets[~masked]).min()
-            bits = np.zeros((P, P, 64 * posT.shape[1]), dtype=bool)
-            bits[..., :P] = (dets > 0.0) & ~masked
-            assert np.array_equal(posT.transpose(0, 2, 1), np.packbits(
-                bits, axis=-1, bitorder="little").view(np.uint64))
+            assert posT is None and least <= key + d.tol.perp
 
     @pytest.mark.parametrize("n", (5, 40, 150))
     def test_coplanarity_check(self, n, rng):
@@ -933,6 +1045,26 @@ class TestBulkArcs:
         A[4] *= 2.0
         with pytest.raises(ValueError, match="not unit length"):
             require_arc_rows(A, B)
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf))
+    def test_non_finite_rows_are_refused(self, value, rng):
+        """Rows with a NaN or infinite coordinate are not unit vectors, in
+        require_unit_rows, require_arc_rows and validation."""
+        A = random_unit_points(6, rng)
+        B = random_unit_points(6, rng)
+        A[3, 1] = value
+        with pytest.raises(ValueError, match="not unit length"):
+            geom.require_unit_rows(A)
+        with pytest.raises(ValueError, match="not unit length"):
+            require_arc_rows(A, B)
+        with pytest.raises(ValueError, match="not unit length"):
+            require_arc_rows(B, A)
+        d = complete_drawing_from_points(random_unit_points(8, rng))
+        vertices = d.vertices.copy()
+        vertices[3, 1] = value
+        with pytest.raises(ValueError, match="not unit length"):
+            validate_drawing(Drawing(vertices=vertices, kind=d.kind,
+                                     uv=d.uv, midpoints=d.midpoints))
 
     def test_document_reports_first_bad_record(self):
         config, asg = hill_pairs(3)

@@ -19,7 +19,10 @@ compare two checkouts: of the pinned corpus, or with STREAMS of a larger
 one over that many rng streams (Hill k = 3..20, random K_5..K_50; 12
 streams give 2388 drawings).  With STREAMS each drawing also gets the
 verdict of validate_drawing on a fresh copy of its arrays: "ok", or the
-type and message of the error.
+type and message of the error, and each stream gets one digest of the
+points sample_points returns per entry of SAMPLE_SPECS (uniform, caps and
+antipodal-symmetrized draws), so that two checkouts can be compared on
+their accept and redraw decisions.
 """
 
 import hashlib
@@ -36,8 +39,9 @@ from hilldraw.drawing import (Drawing, add_random_apex, build_cocktail_party,
                               delete_vertex, double, extend_partial_matching,
                               extend_to_complete, random_assignment,
                               validate_drawing)
-from hilldraw.geom import DegenerateConfigurationError, unit
-from hilldraw.montecarlo import DistributionSpec, sample_points
+from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                           ToleranceConfig, unit)
+from hilldraw.montecarlo import DistributionSpec, SamplingError, sample_points
 
 from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
                        splits)
@@ -140,6 +144,36 @@ def document_digest(d) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_CAP = DistributionSpec(kind="cap", theta=1.0)
+# (name, spec, tolerances) of the sample_points streams; a general-position
+# margin of 1e-4 makes redraws common, so the acceptance test decides often
+SAMPLE_SPECS = [
+    ("uniform", DistributionSpec(), DEFAULT_TOL),
+    ("cap0.05", DistributionSpec(kind="cap", theta=0.05), DEFAULT_TOL),
+    ("cap1", _CAP, DEFAULT_TOL),
+    ("symmetrized", DistributionSpec(kind="antipodal_symmetrized",
+                                     base=_CAP.draw), DEFAULT_TOL),
+    ("uniform-gp1e-4", DistributionSpec(),
+     ToleranceConfig(general_position=1e-4)),
+    ("cap0.3-gp1e-4", DistributionSpec(kind="cap", theta=0.3),
+     ToleranceConfig(general_position=1e-4)),
+]
+
+
+def sample_digest(spec, tol, stream: int) -> str:
+    """sha256 of the points sample_points returns for n = 5, 12 and 40
+    from the rng streams [stream, 6, n], or of its refusals."""
+    h = hashlib.sha256()
+    for n in (5, 12, 40):
+        try:
+            pts = sample_points(n, spec, np.random.default_rng([stream, 6, n]),
+                                tol)
+            h.update(pts.tobytes())
+        except SamplingError as exc:
+            h.update(str(exc).encode())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))
@@ -189,5 +223,8 @@ if __name__ == "__main__":
                for s in range(streams)
                for name, d in cases(range(3, 21), range(5, 51, 3),
                                     complete_ks=(), rng_seed=s)}
+        out.update({f"s{s}-sample-{name}": sample_digest(spec, tol, s)
+                    for s in range(streams)
+                    for name, spec, tol in SAMPLE_SPECS})
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
