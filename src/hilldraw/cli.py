@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,22 +46,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int, expected: str):
-    """Argument type: an integer >= low, else a usage error that says what
-    was expected."""
-    def parse(text) -> int:
+def _value(cast, ok, expected: str):
+    """Argument type: cast(text) where ok accepts it, else a usage error
+    that says what was expected."""
+    def parse(text):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = low - 1
-        if value < low:
+            value = None
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(
                 f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
+_positive_int = _value(int, lambda x: x >= 1, "a positive integer")
+_eps = _value(float, lambda x: 0.0 < x <= math.pi / 2,
+              "a number in (0, pi/2]")
+_side = _value(str, lambda x: x in ("below", "above"),
+               "'below' or 'above'")
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -90,10 +95,10 @@ def build_parser() -> _Parser:
                    required=True)
     g.add_argument("--multiplicities", required=True, metavar="LIST",
                    help="per-level groups, e.g. '4' or '2,2' or '3;2,1,1'")
-    g.add_argument("--depth", type=int, default=None,
+    g.add_argument("--depth", type=_positive_int, default=None,
                    help="blowup levels; with a single multiplicity m, each "
                         "level splits every half-circle into m")
-    g.add_argument("--eps", type=float, default=0.2,
+    g.add_argument("--eps", type=_eps, default=0.2,
                    help="neighborhood radius of the first blowup level")
     g.add_argument("--sides", default=None, metavar="LIST",
                    help="below/above per half-circle and level, e.g. "
@@ -124,8 +129,8 @@ def build_parser() -> _Parser:
 
     mc = sub.add_parser("montecarlo", parents=[common],
                         help="random-drawing experiments")
-    mc.add_argument("--n", type=_int_at_least(4, "an integer >= 4"),
-                    default=None)
+    mc.add_argument("--n", type=_value(int, lambda x: x >= 4,
+                                       "an integer >= 4"), default=None)
     mc.add_argument("--trials", type=_positive_int, required=True)
     mc.add_argument("--dist", default="uniform", metavar="SPEC",
                     help="'uniform' or 'cap:THETA'")
@@ -162,13 +167,9 @@ def _rng_seed(value) -> int:
     if value is None:
         name, value = "HILLDRAW_SEED", os.environ.get("HILLDRAW_SEED", "0")
     try:
-        seed = int(value)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise UsageError(f"{name}: expected a non-negative integer, "
-                         f"got {value!r}")
-    return seed
+        return _value(int, lambda x: x >= 0, "a non-negative integer")(value)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _read_drawing(spec, tol):
@@ -202,29 +203,29 @@ def _parse_level_list(text, what, cast, allow_empty=False):
             raise UsageError(f"empty level in --{what}")
         try:
             levels.append([cast(x.strip()) for x in chunk.split(",")])
-        except ValueError:
-            raise UsageError(f"--{what}: cannot parse {chunk!r}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--{what}: {exc}") from None
     return levels
 
 
 def _cmd_generate(args, tol) -> int:
-    levels = _parse_level_list(args.multiplicities, "multiplicities", int)
+    levels = _parse_level_list(args.multiplicities, "multiplicities",
+                               _positive_int)
     depth = args.depth if args.depth is not None else len(levels)
-    if depth < 1:
-        raise UsageError("--depth must be at least 1")
     if len(levels) == 1 and len(levels[0]) == 1 and depth > 1:
         m = levels[0][0]
-        counts = 1
-        levels = []
-        for _ in range(depth):
-            levels.append([m] * counts)
-            counts *= m
+        levels = [[m] * m ** level for level in range(depth)]
     if len(levels) != depth:
         raise UsageError(f"--multiplicities lists {len(levels)} levels "
                          f"but --depth is {depth}")
     sides = None
     if args.sides is not None:
-        sides = _parse_level_list(args.sides, "sides", str, allow_empty=True)
+        sides = _parse_level_list(args.sides, "sides", _side,
+                                  allow_empty=True)
+        for level, (flags, groups) in enumerate(zip(sides, levels)):
+            if flags and len(flags) != len(groups):
+                raise UsageError(f"--sides: level {level} lists {len(flags)} "
+                                 f"flags for {len(groups)} groups")
     tol = tol or DEFAULT_TOL
     seed_arr = SEEDS[args.seed_arrangement](tol)
     if len(levels[0]) != len(seed_arr):

@@ -1,6 +1,7 @@
 """Strength-0 constructions: seed arrangements of pairwise disjoint
 half-circles and their neighborhood blowups.
 
+An arrangement is two read-only (k, 3) arrays, points and midpoints.
 The blowup replaces one half-circle C (endpoints p, -p, midpoint m) by
 several disjoint half-circles inside its eps-neighborhood.  Children are
 built by the lift-and-tangent rule: each child endpoint is lifted off C's
@@ -16,20 +17,25 @@ cluster in a direction that is forward along one child and backward along
 the other, so the open halves never share a point.  Correctness is not
 assumed: every construction is validated (pairwise disjointness, general
 position, eps containment) and retried with geometrically shrunk offsets on
-failure.
+failure.  Each parent's children are emitted and measured in bulk, but
+parents are taken in turn: an attempt that fails at one draws no jitter
+for the parents after it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drawing import (AntipodalConfig, HalfCircleAssignment, double,
-                      half_circle_crossings, make_assignment, strength)
+from .drawing import (AntipodalConfig, HalfCircleAssignment, _double,
+                      double, half_circle_crossings, make_assignment,
+                      strength)
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
-                   ToleranceConfig, is_general_position, rotate, unit)
+                   ToleranceConfig, cross3, dot3, is_general_position,
+                   loose_midpoints, require_unit_rows, rotate, unit)
 
 
 class ConstructionError(Exception):
@@ -42,66 +48,73 @@ class PerturbationError(ConstructionError):
 
 @dataclass(frozen=True)
 class HalfCircleArrangement:
-    """A set of pairwise disjoint half-circles with generic endpoints."""
+    """Pairwise disjoint half-circles with generic endpoints: half-circle i
+    runs from points[i] through the unit midpoint witness midpoints[i] to
+    -points[i].  Both (k, 3) arrays are read-only copies."""
 
-    halves: tuple[HalfCircle, ...]
+    points: np.ndarray
+    midpoints: np.ndarray
+
+    def __post_init__(self):
+        for name in ("points", "midpoints"):
+            a = np.array(getattr(self, name), dtype=float).reshape(-1, 3)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.halves)
-
-    def endpoints(self) -> np.ndarray:
-        return np.stack([h.p for h in self.halves])
+        return len(self.points)
 
 
-def validate_arrangement(halves, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise ConstructionError unless the half-circles are pairwise disjoint
-    and their endpoints are a general-position point set."""
-    pts = np.array([h.p for h in halves])
+def validate_arrangement(points, midpoints,
+                         tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise ConstructionError unless the half-circles from points[i]
+    through midpoints[i], both (k, 3) arrays, are pairwise disjoint and
+    their endpoints are a general-position point set."""
     try:
-        crossing = half_circle_crossings(pts, np.array([h.m for h in halves]),
-                                         tol)
+        crossing = half_circle_crossings(points, midpoints, tol)
     except DegenerateConfigurationError as exc:
         raise ConstructionError(f"half-circles are degenerate: {exc}"
                                 ) from exc
     if len(crossing):
         i, j = crossing[0]
         raise ConstructionError(f"half-circles {i} and {j} cross")
-    if len(pts) >= 3 and not is_general_position(pts, tol):
+    if len(points) >= 3 and not is_general_position(points, tol):
         raise ConstructionError("arrangement endpoints are not in general "
                                 "position")
 
 
-def arrangement(halves, tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
-    arr = HalfCircleArrangement(halves=tuple(halves))
-    validate_arrangement(arr.halves, tol)
+def _seed(halves, tol: ToleranceConfig) -> HalfCircleArrangement:
+    arr = HalfCircleArrangement(points=[h.p for h in halves],
+                                midpoints=[h.m for h in halves])
+    validate_arrangement(arr.points, arr.midpoints, tol)
     return arr
 
 
 # ---------------------------------------------------------------------------
-# seed arrangements
+# seed arrangements, built once per tolerance set: they are immutable
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def seed_single(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     """One equatorial half-circle: endpoints (+-1, 0, 0), midpoint (0, 1, 0)."""
-    return arrangement([HalfCircle(np.array([1.0, 0.0, 0.0]),
-                                   np.array([0.0, 1.0, 0.0]), tol)], tol)
+    return _seed([HalfCircle(np.array([1.0, 0.0, 0.0]),
+                             np.array([0.0, 1.0, 0.0]), tol)], tol)
 
 
+@functools.cache
 def seed_two(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     """Half of the equator plus a pole-to-pole half on the far meridian.
 
     Both are tilted by a small fixed rotation so the endpoints sit in
     generic position instead of on coordinate axes.
     """
-    h1 = _tilted(HalfCircle(np.array([1.0, 0.0, 0.0]),
-                            np.array([0.0, 1.0, 0.0]), tol),
-                 axis=(0.31, 0.52, 0.80), angle=0.03, tol=tol)
-    h2 = _tilted(HalfCircle(np.array([0.0, 0.0, 1.0]),
-                            np.array([0.0, -1.0, 0.0]), tol),
-                 axis=(0.72, -0.21, 0.41), angle=0.05, tol=tol)
-    return arrangement([h1, h2], tol)
+    tilts = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.31, 0.52, 0.80), 0.03),
+             ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.72, -0.21, 0.41), 0.05))
+    return _seed([HalfCircle(rotate(p, axis, angle), rotate(m, axis, angle),
+                             tol) for p, m, axis, angle in tilts], tol)
 
 
+@functools.cache
 def seed_four(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     """Four spread-out points whose half-circles run clockwise about the
     vertical axis: with midpoint m = (p x z)/|p x z| any two of these halves
@@ -114,15 +127,10 @@ def seed_four(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
                       math.sin(lat) * math.sin(az),
                       math.cos(lat)])
         halves.append(HalfCircle(p, unit(np.cross(p, zhat)), tol))
-    return arrangement(halves, tol)
+    return _seed(halves, tol)
 
 
 SEEDS = {"single": seed_single, "two": seed_two, "four": seed_four}
-
-
-def _tilted(h: HalfCircle, axis, angle: float,
-            tol: ToleranceConfig) -> HalfCircle:
-    return HalfCircle(rotate(h.p, axis, angle), rotate(h.m, axis, angle), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +167,13 @@ class BlowupPlan:
             raise ValueError("eps must lie in (0, pi/2]")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink factor must lie in (0, 1)")
+        for name in ("lift0", "spread0"):
+            x = getattr(self, name)
+            if x is not None and not 0.0 < x < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.max_retries < 0 or not math.isfinite(self.jitter):
+            raise ValueError("max_retries must be non-negative and jitter "
+                             "finite")
         if self.sides is not None:
             if len(self.sides) != len(self.multiplicities):
                 raise ValueError("need one side flag per half-circle")
@@ -171,31 +186,50 @@ class BlowupPlan:
         return tuple(-1 if s == "below" else +1 for s in sides)
 
 
-def _children(parent: HalfCircle, mult: int, side: int, lift: float,
-              spread: float, jitter: float, rng,
-              tol: ToleranceConfig) -> list[HalfCircle]:
-    p, m = parent.p, parent.m
-    n = np.cross(p, m)
+def _children(p, m, mult: int, side: int, lift: float, spread: float,
+              jitter: float, rng, tol: ToleranceConfig
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints and midpoints, each (mult, 3), of the children of the
+    half-circle from p through m.  Row i takes the scalar rule's own
+    operations (math.cos and math.sin of zeta_i, then the same products
+    and sums, and HalfCircle's fix of a loose midpoint): bit for bit the
+    child a child-by-child loop builds."""
+    n = np.array(cross3(p, m))
     spacing = spread / max(mult - 1, 1)
-    out = []
-    for i in range(mult):
-        zeta = spread * (i / (mult - 1) - 0.5) if mult > 1 else 0.0
-        # deterministic-seeded jitter keeps the fan off exact symmetries
-        zeta += spacing * (0.1 + jitter * rng.uniform(-1.0, 1.0))
-        w = math.cos(zeta) * (side * n) + math.sin(zeta) * m
-        child_p = math.cos(lift) * p + math.sin(lift) * w
-        child_m = math.cos(zeta) * m - side * math.sin(zeta) * n
-        out.append(HalfCircle(child_p, child_m, tol))
-    return out
+    # deterministic-seeded jitter keeps the fan off exact symmetries
+    zetas = [(spread * (i / (mult - 1) - 0.5) if mult > 1 else 0.0)
+             + spacing * (0.1 + jitter * u)
+             for i, u in enumerate(rng.uniform(-1.0, 1.0, size=mult).tolist())]
+    cos = np.array([math.cos(z) for z in zetas])[:, None]
+    sin = np.array([math.sin(z) for z in zetas])[:, None]
+    w = cos * (side * n) + sin * m
+    points = require_unit_rows(math.cos(lift) * p + math.sin(lift) * w, tol)
+    mids = cos * m - (side * sin) * n
+    for i in np.flatnonzero(loose_midpoints(points, mids, tol)):
+        mids[i] = HalfCircle(points[i], mids[i], tol).m
+    return points, mids
 
 
-def _blowup_halves(arr: HalfCircleArrangement, plan: BlowupPlan, rng,
-                   tol: ToleranceConfig) -> tuple[list[HalfCircle], list[int]]:
-    """Emit and validate children for every parent; returns the children and
-    their parent indices.  Retries with shrunk offsets on failure."""
-    if len(plan.multiplicities) != len(arr.halves):
+def _distances(p, m, X) -> np.ndarray:
+    """Angular distance from each row of X to the closed half-circle from
+    p through m: to its great circle where the foot of x lies on the
+    half, else to the nearer endpoint."""
+    XT, n = X.T, cross3(p, m)
+    s = np.clip(dot3(XT, n), -1.0, 1.0)
+    c = cross3(XT, p)
+    ends = np.arctan2(np.sqrt(dot3(c, c)), np.abs(dot3(XT, p)))
+    # the foot x - s n of x on the great circle, dotted with m
+    on_half = dot3(XT, m) - s * dot3(n, m) >= 0.0
+    return np.where(on_half, np.abs(np.arcsin(s)), ends)
+
+
+def _blowup(arr: HalfCircleArrangement, plan: BlowupPlan, rng,
+            tol: ToleranceConfig) -> HalfCircleArrangement:
+    """The children of every half-circle of arr, emitted and validated;
+    retries with shrunk offsets on failure."""
+    if len(plan.multiplicities) != len(arr):
         raise ValueError(f"plan lists {len(plan.multiplicities)} "
-                         f"multiplicities for {len(arr.halves)} half-circles")
+                         f"multiplicities for {len(arr)} half-circles")
     signs = plan.side_signs()
     lift0 = plan.lift0 if plan.lift0 is not None else 0.6 * plan.eps
     spread0 = plan.spread0 if plan.spread0 is not None else 0.8 * plan.eps
@@ -204,24 +238,26 @@ def _blowup_halves(arr: HalfCircleArrangement, plan: BlowupPlan, rng,
     for _ in range(plan.max_retries + 1):
         lift = lift0 * scale
         spread = spread0 * scale
-        halves: list[HalfCircle] = []
-        parents: list[int] = []
+        points, mids = [], []
         try:
-            for idx, (parent, mult, side) in enumerate(
-                    zip(arr.halves, plan.multiplicities, signs)):
-                kids = _children(parent, mult, side, lift, spread,
+            for idx, (p, m, mult, side) in enumerate(
+                    zip(arr.points, arr.midpoints, plan.multiplicities,
+                        signs)):
+                P, M = _children(p, m, mult, side, lift, spread,
                                  plan.jitter, rng, tol)
-                for child in kids:
-                    for x in (child.p, -child.p, child.m):
-                        dist = parent.distance_to(x)
-                        if dist > plan.eps:
-                            raise ConstructionError(
-                                f"child of half-circle {idx} leaves the "
-                                f"eps-neighborhood ({dist:.3g} > {plan.eps})")
-                halves.extend(kids)
-                parents.extend([idx] * mult)
-            validate_arrangement(halves, tol)
-            return halves, parents
+                # each child's p, -p and m, in that order
+                dist = _distances(p, m, np.stack([P, -P, M], axis=1
+                                                 ).reshape(-1, 3))
+                far = np.flatnonzero(dist > plan.eps)
+                if len(far):
+                    raise ConstructionError(
+                        f"child of half-circle {idx} leaves the "
+                        f"eps-neighborhood ({dist[far[0]]:.3g} > {plan.eps})")
+                points.append(P)
+                mids.append(M)
+            points, mids = np.concatenate(points), np.concatenate(mids)
+            validate_arrangement(points, mids, tol)
+            return HalfCircleArrangement(points=points, midpoints=mids)
         except ConstructionError as exc:
             failure = exc
             # shrinking the offsets separates colliding neighborhoods but
@@ -242,8 +278,7 @@ def blowup(arr: HalfCircleArrangement, plan: BlowupPlan, rng=None,
     multiplicity sum(plan.multiplicities), with a validated strength-0
     half-circle assignment."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    halves, _ = _blowup_halves(arr, plan, rng, tol)
-    return _to_config(halves, tol)
+    return _to_config(_blowup(arr, plan, rng, tol), tol, validated=True)
 
 
 def recursive_construct(seed: HalfCircleArrangement,
@@ -257,24 +292,24 @@ def recursive_construct(seed: HalfCircleArrangement,
     arr = seed
     for level, plan in enumerate(plans):
         try:
-            halves, _ = _blowup_halves(arr, plan, rng, tol)
+            arr = _blowup(arr, plan, rng, tol)
         except (ConstructionError, ValueError) as exc:
             raise ConstructionError(f"level {level}: {exc}") from exc
-        arr = HalfCircleArrangement(halves=tuple(halves))
-    return _to_config(list(arr.halves), tol)
+    return _to_config(arr, tol, validated=arr is not seed)
 
 
-def _to_config(halves: list[HalfCircle], tol: ToleranceConfig
+def _to_config(arr: HalfCircleArrangement, tol: ToleranceConfig,
+               validated: bool
                ) -> tuple[AntipodalConfig, HalfCircleAssignment]:
-    if len(halves) < 3:
+    """arr's configuration and assignment; general position is not tested
+    again where validate_arrangement has passed arr under tol."""
+    if len(arr) < 3:
         raise ConstructionError(
             "a drawing configuration needs at least 3 antipodal pairs; "
-            f"got {len(halves)}")
-    base = np.stack([h.p for h in halves])
-    mids = np.stack([h.m for h in halves])
+            f"got {len(arr)}")
     try:
-        config = double(base, tol)
-        asg = make_assignment(config, mids, tol)
+        config = _double(arr.points.copy(), tol, checked=validated)
+        asg = make_assignment(config, arr.midpoints, tol)
     except DegenerateConfigurationError as exc:
         raise ConstructionError(f"emitted configuration is degenerate: {exc}"
                                 ) from exc

@@ -77,13 +77,18 @@ def double(points, tol: ToleranceConfig = DEFAULT_TOL) -> AntipodalConfig:
     automatically non-coplanar, since negating one argument only flips the
     determinant's sign.
     """
+    return _double(points, tol, checked=False)
+
+
+def _double(points, tol: ToleranceConfig, checked: bool) -> AntipodalConfig:
+    """double, without the general-position test where ``checked``."""
     base = np.asarray(points, dtype=float)
     if base.ndim != 2 or base.shape[1] != 3:
         raise ValueError("expected an (k, 3) array of base points")
     if len(base) < 3:
         raise ValueError("an antipodal configuration needs k >= 3 base points")
     require_unit_rows(base, tol)
-    if not is_general_position(base, tol):
+    if not checked and not is_general_position(base, tol):
         raise DegenerateConfigurationError(
             "base points are not in general position")
     doubled = np.concatenate([base, -base], axis=0)
@@ -199,11 +204,20 @@ def validate_drawing(d: Drawing) -> None:
     """
     n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
-    for a, b in d.pairing.items():
-        if d.pairing.get(b) != a:
-            raise ValueError("pairing map is not symmetric")
-        if not np.array_equal(verts[b], -verts[a]):
-            raise ValueError(f"paired vertices {a},{b} are not exact antipodes")
+    if d.pairing:
+        # the first entry a -> b in dict order with pairing.get(b) != a,
+        # or verts[b] != -verts[a], is reported; take indexes as [] does
+        a, b = np.array([*d.pairing.items()], dtype=np.int64).T
+        order = np.argsort(a)
+        at = order[np.searchsorted(a, b, sorter=order) % len(a)]
+        skew = (a[at] != b) | (b[at] != a)
+        bad = skew | (verts.take(b, 0, mode="wrap")
+                      != -verts.take(a, 0, mode="wrap")).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError("pairing map is not symmetric" if skew[i] else
+                             f"paired vertices {a[i]},{b[i]} are not exact "
+                             "antipodes")
 
     uv, half = d.uv, d.half
     u, v = uv[:, 0], uv[:, 1]
@@ -233,8 +247,7 @@ def validate_drawing(d: Drawing) -> None:
 
     require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
     _check_edge_census(d, int(half.sum()))
-    posT, least = _cached_signs(d, d.tol)
-    if posT is None or not least > _off_curve_bound(d.tol):
+    if not _stage_clears(d, d.tol):
         _check_vertices_off_curves(d)
 
 
@@ -288,8 +301,25 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     fire once the stage's |det| exceeds s g (1 + 10u) + 21u s^2.  The
     bound (g + 1e-14) s^2 is larger for every g a guard can pass, as such
     a g is below |det| <= s^1.5.
+
+    No other test |det| <= g of a guarded triple can fire then either.
+    Two evaluations of one determinant, each a cross product and a dot
+    product within gamma_5 sum |a_i b_j w_k| of it, differ by at most
+    10u sqrt(3) s^1.5 < 2e-15, so where the stage's |det| exceeds
+    (g + 1e-14) s^2 >= g + 1e-14, every other evaluation exceeds g.  That
+    covers add_apex's coplanar test |(v_i x q).v_j| <= g, which is
+    -det(v_i, v_j, q) in another order, on every pair the apex drawing's
+    stage guards (all but the couples the test exempts), and double's
+    test on the base points of a drawing.  add_apex's on-curve test is
+    _check_vertices_off_curves for w = q.
     """
     return (tol.general_position + 1e-14) * (1.0 + tol.norm) ** 2
+
+
+def _stage_clears(d: Drawing, tol: ToleranceConfig) -> bool:
+    """Whether d's stage (see _cached_signs) clears _off_curve_bound."""
+    posT, least = _cached_signs(d, tol)
+    return posT is not None and least > _off_curve_bound(tol)
 
 
 def _check_vertices_off_curves(d: Drawing) -> None:
@@ -448,33 +478,18 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     The apex must be in general position with respect to the doubled set:
     every triple through q and two non-antipodal vertices non-coplanar, and
     q off every existing edge's curve.  Violations raise
-    DegenerateConfigurationError; callers should resample q.  The full
-    drawing is validated once, as part of the result.
+    DegenerateConfigurationError; callers should resample q.  The apex
+    drawing is built first and its orientation stage read: where it clears
+    _off_curve_bound over unit vectors, as that bound assumes, neither
+    check can fire and both are skipped.  The apex drawing is validated
+    once, as part of the result, reusing the stage.
     """
     q = require_unit(q, tol)
     base_drawing = _matching_drawing(config, asg, range(config.k), tol,
                                      provenance)
     verts = base_drawing.vertices
     n = len(verts)
-    N, U, V, _, partner = _pack_drawing(base_drawing)
-    C = np.cross(verts, q)
     cols = np.arange(n)
-    for start, stop in row_blocks(n, n):
-        rows = cols[start:stop, None]
-        # triples through an antipodal pair are exempt
-        bad = ((np.abs(C[start:stop] @ verts.T) <= tol.general_position)
-               & (cols > rows) & (cols != partner[rows]))
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise DegenerateConfigurationError(
-                f"apex is coplanar with vertices {start + i},{j}; "
-                "resample the apex")
-    on_curve = ((np.abs(N @ q) <= tol.general_position)
-                & (U @ q > 0.0) & (V @ q > 0.0))
-    if on_curve.any():
-        eu, ev = base_drawing.uv[int(np.argmax(on_curve))].tolist()
-        raise DegenerateConfigurationError(
-            f"apex lies on edge ({eu},{ev}); resample the apex")
     spokes = np.stack([cols, np.full(n, n)], axis=1)
     prov = dict(provenance or {})
     prov["apex"] = [float(c) for c in q]
@@ -485,6 +500,24 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                                             _arc_midpoints(spokes)]),
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
+    pts = np.concatenate([verts, asg.midpoints])
+    if not (_stage_clears(out, tol) and np.all(np.abs(np.einsum(
+            "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
+        # n^2 dets at once: far less memory than the stage's P^3 / 8 bytes
+        N, U, V, _, partner = _pack_drawing(base_drawing)
+        # triples through an antipodal pair are exempt
+        bad = ((np.abs(np.cross(verts, q) @ verts.T) <= tol.general_position)
+               & (cols > cols[:, None]) & (cols != partner[:, None]))
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise DegenerateConfigurationError(
+                f"apex is coplanar with vertices {i},{j}; resample the apex")
+        on_curve = ((np.abs(N @ q) <= tol.general_position)
+                    & (U @ q > 0.0) & (V @ q > 0.0))
+        if on_curve.any():
+            eu, ev = base_drawing.uv[int(np.argmax(on_curve))].tolist()
+            raise DegenerateConfigurationError(
+                f"apex lies on edge ({eu},{ev}); resample the apex")
     validate_drawing(out)
     return out
 
@@ -495,7 +528,9 @@ def config_from_drawing(d: Drawing
     antipodal drawing, e.g. one loaded from a file.
 
     Base points are the smaller-index vertex of each antipodal pair, in
-    index order, which reproduces the indexing the builders emit.
+    index order, which reproduces the indexing the builders emit.  Their
+    general position is not tested again where d's stage clears
+    _off_curve_bound and guards all their triples.
     """
     if d.kind is not DrawingKind.COMPLETE or not d.pairing:
         raise ValueError("expected a complete drawing with an antipodal "
@@ -508,7 +543,10 @@ def config_from_drawing(d: Drawing
     order = np.argsort(lower)
     if lower[order].tolist() != reps:
         raise ValueError("drawing lacks a matching half-circle per pair")
-    config = double(d.vertices[reps], d.tol)
+    # the stage masks a base triple only where two of its points are paired
+    guarded = {d.pairing[a] for a in reps}.isdisjoint(reps)
+    config = _double(d.vertices[reps], d.tol,
+                     checked=guarded and _stage_clears(d, d.tol))
     asg = make_assignment(config, d.midpoints[half][order], d.tol)
     return config, asg
 

@@ -306,20 +306,6 @@ class HalfCircle:
         ang = math.pi * t
         return math.cos(ang) * self.p + math.sin(ang) * self.m
 
-    def distance_to(self, x) -> float:
-        """Angular distance from x to the closed half-circle curve."""
-        x = np.asarray(x, dtype=float)
-        s = float(x @ self.normal)
-        s = max(-1.0, min(1.0, s))
-        proj = x - s * self.normal
-        npj = float(np.linalg.norm(proj))
-        if npj < 1e-300:
-            return math.pi / 2.0
-        proj /= npj
-        if float(proj @ self.m) >= 0.0:
-            return abs(math.asin(s))
-        return min(angular_distance(x, self.p), angular_distance(x, -self.p))
-
     def __repr__(self):
         return f"HalfCircle(p={self.p.tolist()}, m={self.m.tolist()})"
 

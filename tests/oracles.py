@@ -14,7 +14,12 @@ as the kernels did before they took their cross products once per point
 set: one np.cross per block of rows; the kernels must give the same
 determinants bit for bit.  points_usable_reference is sample_points'
 acceptance test as it was before the orientation stage decided it,
-through the package's has_coplanar_triple.
+through the package's has_coplanar_triple.  half_circle_distance_reference
+is the scalar distance from a point to a half-circle that the blowup's
+containment check measured one point at a time before it took each
+parent's children in one pass.  apex_checks_reference is add_apex's pair of
+general-position checks as they ran before the apex drawing's orientation
+stage could vouch for them, one vertex pair and one edge at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +31,49 @@ import numpy as np
 
 from hilldraw.drawing import DrawingKind
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle, ToleranceConfig, has_coplanar_triple,
-                           row_blocks, unit)
+                           HalfCircle, ToleranceConfig, angular_distance,
+                           has_coplanar_triple, row_blocks, unit)
+
+
+def half_circle_distance_reference(h: HalfCircle, x) -> float:
+    """Angular distance from x to the closed half-circle curve h."""
+    x = np.asarray(x, dtype=float)
+    s = float(x @ h.normal)
+    s = max(-1.0, min(1.0, s))
+    proj = x - s * h.normal
+    npj = float(np.linalg.norm(proj))
+    if npj < 1e-300:
+        return math.pi / 2.0
+    proj /= npj
+    if float(proj @ h.m) >= 0.0:
+        return abs(math.asin(s))
+    return min(angular_distance(x, h.p), angular_distance(x, -h.p))
+
+
+def apex_checks_reference(config, asg, q, tol: ToleranceConfig) -> None:
+    """Raise add_apex's error if q is coplanar with two vertices of the
+    doubled set that are not an antipodal couple, or lies on a curve of
+    the full drawing: its arcs in add_apex's edge order, then its
+    half-circles."""
+    verts, k = config.doubled, config.k
+    n = len(verts)
+    for i, j in combinations(range(n), 2):
+        if j != i + k and abs(float(np.cross(verts[i], q) @ verts[j])) \
+                <= tol.general_position:
+            raise DegenerateConfigurationError(
+                f"apex is coplanar with vertices {i},{j}; resample the apex")
+    arcs = [(a, b) for a, b in combinations(range(n), 2) if b != a + k]
+    curves = [GeodesicArc(verts[a], verts[b], tol) for a, b in arcs]
+    curves += [HalfCircle(p, m, tol) for p, m in zip(config.base,
+                                                     asg.midpoints)]
+    edges = arcs + [(i, i + k) for i in range(k)]
+    for (a, b), c in zip(edges, curves):
+        u, v = (c.wedge_u, c.wedge_v) if isinstance(c, GeodesicArc) \
+            else (c.m, c.m)
+        if (abs(float(c.normal @ q)) <= tol.general_position
+                and float(u @ q) > 0.0 and float(v @ q) > 0.0):
+            raise DegenerateConfigurationError(
+                f"apex lies on edge ({a},{b}); resample the apex")
 
 
 def sample_curve(curve, segments: int) -> np.ndarray:

@@ -349,6 +349,34 @@ class TestArgumentValues:
         assert code == 64
         assert "--rng-seed: expected a non-negative integer" in err
 
+    @pytest.mark.parametrize("eps", ["0", "nan", "2", "-0.1", "inf", "x"])
+    def test_bad_eps_is_usage_error(self, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--seed-arrangement", "single",
+                  "--multiplicities", "3", "--eps", eps])
+        assert exc.value.code == 64
+        assert ("argument --eps: expected a number in (0, pi/2], got "
+                f"'{eps}'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--multiplicities", "0"],
+         "--multiplicities: expected a positive integer, got '0'"),
+        (["--multiplicities", "3;2,-1,1"],
+         "--multiplicities: expected a positive integer, got '-1'"),
+        (["--multiplicities", "abc"],
+         "--multiplicities: expected a positive integer, got 'abc'"),
+        (["--multiplicities", "3", "--sides", "up"],
+         "--sides: expected 'below' or 'above', got 'up'"),
+        (["--multiplicities", "3;1,1,1", "--sides", ";below,above"],
+         "--sides: level 1 lists 2 flags for 3 groups"),
+    ])
+    def test_bad_generate_lists_are_usage_errors(self, capsys, argv,
+                                                 message):
+        code, out, err = run(["generate", "--seed-arrangement", "single",
+                              *argv], capsys)
+        assert code == 64 and out == ""
+        assert err == f"hilldraw: error: {message}\n"
+
     def test_explicit_seed_overrides_bad_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HILLDRAW_SEED", "abc")
         code, out, _ = run(["montecarlo", "--n", "5", "--trials", "1",

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hilldraw import construct
 from hilldraw.construct import (BlowupPlan, ConstructionError,
                                 PerturbationError, blowup,
                                 default_plan_chain, min_eps_for_multiplicity,
@@ -9,27 +12,37 @@ from hilldraw.construct import (BlowupPlan, ConstructionError,
 from hilldraw.drawing import (count_crossings, extend_to_complete, strength,
                               verify)
 from hilldraw.formulas import hill_number
-from hilldraw.geom import ToleranceConfig, is_general_position
+from hilldraw.geom import (HalfCircle, ToleranceConfig, is_general_position,
+                           unit)
+
+from .conftest import random_unit_points
+from .oracles import half_circle_distance_reference
+
+X = np.array([1.0, 0.0, 0.0])
+Y = np.array([0.0, 1.0, 0.0])
+Z = np.array([0.0, 0.0, 1.0])
 
 
 class TestSeeds:
     def test_single(self):
         arr = seed_single()
         assert len(arr) == 1
-        validate_arrangement(arr.halves)
+        validate_arrangement(arr.points, arr.midpoints)
+        assert not arr.points.flags.writeable
+        assert not arr.midpoints.flags.writeable
 
     def test_two(self):
         arr = seed_two()
         assert len(arr) == 2
-        validate_arrangement(arr.halves)
+        validate_arrangement(arr.points, arr.midpoints)
         # perturbed off the coordinate axes
-        assert not np.array_equal(arr.halves[0].p, [1.0, 0.0, 0.0])
+        assert not np.array_equal(arr.points[0], [1.0, 0.0, 0.0])
 
     def test_four(self):
         arr = seed_four()
         assert len(arr) == 4
-        validate_arrangement(arr.halves)
-        assert is_general_position(arr.endpoints())
+        validate_arrangement(arr.points, arr.midpoints)
+        assert is_general_position(arr.points)
 
 
 class TestBlowup:
@@ -45,13 +58,12 @@ class TestBlowup:
     def test_containment_within_eps(self):
         eps = 0.15
         arr = seed_single()
-        parent = arr.halves[0]
+        parent = HalfCircle(arr.points[0], arr.midpoints[0])
         config, asg = blowup(arr, BlowupPlan(multiplicities=(5,), eps=eps),
                              np.random.default_rng(3))
         for p, m in zip(config.base, asg.midpoints):
-            assert parent.distance_to(p) <= eps
-            assert parent.distance_to(-p) <= eps
-            assert parent.distance_to(m) <= eps
+            for x in (p, -p, m):
+                assert half_circle_distance_reference(parent, x) <= eps
 
     def test_full_pipeline_counts(self):
         cases = [(seed_single(), (5,)), (seed_two(), (2, 3)),
@@ -68,9 +80,9 @@ class TestBlowup:
         config, asg = blowup(arr, BlowupPlan(multiplicities=(1, 1, 1, 1),
                                              eps=0.1),
                              np.random.default_rng(5))
-        for parent, p in zip(arr.halves, config.base):
-            assert not np.array_equal(parent.p, p)
-            assert parent.distance_to(p) <= 0.1
+        for a, m, p in zip(arr.points, arr.midpoints, config.base):
+            assert not np.array_equal(a, p)
+            assert half_circle_distance_reference(HalfCircle(a, m), p) <= 0.1
 
     def test_deterministic_for_fixed_rng_seed(self):
         plan = BlowupPlan(multiplicities=(4,))
@@ -94,10 +106,96 @@ class TestBlowup:
         with pytest.raises(ValueError):
             BlowupPlan(multiplicities=(2,), sides=("sideways",))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_retries", -1, "max_retries must be non-negative and jitter "
+         "finite"),
+        ("lift0", float("nan"), "lift0 must be positive and finite"),
+        ("lift0", 0.0, "lift0 must be positive and finite"),
+        ("lift0", -0.1, "lift0 must be positive and finite"),
+        ("spread0", float("inf"), "spread0 must be positive and finite"),
+        ("spread0", 0.0, "spread0 must be positive and finite"),
+        ("jitter", float("nan"), "max_retries must be non-negative and "
+         "jitter finite"),
+        ("jitter", float("-inf"), "max_retries must be non-negative and "
+         "jitter finite"),
+    ])
+    def test_plan_rejects_bad_offsets(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            BlowupPlan(multiplicities=(3,), **{field: value})
+        assert str(err.value) == message
+
     def test_too_few_total_pairs(self):
         with pytest.raises(ConstructionError):
             blowup(seed_single(), BlowupPlan(multiplicities=(2,)),
                    np.random.default_rng(0))
+
+
+class TestDistances:
+    """The containment check's distances, all of a parent's children at
+    once, against the scalar reference."""
+
+    def test_known_values(self):
+        got = construct._distances(Z, X, np.stack(
+            [X, Y, unit(X + Y), -X, Z, -Z, unit(Z - X)]))
+        want = [0.0, math.pi / 2, math.pi / 4, math.pi / 2, 0.0, 0.0,
+                math.pi / 4]
+        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_match_scalar_reference(self, rng):
+        for _ in range(200):
+            h = HalfCircle(*random_unit_points(2, rng))
+            pts = random_unit_points(9, rng)
+            near = h.p + 0.2 * random_unit_points(9, rng)
+            pts = np.concatenate([pts, near / np.linalg.norm(
+                near, axis=1, keepdims=True)])
+            want = [half_circle_distance_reference(h, x) for x in pts]
+            # both round x.n; asin magnifies that near a quarter turn
+            assert construct._distances(h.p, h.m, pts) == pytest.approx(
+                want, rel=0.0, abs=1e-14)
+
+
+class TestContainmentRefusal:
+    """A lift beyond eps: the first child leaves its parent's
+    neighborhood, on every attempt."""
+
+    def test_single_attempt(self):
+        plan = BlowupPlan(multiplicities=(3,), eps=0.1, lift0=0.3,
+                          max_retries=0)
+        message = ("blowup failed after 1 attempts; last failure: child of "
+                   "half-circle 0 leaves the eps-neighborhood (0.3 > 0.1)")
+        with pytest.raises(ConstructionError) as err:
+            blowup(seed_single(), plan, np.random.default_rng(0))
+        assert str(err.value) == message
+        with pytest.raises(ConstructionError) as err:
+            recursive_construct(seed_single(), [plan],
+                                np.random.default_rng(0))
+        assert str(err.value) == f"level 0: {message}"
+
+    def test_shrunk_attempts(self):
+        plan = BlowupPlan(multiplicities=(3,), eps=0.1, lift0=1.0,
+                          max_retries=2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConstructionError) as err:
+            blowup(seed_single(), plan, rng)
+        assert str(err.value) == (
+            "blowup failed after 3 attempts; last failure: child of "
+            "half-circle 0 leaves the eps-neighborhood (0.25 > 0.1)")
+        # three jitter draws per attempt
+        spent = np.random.default_rng(0)
+        spent.uniform(-1.0, 1.0, size=9)
+        assert rng.bit_generator.state == spent.bit_generator.state
+
+    def test_later_parents_draw_nothing(self):
+        """Parent 0 of two fails: its 2 draws are spent, parent 1's 3 are
+        not."""
+        plan = BlowupPlan(multiplicities=(2, 3), eps=0.1, lift0=0.3,
+                          max_retries=0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConstructionError, match="half-circle 0 leaves"):
+            blowup(seed_two(), plan, rng)
+        spent = np.random.default_rng(0)
+        spent.uniform(-1.0, 1.0, size=2)
+        assert rng.bit_generator.state == spent.bit_generator.state
 
 
 class TestRecursive:

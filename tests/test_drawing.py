@@ -5,14 +5,15 @@ import pytest
 
 from hilldraw import drawing as drawing_mod
 from hilldraw.construct import BlowupPlan, blowup, seed_single
-from hilldraw.drawing import (DrawingKind, add_apex, add_random_apex,
+from hilldraw.drawing import (Drawing, DrawingKind, add_apex, add_random_apex,
                               build_cocktail_party,
                               complete_drawing_from_points,
                               config_from_drawing, count_crossings,
                               count_crossings_by_circle_pairs, delete_vertex,
                               double, extend_partial_matching,
                               extend_to_complete, make_assignment,
-                              random_assignment, strength, verify)
+                              random_assignment, strength,
+                              validate_drawing, verify)
 from hilldraw.formulas import hill_number
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            GeodesicArc, HalfCircle, unit)
@@ -393,7 +394,86 @@ class TestConfigFromDrawing:
         assert np.array_equal(config2.base, config.base)
         assert np.array_equal(asg2.midpoints, asg.midpoints)
 
+    def test_general_position_not_tested_twice(self, monkeypatch):
+        """Neither a validated drawing's base points nor a blowup's
+        validated children go through double's general-position test."""
+        calls = []
+        test = drawing_mod.is_general_position
+        monkeypatch.setattr(drawing_mod, "is_general_position",
+                            lambda *args: calls.append(1) or test(*args))
+        config, asg = hill_pairs(6)
+        d = extend_to_complete(config, asg)
+        config2, _ = config_from_drawing(d)
+        assert calls == []
+        assert np.array_equal(config2.base, config.base)
+        # unvalidated, with a coplanar base triple: the stage refuses
+        verts = d.vertices.copy()
+        verts[2] = unit(verts[0] + verts[1])
+        verts[8] = -verts[2]
+        bad = Drawing(vertices=verts, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints, pairing=d.pairing)
+        with pytest.raises(DegenerateConfigurationError,
+                           match="base points are not in general position"):
+            config_from_drawing(bad)
+        assert calls == [1]
+
     def test_rejects_random_complete(self, rng):
         pts = random_unit_points(6, rng)
         with pytest.raises(ValueError):
             config_from_drawing(complete_drawing_from_points(pts))
+
+
+class TestPinnedRefusals:
+    """Refusal texts of the apex checks and of the pairing check, each
+    with its first offender."""
+
+    def test_apex_coplanar_with_two_vertices(self):
+        config, asg = hill_pairs(4)
+        v = config.doubled
+        with pytest.raises(DegenerateConfigurationError) as err:
+            add_apex(config, asg, unit(v[1] + 2.0 * v[3]))
+        assert str(err.value) == ("apex is coplanar with vertices 1,3; "
+                                  "resample the apex")
+
+    def test_apex_on_a_half_circle_midpoint(self):
+        """The apex at half-circle 2's own midpoint witness: a repeated
+        point, so the orientation guard refuses and the exact checks
+        decide."""
+        config, asg = hill_pairs(4)
+        with pytest.raises(DegenerateConfigurationError) as err:
+            add_apex(config, asg, asg.midpoints[2])
+        assert str(err.value) == ("apex lies on edge (2,6); resample the "
+                                  "apex")
+
+    @staticmethod
+    def _reversed(d, vertices):
+        """d on other vertices, unvalidated, its pairing in reversed key
+        order: 7 -> 3, 6 -> 2, 5 -> 1, 4 -> 0, 3 -> 7, ..."""
+        return Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                       midpoints=d.midpoints,
+                       pairing=dict(reversed(list(d.pairing.items()))))
+
+    def test_pairing_not_symmetric(self):
+        """Entry 5 -> 1 is the first bad one in dict order; vertex 0 is
+        moved off -vertex 4 as well, a later fault."""
+        d = extend_to_complete(*hill_pairs(4))
+        verts = d.vertices.copy()
+        verts[0, 0] = np.nextafter(verts[0, 0], 2.0)
+        bad = self._reversed(d, verts)
+        bad.pairing[1] = 4
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == "pairing map is not symmetric"
+
+    def test_paired_vertices_not_exact_antipodes(self):
+        """Vertex 2 is moved by one ulp: entry 6 -> 2 is the first bad one
+        in dict order, before the asymmetric entries 4 -> 0 and 0 -> 5."""
+        d = extend_to_complete(*hill_pairs(4))
+        verts = d.vertices.copy()
+        verts[2, 1] = np.nextafter(verts[2, 1], 2.0)
+        bad = self._reversed(d, verts)
+        bad.pairing[0] = 5
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == ("paired vertices 6,2 are not exact "
+                                  "antipodes")

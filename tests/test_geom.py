@@ -158,12 +158,6 @@ class TestCurveConstruction:
         assert np.allclose(h.point_at(1.0), -Z, atol=1e-12)
         assert np.allclose(h.point_at(0.5), X, atol=1e-12)
 
-    def test_distance_to_half_circle(self):
-        h = HalfCircle(Z, X)
-        assert h.distance_to(X) == pytest.approx(0.0, abs=1e-12)
-        assert h.distance_to(Y) == pytest.approx(math.pi / 2)
-        assert h.distance_to(unit(X + Y)) == pytest.approx(math.pi / 4)
-
 
 class TestArcsCross:
     def test_crossing_pair(self):

@@ -18,7 +18,8 @@ from hilldraw.construct import ConstructionError, validate_arrangement
 from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
                             report_to_doc)
 from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
-                              add_random_apex, build_cocktail_party,
+                              add_apex, add_random_apex,
+                              build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               count_crossings_by_circle_pairs, delete_vertex,
                               double, extend_partial_matching,
@@ -32,7 +33,8 @@ from hilldraw.montecarlo import DistributionSpec, sample_points
 
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
                        random_unit_points, splits)
-from .oracles import (block_dets_reference, brute_count,
+from .oracles import (apex_checks_reference, block_dets_reference,
+                      brute_count,
                       circle_pair_count_reference, coplanar_reference,
                       points_usable_reference)
 from .test_drawing import hill_pairs, random_config
@@ -668,6 +670,64 @@ class TestValidationVerdicts:
         assert exact_calls == [1]
 
 
+def _axis_config(rng):
+    """Hill-free antipodal pairs whose base points 0 and 1 are e1 and e2,
+    with a random assignment whose full drawing validates."""
+    while True:
+        try:
+            config = double(np.concatenate([np.eye(3)[:2],
+                                            random_unit_points(4, rng)]))
+            asg = random_assignment(config, rng)
+            extend_to_complete(config, asg)
+            return config, asg
+        except DegenerateConfigurationError:
+            continue
+
+
+class TestApexChecks:
+    """add_apex skips its coplanar and on-curve checks only where the apex
+    drawing's orientation stage shows they cannot fire, so its verdict
+    and message are always those of the checks themselves."""
+
+    @pytest.mark.parametrize("factor", (1 - 1e-12, 1 + 1e-12,
+                                        -1 + 1e-12, -1 - 1e-12))
+    @pytest.mark.parametrize("inside", (True, False))
+    def test_apex_at_the_margin(self, inside, factor, rng):
+        """det(e1, e2, q) = q[2] = general_position (1 +- 1e-12) exactly,
+        with q inside or outside the arc from e1 to e2."""
+        config, asg = _axis_config(rng)
+        z = factor * DEFAULT_TOL.general_position
+        c = np.sqrt((1.0 - z * z) / 2.0) * (1.0 if inside else -1.0)
+        q = np.array([c, c, z])
+        want = _verdict(lambda _: apex_checks_reference(
+            config, asg, q, DEFAULT_TOL), None)
+        assert _verdict(lambda _: add_apex(config, asg, q), None) == want
+        if abs(factor) < 1.0:
+            assert want == (DegenerateConfigurationError, "apex is coplanar "
+                            "with vertices 0,1; resample the apex")
+        else:
+            assert want is None
+
+    def test_random_apexes_match_the_checks(self, rng):
+        for k in (3, 5, 8):
+            config, asg = hill("two", k, rng)
+            for _ in range(10):
+                q = unit(rng.normal(size=3))
+                apex_checks_reference(config, asg, q, DEFAULT_TOL)
+                add_apex(config, asg, q)
+
+    def test_checks_run_only_where_the_stage_refuses(self, monkeypatch):
+        """The exact checks pack the full drawing; a cleared stage needs
+        no packing at all."""
+        packs = _counted(monkeypatch, "_pack_drawing")
+        config, asg = hill_pairs(4)
+        add_random_apex(config, asg, np.random.default_rng(3))
+        assert packs == []
+        with pytest.raises(DegenerateConfigurationError, match="on edge"):
+            add_apex(config, asg, asg.midpoints[2])
+        assert packs == [1]
+
+
 def _points_drawing(pts):
     """The complete point drawing on pts, unvalidated: any size."""
     uv = np.stack(np.triu_indices(len(pts), 1), axis=1)
@@ -774,12 +834,12 @@ class TestHalfCircleChecks:
                 i, j = pairs[0]
                 with pytest.raises(ConstructionError,
                                    match=rf"half-circles {i} and {j} cross"):
-                    validate_arrangement(halves)
+                    validate_arrangement(config.base, asg.midpoints)
         assert crossed >= 3
         config, asg = hill_pairs(8)
         halves = half_circles(config, asg)
         assert _scalar_crossings(halves) == [] and strength(config, asg) == 0
-        validate_arrangement(halves)
+        validate_arrangement(config.base, asg.midpoints)
 
     def test_same_circle_pair(self, tile, monkeypatch, rng):
         monkeypatch.setattr(geom, "_TILE", tile)
@@ -797,7 +857,7 @@ class TestHalfCircleChecks:
         with pytest.raises(DegenerateConfigurationError, match=message):
             strength(config, asg)
         with pytest.raises(ConstructionError, match=message) as err:
-            validate_arrangement(halves)
+            validate_arrangement(config.base, asg.midpoints)
         # a degenerate arrangement is shrunk, not redrawn, by the blowup
         assert "general position" not in str(err.value)
 

@@ -11,6 +11,11 @@ went word-major; any change to a counter must leave every one of them
 unchanged.  Each drawing's document is pinned as well,
 by the sha256 of ``json.dumps(drawing_to_doc(d), indent=1)`` in
 ``data/document_digests.json``, and must parse back to itself.
+Constructions are pinned in ``data/construct_digests.json``: for each
+chain of blowup levels in construct_cases, on rng streams 0..2, a sha256
+over the base points and midpoints recursive_construct returns, or its
+refusal, and the state its rng is left in, so that a change to the
+construction must give the same drawings from the same draws.
 
     PYTHONPATH=src python -m tests.test_report_digests [STREAMS] > out.json
 
@@ -22,7 +27,9 @@ verdict of validate_drawing on a fresh copy of its arrays: "ok", or the
 type and message of the error, and each stream gets one digest of the
 points sample_points returns per entry of SAMPLE_SPECS (uniform, caps and
 antipodal-symmetrized draws), so that two checkouts can be compared on
-their accept and redraw decisions.
+their accept and redraw decisions, and one digest of every construction
+of construct_cases, so that they can be compared on what they build and
+on how much of the rng stream they spend.
 """
 
 import hashlib
@@ -33,6 +40,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hilldraw.construct import (ConstructionError, default_plan_chain,
+                                recursive_construct)
 from hilldraw.docio import doc_to_drawing, drawing_to_doc
 from hilldraw.drawing import (Drawing, add_random_apex, build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
@@ -48,6 +57,8 @@ from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
 
 PINNED = Path(__file__).parent / "data" / "report_digests.json"
 PINNED_DOCUMENTS = Path(__file__).parent / "data" / "document_digests.json"
+PINNED_CONSTRUCTIONS = (Path(__file__).parent / "data"
+                        / "construct_digests.json")
 
 def _config(k, rng):
     """A random general-position antipodal configuration on k pairs."""
@@ -174,6 +185,59 @@ def sample_digest(spec, tol, stream: int) -> str:
     return h.hexdigest()
 
 
+# (name, seed arrangement, levels, sides, tolerances) of the constructions
+# pinned besides the benchmark's single-level chains
+CONSTRUCT_CHAINS = [
+    ("single-2;2,2", "single", [[2], [2, 2]], None, DEFAULT_TOL),
+    ("single-3;3,3,3", "single", [[3], [3, 3, 3]], None, DEFAULT_TOL),
+    ("two-2,2;2,1,2,1", "two", [[2, 2], [2, 1, 2, 1]], None, DEFAULT_TOL),
+    ("four-1,1,1,1;2,2,1,1", "four", [[1, 1, 1, 1], [2, 2, 1, 1]], None,
+     DEFAULT_TOL),
+    ("single-2;2,2;1,2,1,2-gp1e-11", "single", [[2], [2, 2], [1, 2, 1, 2]],
+     None, ToleranceConfig(general_position=1e-11)),
+    ("two-2,2-below,above", "two", [[2, 2]], [["below", "above"]],
+     DEFAULT_TOL),
+    ("four-1,1,1,1;2,2,1,1-above,below,below,below", "four",
+     [[1, 1, 1, 1], [2, 2, 1, 1]],
+     [None, ["above", "below", "below", "below"]], DEFAULT_TOL),
+    # refused at level 1, after the retries
+    ("single-3;2,2,2-below,above,below", "single", [[3], [2, 2, 2]],
+     [[], ["below", "above", "below"]], DEFAULT_TOL),
+]
+
+
+def construct_digest(seed, levels, rng, sides=None,
+                     tol=DEFAULT_TOL) -> str:
+    """sha256 of the base points and midpoints recursive_construct builds
+    from default_plan_chain(levels), or of its refusal, and of rng's state
+    after the call."""
+    h = hashlib.sha256()
+    try:
+        config, asg = recursive_construct(
+            SEEDS[seed](tol), default_plan_chain(levels, sides=sides,
+                                                 tol=tol), rng, tol)
+        h.update(config.base.tobytes())
+        h.update(asg.midpoints.tobytes())
+    except (ConstructionError, DegenerateConfigurationError) as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def construct_cases(stream: int):
+    """(name, digest) of every pinned construction on rng stream: the
+    benchmark's chains (k = 5..24, seed arrangement by k, multiplicities
+    split evenly, rng [stream, 0, k - 5]), then CONSTRUCT_CHAINS."""
+    for k in range(5, 25):
+        seed = ("single", "two", "four")[(k - 5) % 3]
+        yield f"{seed}-k{k}-s{stream}", construct_digest(
+            seed, [list(splits(seed, k))],
+            np.random.default_rng([stream, 0, k - 5]))
+    for j, (name, seed, levels, sides, tol) in enumerate(CONSTRUCT_CHAINS):
+        yield f"{name}-s{stream}", construct_digest(
+            seed, levels, np.random.default_rng([stream, 8, j]), sides, tol)
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))
@@ -212,6 +276,13 @@ def test_documents_parse_back_to_themselves(corpus):
         assert drawing_to_doc(doc_to_drawing(doc)) == doc, name
 
 
+def test_constructions_match_pinned_digests():
+    pinned = json.loads(PINNED_CONSTRUCTIONS.read_text(encoding="utf-8"))
+    got = {name: h for s in range(3) for name, h in construct_cases(s)}
+    assert list(got) == list(pinned)
+    assert [n for n in got if got[n] != pinned[n]] == []
+
+
 if __name__ == "__main__":
     streams = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     if not streams:
@@ -226,5 +297,8 @@ if __name__ == "__main__":
         out.update({f"s{s}-sample-{name}": sample_digest(spec, tol, s)
                     for s in range(streams)
                     for name, spec, tol in SAMPLE_SPECS})
+        out.update({f"s{s}-construct": hashlib.sha256("".join(
+            h for _, h in construct_cases(s)).encode()).hexdigest()
+                    for s in range(streams)})
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -28,11 +28,11 @@ def test_hill_drawing_annotates_total():
 
 def test_seed_four_arrangement_renders_four_halves():
     arr = seed_four()
-    verts = np.concatenate([arr.endpoints(), -arr.endpoints()], axis=0)
+    verts = np.concatenate([arr.points, -arr.points], axis=0)
     pairing = {i: i + 4 for i in range(4)} | {i + 4: i for i in range(4)}
     d = Drawing(vertices=verts, kind=DrawingKind.PARTIAL_MATCHING,
                 uv=[(i, i + 4) for i in range(4)],
-                midpoints=[h.m for h in arr.halves], pairing=pairing)
+                midpoints=arr.midpoints, pairing=pairing)
     text = export_svg(d, crossings=0)
     assert text.count("<polyline") >= 4
     assert text.count("<circle") >= 8 + 2  # vertices plus the two disks
