@@ -17,9 +17,8 @@ import numpy as np
 
 from .construct import (SEEDS, ConstructionError, default_plan_chain,
                         recursive_construct)
-from .docio import (DocumentError, doc_to_drawing, drawing_to_doc,
-                    dump_drawing, dump_report, experiment_to_doc,
-                    load_drawing)
+from .docio import (DocumentError, drawing_to_doc, dump_drawing,
+                    dump_report, experiment_to_doc, load_drawing, write_json)
 from .drawing import (add_random_apex, config_from_drawing,
                       count_crossings, delete_vertex, extend_to_complete,
                       verify)
@@ -172,26 +171,6 @@ def _rng_seed(value) -> int:
         raise UsageError(f"{name}: {exc}") from None
 
 
-def _read_drawing(spec, tol):
-    if spec == "-":
-        try:
-            doc = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"stdin: not valid JSON ({exc.msg})") from exc
-        return doc_to_drawing(doc, tol)
-    return load_drawing(spec, tol)
-
-
-def _write_json(doc: dict, path) -> None:
-    if path is None:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-
-
 def _parse_level_list(text, what, cast, allow_empty=False):
     levels = []
     for chunk in text.split(";"):
@@ -245,7 +224,7 @@ def _cmd_generate(args, tol) -> int:
         "rng_seed": rng_seed,
     }
     d = extend_to_complete(config, asg, tol, provenance)
-    _write_json(drawing_to_doc(d), args.output)
+    write_json(drawing_to_doc(d), args.output)
     print(f"generated complete drawing on {d.n} vertices "
           f"({len(d.uv)} edges)", file=sys.stderr)
     return 0
@@ -260,7 +239,7 @@ def _print_report(report) -> None:
 
 
 def _cmd_verify(args, tol) -> int:
-    d = _read_drawing(args.file, tol)
+    d = load_drawing(args.file, tol)
     report = verify(d, tol, workers=args.threads)
     _print_report(report)
     if args.report:
@@ -269,7 +248,7 @@ def _cmd_verify(args, tol) -> int:
 
 
 def _cmd_count(args, tol) -> int:
-    d = _read_drawing(args.file, tol)
+    d = load_drawing(args.file, tol)
     rep = count_crossings(d, tol, workers=args.threads)
     print(f"total: {rep.total}")
     print("per-vertex: " + " ".join(str(c) for c in rep.per_vertex))
@@ -277,7 +256,7 @@ def _cmd_count(args, tol) -> int:
 
 
 def _cmd_mutate(args, tol) -> int:
-    d = _read_drawing(args.file, tol)
+    d = load_drawing(args.file, tol)
     if args.delete_vertex is not None:
         out = delete_vertex(d, args.delete_vertex, tol)
     else:
@@ -308,20 +287,20 @@ def _cmd_montecarlo(args, tol) -> int:
     tol = tol or DEFAULT_TOL
     if args.census_k4:
         result = k4_census(args.trials, dist, seed, tol)
-        _write_json(experiment_to_doc(result), args.output)
-        return 0
-    if args.n is None:
+    elif args.n is None:
         raise UsageError("--n is required unless --census-k4 is given")
-    config = ExperimentConfig(n=args.n, trials=args.trials, seed=seed,
-                              distribution=dist)
-    result = ratio_experiment(config, tol, workers=args.threads)
-    _write_json(experiment_to_doc(result), args.output)
+    else:
+        config = ExperimentConfig(n=args.n, trials=args.trials, seed=seed,
+                                  distribution=dist)
+        result = ratio_experiment(config, tol, workers=args.threads)
+    write_json(experiment_to_doc(result), args.output)
     return 0
 
 
 def _cmd_export(args, tol) -> int:
-    d = _read_drawing(args.file, tol)
-    text = export_svg(d, tol, projection=args.projection)
+    d = load_drawing(args.file, tol)
+    total = count_crossings(d, tol, workers=args.threads).total
+    text = export_svg(d, tol, projection=args.projection, crossings=total)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 0

@@ -11,6 +11,9 @@ half-circle.
 from __future__ import annotations
 
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .geom import (DegenerateConfigurationError, HalfCircle,
 DRAWING_FORMAT = "hilldraw/drawing/v1"
 REPORT_FORMAT = "hilldraw/report/v1"
 EXPERIMENT_FORMAT = "hilldraw/experiment/v1"
+_FLOAT_MAX = sys.float_info.max
 
 
 class DocumentError(ValueError):
@@ -49,6 +53,11 @@ def drawing_to_doc(d: Drawing) -> dict:
 def _is_index(x) -> bool:
     """A JSON integer: not a float, a string or a boolean."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A float, or a JSON integer a float holds."""
+    return isinstance(x, float) or _is_index(x) and abs(x) <= _FLOAT_MAX
 
 
 def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
@@ -81,7 +90,7 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     verts = np.empty((len(raw_verts), 3))
     for i, row in enumerate(raw_verts):
         if (not isinstance(row, list) or len(row) != 3
-                or not all(_is_index(c) or isinstance(c, float) for c in row)):
+                or not all(_is_number(c) for c in row)):
             raise DocumentError(f"vertices[{i}]: expected [x, y, z]")
         verts[i] = row
         # written so that a NaN or infinite coordinate fails it too
@@ -131,7 +140,7 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
                 raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
                                     f"'half_circle', got {curve_kind!r}")
             elif (not isinstance(mp, list) or len(mp) != 3 or not all(
-                    _is_index(c) or isinstance(c, float) for c in mp)):
+                    _is_number(c) and math.isfinite(c) for c in mp)):
                 raise DocumentError(f"edges[{idx}]: half_circle needs a "
                                     "[x, y, z] midpoint")
             elif pairing.get(u) != v:
@@ -149,11 +158,12 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     rows = np.flatnonzero(half)
     starts = verts[uv[rows, 0]]
     for i in np.flatnonzero(loose_midpoints(starts, midpoints[rows], tol)):
+        idx = int(rows[i])
         try:
-            midpoints[rows[i]] = HalfCircle(starts[i], midpoints[rows[i]],
-                                            tol).m
+            midpoints[idx] = HalfCircle(starts[i], midpoints[idx], tol).m
         except (ValueError, DegenerateConfigurationError) as exc:
-            failure = rows[i], exc
+            failure = idx, (DocumentError(f"edges[{idx}]: {exc}")
+                            if isinstance(exc, ValueError) else exc)
             break
     # equal or antipodal arc endpoints are refused in record order, before
     # the first failing record and before validate_drawing's checks
@@ -175,26 +185,34 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     return d
 
 
+def write_json(doc: dict, path=None) -> None:
+    """Write doc as indented JSON and a newline to path, or to stdout."""
+    text = json.dumps(doc, indent=1) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def dump_drawing(d: Drawing, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(drawing_to_doc(d), fh, indent=1)
-        fh.write("\n")
+    write_json(drawing_to_doc(d), path)
 
 
 def load_drawing(path, tol: ToleranceConfig | None = None) -> Drawing:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{path}: not valid JSON "
-                                f"(line {exc.lineno}: {exc.msg})") from exc
+    """Parse and validate the drawing document at path; '-' is stdin."""
+    stdin = path == "-"
+    text = sys.stdin.read() if stdin else Path(path).read_text("utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"{'stdin' if stdin else path}: not valid JSON "
+                            f"(line {exc.lineno}: {exc.msg})") from exc
     return doc_to_drawing(doc, tol)
 
 
 def report_to_doc(report: VerificationReport,
                   include_pairs: bool = False) -> dict:
-    doc = {"format": REPORT_FORMAT}
-    doc.update(report.to_dict())
+    doc = {"format": REPORT_FORMAT, **report.to_dict()}
     if include_pairs:
         doc["crossing_pairs"] = report.crossings.pairs.tolist()
     return doc
@@ -202,12 +220,8 @@ def report_to_doc(report: VerificationReport,
 
 def dump_report(report: VerificationReport, path,
                 include_pairs: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_doc(report, include_pairs), fh, indent=1)
-        fh.write("\n")
+    write_json(report_to_doc(report, include_pairs), path)
 
 
 def experiment_to_doc(result) -> dict:
-    doc = {"format": EXPERIMENT_FORMAT}
-    doc.update(result.to_dict())
-    return doc
+    return {"format": EXPERIMENT_FORMAT, **result.to_dict()}

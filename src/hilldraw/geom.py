@@ -85,11 +85,13 @@ _TILE = 1 << 15
 
 
 def unit(v) -> Vec3:
-    """Normalized copy of v; raises on (near-)zero input."""
+    """Normalized copy of v; raises on (near-)zero or non-finite input."""
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
     if n < 1e-300:
         raise ValueError("cannot normalize a zero vector")
+    if not n < math.inf:
+        raise ValueError("cannot normalize a vector of non-finite norm")
     return v / n
 
 

@@ -2,16 +2,20 @@
 
 Orthographic projection: the front disk shows the hemisphere z >= 0 viewed
 from +z, the back disk shows z < 0 viewed from -z (x mirrored so the back
-reads like a globe turned around).  Curves are drawn as sampled polylines
-split at the hemisphere boundary.
+reads like a globe turned around).  All edges are sampled at once from
+the drawing's arrays, bit for bit as the curves' ``point_at`` would, and
+drawn as polylines cut where the samples change hemisphere.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .drawing import Drawing, count_crossings
-from .geom import GeodesicArc, HalfCircle, ToleranceConfig
+from .geom import (HalfCircle, ToleranceConfig, loose_midpoints,
+                   require_arc_rows, require_unit_rows)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
@@ -23,37 +27,37 @@ _BACK = (690.0, 250.0)
 _W, _H = 920, 520
 
 
-def _project(pt) -> tuple[float, float]:
-    x, y, z = float(pt[0]), float(pt[1]), float(pt[2])
-    if z >= 0.0:
-        cx, cy = _FRONT
-        return cx + _R * x, cy - _R * y
-    cx, cy = _BACK
-    return cx - _R * x, cy - _R * y
+def _project(P: np.ndarray):
+    """Disk coordinates x, y of the points P (m, 3), and the front mask."""
+    x, y, z = P.T
+    front = z >= 0.0
+    return (np.where(front, _FRONT[0] + _R * x, _BACK[0] - _R * x),
+            np.where(front, _FRONT[1], _BACK[1]) - _R * y, front)
 
 
-def _sample_curve(curve, segments: int) -> np.ndarray:
-    ts = np.linspace(0.0, 1.0, segments + 1)
-    return np.stack([curve.point_at(float(t)) for t in ts])
-
-
-def _polyline_runs(points: np.ndarray) -> list[list[tuple[float, float]]]:
-    """Split a sampled curve into per-hemisphere runs of projected points."""
-    runs: list[list[tuple[float, float]]] = []
-    current: list[tuple[float, float]] = []
-    side = None
-    for pt in points:
-        s = float(pt[2]) >= 0.0
-        if side is None or s == side:
-            current.append(_project(pt))
-        else:
-            if len(current) >= 2:
-                runs.append(current)
-            current = [_project(pt)]
-        side = s
-    if len(current) >= 2:
-        runs.append(current)
-    return runs
+def _samples(d: Drawing, segments: int) -> np.ndarray:
+    """Points (E, segments + 1, 3) of the edges at t = k / segments:
+    cos(t L) a + sin(t L) w on an arc from a to b, L = atan2(|a x b|, a . b)
+    and w the unit in-plane companion of b; cos(pi t) p + sin(pi t) m on a
+    half-circle.  Checks and witness repair are the curves' own."""
+    arc, tol = ~d.half, d.tol
+    a, b = d.vertices[d.uv[:, 0]], d.vertices[d.uv[:, 1]]
+    require_arc_rows(a[arc], b[arc], tol)
+    require_unit_rows(a[~arc], tol)
+    toward = d.midpoints.copy()
+    for e in np.flatnonzero(~arc & loose_midpoints(a, toward, tol)):
+        toward[e] = HalfCircle(a[e], toward[e], tol).m
+    # vecdot runs a @ b's dot loop, and math.atan2 is the scalar one, so
+    # every sample has point_at's bits
+    A, B = a[arc], b[arc]
+    ab, C = np.vecdot(A, B), np.cross(A, B)
+    W = B - ab[:, None] * A
+    toward[arc] = W / np.sqrt(np.vecdot(W, W))[:, None]
+    span = np.full(len(arc), math.pi)
+    span[arc] = list(map(math.atan2, np.sqrt(np.vecdot(C, C)), ab))
+    angle = span[:, None] * np.linspace(0.0, 1.0, segments + 1)
+    return (np.cos(angle)[..., None] * a[:, None]
+            + np.sin(angle)[..., None] * toward[:, None])
 
 
 def export_svg(d: Drawing, tol: ToleranceConfig | None = None,
@@ -68,21 +72,15 @@ def export_svg(d: Drawing, tol: ToleranceConfig | None = None,
         raise ValueError(f"unsupported projection {projection!r}")
     if segments_per_edge < 64:
         raise ValueError("need at least 64 segments per edge")
-    tol = tol or d.tol
     if crossings is None:
-        crossings = count_crossings(d, tol).total if len(d.uv) else 0
+        crossings = count_crossings(d, tol or d.tol).total
 
-    colors = {}
-    next_color = 0
+    colors, groups = {}, 0
     for i in range(d.n):
-        if i in colors:
-            continue
-        j = d.pairing.get(i)
-        color = _PALETTE[next_color % len(_PALETTE)]
-        next_color += 1
-        colors[i] = color
-        if j is not None:
-            colors[j] = color
+        if i not in colors:
+            colors[i] = colors[d.pairing.get(i, i)] = \
+                _PALETTE[groups % len(_PALETTE)]
+            groups += 1
 
     parts = [
         f"<svg xmlns='http://www.w3.org/2000/svg' width='{_W}' "
@@ -96,25 +94,31 @@ def export_svg(d: Drawing, tol: ToleranceConfig | None = None,
                      "text-anchor='middle' font-size='14' "
                      f"fill='#555'>{label}</text>")
 
-    for (u, v), half, m in zip(d.uv.tolist(), d.half, d.midpoints):
-        if half:
-            curve = HalfCircle(d.vertices[u], m, d.tol)
-            stroke, width = colors[u], "1.6"
-        else:
-            curve = GeodesicArc(d.vertices[u], d.vertices[v], d.tol)
-            stroke, width = "#444", "0.8"
-        samples = _sample_curve(curve, segments_per_edge)
-        for run in _polyline_runs(samples):
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in run)
-            parts.append(f"<polyline points='{coords}' fill='none' "
-                         f"stroke='{stroke}' stroke-width='{width}'/>")
+    per_edge = segments_per_edge + 1
+    x, y, front = _project(np.concatenate([
+        _samples(d, segments_per_edge).reshape(-1, 3), d.vertices]))
+    size = len(x) - d.n
+    x, y = x.tolist(), y.tolist()
+    points = [f"{a:.2f},{b:.2f}" for a, b in zip(x[:size], y[:size])]
+    # an edge's runs start at its first sample and wherever the side
+    # changes; runs of a single sample are not drawn
+    side = front[:size].reshape(-1, per_edge)
+    starts = np.flatnonzero(np.diff(side, axis=1, prepend=~side[:, :1]))
+    stops = np.append(starts[1:], size)
+    keep = stops - starts >= 2
+    styles = [(colors[u], "1.6") if h else ("#444", "0.8")
+              for u, h in zip(d.uv[:, 0].tolist(), d.half.tolist())]
+    for s, t in zip(starts[keep].tolist(), stops[keep].tolist()):
+        stroke, width = styles[s // per_edge]
+        parts.append(f"<polyline points='{' '.join(points[s:t])}' "
+                     f"fill='none' stroke='{stroke}' "
+                     f"stroke-width='{width}'/>")
 
-    for i, v in enumerate(d.vertices):
-        x, y = _project(v)
-        parts.append(f"<circle cx='{x:.2f}' cy='{y:.2f}' r='3.5' "
+    for i, (a, b) in enumerate(zip(x[size:], y[size:])):
+        parts.append(f"<circle cx='{a:.2f}' cy='{b:.2f}' r='3.5' "
                      f"fill='{colors[i]}' stroke='black' "
                      "stroke-width='0.5'/>")
-        parts.append(f"<text x='{x + 5:.2f}' y='{y - 5:.2f}' "
+        parts.append(f"<text x='{a + 5:.2f}' y='{b - 5:.2f}' "
                      f"font-size='10' fill='#333'>{i}</text>")
 
     parts.append(f"<text x='20' y='{_H - 16}' font-size='16' fill='black'>"

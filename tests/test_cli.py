@@ -1,7 +1,9 @@
+import io
 import json
 
 import pytest
 
+from hilldraw import cli
 from hilldraw.cli import main
 from hilldraw.docio import load_drawing
 from hilldraw.geom import ToleranceConfig
@@ -128,6 +130,16 @@ class TestVerifyAndCount:
         assert code == 2
         assert "format" in err
 
+    def test_coordinate_beyond_float_range_exits_2(self, k8_file, tmp_path,
+                                                   capsys):
+        doc = json.loads(k8_file.read_text())
+        doc["vertices"][0][0] = 10 ** 400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert "vertices[0]" in err and "Traceback" not in err
+
 
 class TestMutate:
     def test_delete_vertex(self, k8_file, tmp_path, capsys):
@@ -196,6 +208,57 @@ class TestExport:
         assert code == 0
         text = out_path.read_text()
         assert text.startswith("<svg") and "crossings: 18" in text
+
+    def test_threads_reach_the_count(self, k8_file, tmp_path, capsys,
+                                     monkeypatch):
+        seen = []
+
+        def spy(d, tol=None, workers=1):
+            seen.append(workers)
+            return count(d, tol, workers)
+        count = cli.count_crossings
+        monkeypatch.setattr(cli, "count_crossings", spy)
+        out_path = tmp_path / "k8.svg"
+        code, _, _ = run(["export", str(k8_file), "--svg", str(out_path),
+                          "--threads", "2"], capsys)
+        assert (code, seen) == (0, [2])
+        assert "crossings: 18" in out_path.read_text()
+
+
+class TestStdin:
+    """FILE may be '-', and then the drawing is read from stdin."""
+
+    @pytest.fixture()
+    def stdin(self, monkeypatch):
+        def feed(text):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        return feed
+
+    @pytest.mark.parametrize("argv", [["verify"], ["count"]])
+    def test_prints_what_the_file_gives(self, k8_file, capsys, stdin, argv):
+        want = run([*argv, str(k8_file)], capsys)
+        stdin(k8_file.read_text())
+        assert run([*argv, "-"], capsys) == want
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mutate", "--delete-vertex", "3"], "-o"),
+        (["mutate", "--add-apex", "--rng-seed", "5"], "-o"),
+        (["export"], "--svg"),
+    ], ids=["delete", "apex", "export"])
+    def test_writes_what_the_file_gives(self, k8_file, tmp_path, capsys,
+                                        stdin, argv, flag):
+        want, got = tmp_path / "want", tmp_path / "got"
+        code, out, _ = run([*argv, str(k8_file), flag, str(want)], capsys)
+        assert code == 0
+        stdin(k8_file.read_text())
+        assert run([*argv, "-", flag, str(got)], capsys)[:2] == (code, out)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_invalid_json_exits_2(self, capsys, stdin):
+        stdin('{"format": ')
+        code, out, err = run(["verify", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("hilldraw: error: stdin: not valid JSON")
 
 
 class TestGlobalOptions:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from hilldraw.construct import BlowupPlan, blowup, seed_single
 from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
-                            dump_drawing, load_drawing, report_to_doc)
+                            dump_drawing, load_drawing, report_to_doc,
+                            write_json)
 from hilldraw.drawing import (complete_drawing_from_points, count_crossings,
                               extend_to_complete, verify)
 from hilldraw.geom import (DegenerateConfigurationError, HalfCircle,
@@ -50,6 +52,18 @@ class TestRoundTrip:
         assert loaded.kind == hill_k4.kind
         assert loaded.provenance["rng_seed"] == 7
 
+    def test_stdout_and_stdin(self, hill_k4, tmp_path, capsys, monkeypatch):
+        """write_json without a path prints what dump_drawing writes, and
+        load_drawing reads '-' from stdin."""
+        path = tmp_path / "k8.json"
+        dump_drawing(hill_k4, path)
+        write_json(drawing_to_doc(hill_k4))
+        text = capsys.readouterr().out
+        assert text == path.read_text()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        loaded = load_drawing("-")
+        assert drawing_to_doc(loaded) == drawing_to_doc(hill_k4)
+
     def test_random_complete_roundtrip(self, rng, tmp_path):
         pts = rng.normal(size=(7, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -79,7 +93,9 @@ class TestValidation:
                            match=r"vertices\[3\]: not a unit vector"):
             doc_to_drawing(json.loads(text))
 
-    @pytest.mark.parametrize("value", [True, False, "1", None])
+    # a JSON integer too large for a float once escaped as OverflowError
+    @pytest.mark.parametrize("value", [True, False, "1", None,
+                                       pytest.param(-10 ** 400, id="1e400")])
     def test_vertices_must_be_json_numbers(self, hill_k4, value):
         doc = drawing_to_doc(hill_k4)
         doc["vertices"][2][0] = value
@@ -94,6 +110,28 @@ class TestValidation:
         doc["edges"][i]["midpoint"][0] = True
         with pytest.raises(DocumentError, match=rf"edges\[{i}\]: half_circle "
                            r"needs a \[x, y, z\] midpoint"):
+            doc_to_drawing(doc)
+
+    @pytest.mark.parametrize("value", [10 ** 400, float("nan"), float("inf"),
+                                       -float("inf")],
+                             ids=["1e400", "nan", "inf", "-inf"])
+    def test_midpoints_must_be_finite(self, hill_k4, value):
+        doc = drawing_to_doc(hill_k4)
+        i = next(i for i, rec in enumerate(doc["edges"])
+                 if rec["curve"] == "half_circle")
+        doc["edges"][i]["midpoint"][0] = value
+        text = json.dumps(doc)
+        with pytest.raises(DocumentError, match=rf"edges\[{i}\]: half_circle "
+                           r"needs a \[x, y, z\] midpoint"):
+            doc_to_drawing(json.loads(text))
+
+    def test_zero_midpoint_is_its_records_error(self, hill_k4):
+        doc = drawing_to_doc(hill_k4)
+        i = [i for i, rec in enumerate(doc["edges"])
+             if rec["curve"] == "half_circle"][1]
+        doc["edges"][i]["midpoint"] = [0, 0, 0]
+        with pytest.raises(DocumentError, match=rf"^edges\[{i}\]: cannot "
+                           "normalize a zero vector$"):
             doc_to_drawing(doc)
 
     def test_missing_pairing_for_matching_kind(self, hill_k4):

@@ -124,6 +124,17 @@ class TestRotate:
         assert np.allclose(back, v, atol=1e-12)
 
 
+class TestUnit:
+    def test_rejects_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            unit([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vector(self, value):
+        with pytest.raises(ValueError, match="non-finite norm"):
+            unit([value, 0.0, 1.0])
+
+
 class TestCurveConstruction:
     def test_arc_rejects_antipodal_endpoints(self):
         with pytest.raises(DegenerateConfigurationError):

@@ -15,7 +15,10 @@ Constructions are pinned in ``data/construct_digests.json``: for each
 chain of blowup levels in construct_cases, on rng streams 0..2, a sha256
 over the base points and midpoints recursive_construct returns, or its
 refusal, and the state its rng is left in, so that a change to the
-construction must give the same drawings from the same draws.
+construction must give the same drawings from the same draws.  The
+figures export_svg draws of the drawings of svg_cases are pinned by sha256
+in ``data/svg_digests.json``, so that a change to the renderer must give
+the same bytes.
 
     PYTHONPATH=src python -m tests.test_report_digests [STREAMS] > out.json
 
@@ -29,7 +32,8 @@ points sample_points returns per entry of SAMPLE_SPECS (uniform, caps and
 antipodal-symmetrized draws), so that two checkouts can be compared on
 their accept and redraw decisions, and one digest of every construction
 of construct_cases, so that they can be compared on what they build and
-on how much of the rng stream they spend.
+on how much of the rng stream they spend.  Each drawing's SVG digest is
+printed too, so that two checkouts can be compared on their figures.
 """
 
 import hashlib
@@ -51,6 +55,7 @@ from hilldraw.drawing import (Drawing, add_random_apex, build_cocktail_party,
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            ToleranceConfig, unit)
 from hilldraw.montecarlo import DistributionSpec, SamplingError, sample_points
+from hilldraw.svg import export_svg
 
 from .conftest import (SEEDS, hill, midpoint_near_arc, random_unit_points,
                        splits)
@@ -59,6 +64,7 @@ PINNED = Path(__file__).parent / "data" / "report_digests.json"
 PINNED_DOCUMENTS = Path(__file__).parent / "data" / "document_digests.json"
 PINNED_CONSTRUCTIONS = (Path(__file__).parent / "data"
                         / "construct_digests.json")
+PINNED_SVGS = Path(__file__).parent / "data" / "svg_digests.json"
 
 def _config(k, rng):
     """A random general-position antipodal configuration on k pairs."""
@@ -153,6 +159,20 @@ def document_digest(d) -> str:
     """sha256 of d's drawing document as dump_drawing writes it."""
     text = json.dumps(drawing_to_doc(d), indent=1)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def svg_digest(d) -> str:
+    """sha256 of export_svg(d), or of its refusal."""
+    try:
+        text = export_svg(d)
+    except (ValueError, DegenerateConfigurationError) as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def svg_cases():
+    """The corpus of cases() with random K_n for n = 5, 10, .., 40 and 65."""
+    return cases(random_ns=(*range(5, 41, 5), 65))
 
 
 _CAP = DistributionSpec(kind="cap", theta=1.0)
@@ -283,6 +303,13 @@ def test_constructions_match_pinned_digests():
     assert [n for n in got if got[n] != pinned[n]] == []
 
 
+def test_figures_match_pinned_digests():
+    pinned = json.loads(PINNED_SVGS.read_text(encoding="utf-8"))
+    got = {name: svg_digest(d) for name, d in svg_cases()}
+    assert list(got) == list(pinned)
+    assert [n for n in got if got[n] != pinned[n]] == []
+
+
 if __name__ == "__main__":
     streams = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     if not streams:
@@ -290,7 +317,8 @@ if __name__ == "__main__":
                for name, d in cases()}
     else:
         out = {f"s{s}-{name}": {**digest(d), "document": document_digest(d),
-                                "validation": verdict(d)}
+                                "validation": verdict(d),
+                                "svg": svg_digest(d)}
                for s in range(streams)
                for name, d in cases(range(3, 21), range(5, 51, 3),
                                     complete_ks=(), rng_seed=s)}
