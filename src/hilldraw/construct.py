@@ -34,8 +34,8 @@ from .drawing import (AntipodalConfig, HalfCircleAssignment, _double,
                       double, half_circle_crossings, make_assignment,
                       strength)
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
-                   ToleranceConfig, cross3, dot3, is_general_position,
-                   loose_midpoints, require_unit_rows, rotate, unit)
+                   ToleranceConfig, cross, cross3, dot3, is_general_position,
+                   repair_midpoints, require_unit_rows, rotate, unit)
 
 
 class ConstructionError(Exception):
@@ -126,7 +126,7 @@ def seed_four(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
         p = np.array([math.sin(lat) * math.cos(az),
                       math.sin(lat) * math.sin(az),
                       math.cos(lat)])
-        halves.append(HalfCircle(p, unit(np.cross(p, zhat)), tol))
+        halves.append(HalfCircle(p, unit(cross(p, zhat)), tol))
     return _seed(halves, tol)
 
 
@@ -204,10 +204,7 @@ def _children(p, m, mult: int, side: int, lift: float, spread: float,
     sin = np.array([math.sin(z) for z in zetas])[:, None]
     w = cos * (side * n) + sin * m
     points = require_unit_rows(math.cos(lift) * p + math.sin(lift) * w, tol)
-    mids = cos * m - (side * sin) * n
-    for i in np.flatnonzero(loose_midpoints(points, mids, tol)):
-        mids[i] = HalfCircle(points[i], mids[i], tol).m
-    return points, mids
+    return points, repair_midpoints(points, cos * m - (side * sin) * n, tol)
 
 
 def _distances(p, m, X) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .drawing import (Drawing, DrawingKind, VerificationReport,
                       validate_drawing)
-from .geom import (DegenerateConfigurationError, HalfCircle,
-                   ToleranceConfig, loose_midpoints, require_arc_rows)
+from .geom import (DegenerateConfigurationError, ToleranceConfig,
+                   repair_midpoints, require_arc_rows)
 
 DRAWING_FORMAT = "hilldraw/drawing/v1"
 REPORT_FORMAT = "hilldraw/report/v1"
@@ -153,18 +153,16 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
     midpoints = np.array(mids, dtype=float).reshape(-1, 3)
     half = ~np.isnan(midpoints).all(axis=1)
-    # midpoints are orthonormalized in bulk; only loose ones go through
-    # HalfCircle, whose error is its record's
+    # midpoints are orthonormalized in bulk; the first refused one's error
+    # is its record's
     rows = np.flatnonzero(half)
-    starts = verts[uv[rows, 0]]
-    for i in np.flatnonzero(loose_midpoints(starts, midpoints[rows], tol)):
-        idx = int(rows[i])
-        try:
-            midpoints[idx] = HalfCircle(starts[i], midpoints[idx], tol).m
-        except (ValueError, DegenerateConfigurationError) as exc:
-            failure = idx, (DocumentError(f"edges[{idx}]: {exc}")
-                            if isinstance(exc, ValueError) else exc)
-            break
+    try:
+        midpoints[rows] = repair_midpoints(verts[uv[rows, 0]],
+                                           midpoints[rows], tol)
+    except (ValueError, DegenerateConfigurationError) as exc:
+        idx = int(rows[exc.row])
+        failure = idx, (DocumentError(f"edges[{idx}]: {exc}")
+                        if isinstance(exc, ValueError) else exc)
     # equal or antipodal arc endpoints are refused in record order, before
     # the first failing record and before validate_drawing's checks
     idx, exc = failure or (len(uv), None)

@@ -20,17 +20,18 @@ decision came near the dead zone.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .formulas import hill_number, partial_matching_target, per_vertex_target
-from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
-                   ToleranceConfig, arc_frames, cross3, dot3, frame_signs,
-                   is_general_position, loose_midpoints, require_arc_rows,
-                   require_unit, require_unit_rows, row_blocks,
-                   triangle_tiles, unit)
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                   ToleranceConfig, arc_frames, cross, cross3, dot3,
+                   frame_signs, is_general_position, loose_midpoints,
+                   repair_midpoints, require_arc_rows, require_unit,
+                   require_unit_rows, row_blocks, triangle_tiles, unit)
 
 
 class DrawingKind(str, Enum):
@@ -106,13 +107,12 @@ class HalfCircleAssignment:
 def make_assignment(config: AntipodalConfig, midpoints,
                     tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleAssignment:
     """Validate and orthonormalize midpoints against their base points:
-    orthonormal rows are kept bit for bit, others go through HalfCircle."""
+    orthonormal rows are kept bit for bit, others are repaired as
+    HalfCircle would (geom.repair_midpoints)."""
     mids = np.asarray(midpoints, dtype=float)
     if mids.shape != config.base.shape:
         raise ValueError("need exactly one midpoint per base point")
-    fixed = mids.copy()
-    for i in np.flatnonzero(loose_midpoints(config.base, mids, tol)):
-        fixed[i] = HalfCircle(config.base[i], mids[i], tol).m
+    fixed = repair_midpoints(config.base, mids, tol)
     # midpoints must not coincide with any configuration vertex
     align = np.abs(fixed @ config.doubled.T)
     if np.any(align >= 1.0 - tol.general_position):
@@ -205,14 +205,19 @@ def validate_drawing(d: Drawing) -> None:
     n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
     if d.pairing:
-        # the first entry a -> b in dict order with pairing.get(b) != a,
-        # or verts[b] != -verts[a], is reported; take indexes as [] does
+        # the first entry a -> b in dict order with an index outside
+        # [0, n) is reported, then the first with pairing.get(b) != a, or
+        # verts[b] != -verts[a]
         a, b = np.array([*d.pairing.items()], dtype=np.int64).T
+        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"pairing entry {a[i]} -> {b[i]} names a "
+                             f"vertex outside [0, {n})")
         order = np.argsort(a)
         at = order[np.searchsorted(a, b, sorter=order) % len(a)]
         skew = (a[at] != b) | (b[at] != a)
-        bad = skew | (verts.take(b, 0, mode="wrap")
-                      != -verts.take(a, 0, mode="wrap")).any(axis=1)
+        bad = skew | (verts[b] != -verts[a]).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError("pairing map is not symmetric" if skew[i] else
@@ -449,11 +454,19 @@ def delete_vertex(d: Drawing, v: int,
 
     Surviving vertices are reindexed in order; the pairing keeps every
     untouched antipodal couple (the deleted vertex's partner stays,
-    unpaired).
+    unpaired).  v is any integer (operator.index) but a bool, and is
+    recorded in the provenance as a plain int.
     """
     tol = tol or d.tol
     if d.kind is not DrawingKind.COMPLETE:
         raise ValueError("vertex deletion expects a complete-graph drawing")
+    if isinstance(v, bool):
+        raise TypeError(f"vertex index must be an integer, got {v!r}")
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise TypeError(
+            f"vertex index must be an integer, got {v!r}") from None
     if not 0 <= v < d.n:
         raise ValueError(f"vertex index {v} out of range")
     rows = (d.uv != v).all(axis=1)
@@ -506,7 +519,7 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
         # n^2 dets at once: far less memory than the stage's P^3 / 8 bytes
         N, U, V, _, partner = _pack_drawing(base_drawing)
         # triples through an antipodal pair are exempt
-        bad = ((np.abs(np.cross(verts, q) @ verts.T) <= tol.general_position)
+        bad = ((np.abs(cross(verts, q) @ verts.T) <= tol.general_position)
                & (cols > cols[:, None]) & (cols != partner[:, None]))
         if bad.any():
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -614,8 +627,7 @@ class CrossingReport:
 def _partners(d: Drawing) -> np.ndarray:
     """Antipodal partner of each vertex, or -1 for an unpaired one."""
     partner = np.full(d.n, -1, dtype=np.int64)
-    for a, b in d.pairing.items():
-        partner[a] = b
+    partner[list(d.pairing)] = list(d.pairing.values())
     return partner
 
 
@@ -633,7 +645,7 @@ def _pack_drawing(d: Drawing):
     N[~half], U[~half], V[~half] = arc_frames(d.vertices[arcs[:, 0]],
                                               d.vertices[arcs[:, 1]])
     mids = d.midpoints[half]
-    N[half] = np.cross(d.vertices[uv[half, 0]], mids)
+    N[half] = cross(d.vertices[uv[half, 0]], mids)
     U[half] = V[half] = mids
     return N, U, V, uv, _partners(d)
 
@@ -720,7 +732,7 @@ def half_circle_crossings(P, M, tol: ToleranceConfig = DEFAULT_TOL
     """
     k = len(P)
     uv = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1)
-    return _sweep((np.cross(P, M), M, M, uv, np.full(2 * k, -1)),
+    return _sweep((cross(P, M), M, M, uv, np.full(2 * k, -1)),
                   triangle_tiles(k), tol.sign)
 
 
@@ -786,8 +798,10 @@ def _orientation_signs(d: Drawing, key: float):
     determinants made NaN by such a point would pass for masked ones.
 
     The P^2 cross products a x b are computed once, and rows a in [a0, a1)
-    are dotted with every point only for b >= a0: as np.cross(b, a) =
-    -np.cross(a, b) exactly, det(b,a,c) = -det(a,b,c) bit for bit, so
+    are dotted with every point only for b >= a0: geom.cross takes each
+    component as a difference of two rounded products, a1 b2 - a2 b1 and
+    so on, which swapping a and b swaps, so cross(b, a) = -cross(a, b)
+    exactly and det(b,a,c) = -det(a,b,c) bit for bit; thus
     pos[b, a] for b >= a1 is det(a,b,c) < 0, and with masks symmetric in
     a triple, posT, least and the guard are those of all P^3 triples.
     """
@@ -808,7 +822,7 @@ def _orientation_signs(d: Drawing, key: float):
     # pair[x, y]: x = y or an antipodal couple, masked in every triple
     pair = (idx[:, None] == idx) | (partner[:, None] == idx)
     mid = idx >= n
-    cross = np.cross(pts[:, None], pts)
+    pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
     # tile of row_blocks; fresh dets arrays of varying size cost more
     blocks, a0 = [], 0
@@ -822,7 +836,7 @@ def _orientation_signs(d: Drawing, key: float):
         r = a1 - a0
         # dets[r, b - a0, c] = det(a0 + r, b, c)
         dets = dets_buf[:r * (P - a0) * P].reshape(r, -1, P)
-        np.matmul(cross[a0:a1, a0:].reshape(-1, 3), pts.T,
+        np.matmul(pair_cross[a0:a1, a0:].reshape(-1, 3), pts.T,
                   out=dets.reshape(-1, P))
         masked = pair[a0:a1, a0:, None] | pair[a0:a1, None, :] | pair[a0:]
         if len(hidx):
@@ -1063,12 +1077,12 @@ def count_crossings_by_circle_pairs(d: Drawing,
     ring_u = d.vertices[couples[cycles].transpose(0, 2, 1).reshape(-1, 4)]
     ring_v = np.roll(ring_u, -1, axis=1)
     normals, arc_n = (M / np.linalg.norm(M, axis=-1, keepdims=True) for M in
-                      (np.cross(ring_u[:, 0], ring_u[:, 1]),
-                       np.cross(ring_u, ring_v)))
+                      (cross(ring_u[:, 0], ring_u[:, 1]),
+                       cross(ring_u, ring_v)))
     # component-major: normals (3, C), wedges (3, 2 wedges, 4 arcs, C)
     normals = np.ascontiguousarray(normals.T)
     wedges = np.ascontiguousarray(np.stack(
-        [np.cross(ring_v, arc_n), np.cross(arc_n, ring_u)], axis=2).T)
+        [cross(ring_v, arc_n), cross(arc_n, ring_u)], axis=2).T)
 
     def attribution(X, W):
         """Least |X . w| over one cycle's wedges W, and how many of its arcs

@@ -118,6 +118,25 @@ def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return P
 
 
+def cross(a, b) -> np.ndarray:
+    """np.cross(a, b) of float64 3-vectors over the last axis, broadcast,
+    bit for bit: the same products and differences, a1*b2 - a2*b1 and so
+    on, without np.cross's axis set-up."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0, c1, c2 = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(a1, b2, out=c0)
+    c0 -= a2 * b1
+    np.multiply(a2, b0, out=c1)
+    c1 -= a0 * b2
+    np.multiply(a0, b1, out=c2)
+    c2 -= a1 * b0
+    return out
+
+
 def antipode(p) -> Vec3:
     """The diametrically opposite point -p."""
     return -np.asarray(p, dtype=float)
@@ -127,7 +146,7 @@ def angular_distance(a, b) -> float:
     """Angle in radians between two unit vectors (stable near 0 and pi)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+    return math.atan2(float(np.linalg.norm(cross(a, b))), float(a @ b))
 
 
 def rotate(v, axis, angle: float) -> Vec3:
@@ -135,7 +154,7 @@ def rotate(v, axis, angle: float) -> Vec3:
     v = np.asarray(v, dtype=float)
     a = unit(axis)
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(a, v) * s + a * float(a @ v) * (1.0 - c)
+    return v * c + cross(a, v) * s + a * float(a @ v) * (1.0 - c)
 
 
 def orient(p, q, r, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -190,9 +209,9 @@ def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     in blocks of pairs."""
     n = len(points)
     ii, jj = np.triu_indices(n, 1)
-    cross = np.cross(points[ii], points[jj])
+    pair_cross = cross(points[ii], points[jj])
     for start, stop in row_blocks(len(ii), n):
-        dets = np.abs(cross[start:stop] @ points.T)
+        dets = np.abs(pair_cross[start:stop] @ points.T)
         if np.any((dets <= margin) & (np.arange(n) > jj[start:stop, None])):
             return True
     return False
@@ -225,7 +244,7 @@ class GeodesicArc:
     def __init__(self, a, b, tol: ToleranceConfig = DEFAULT_TOL):
         a = require_unit(a, tol)
         b = require_unit(b, tol)
-        n = np.cross(a, b)
+        n = cross(a, b)
         nn = float(np.linalg.norm(n))
         if nn <= tol.general_position:
             raise DegenerateConfigurationError(
@@ -233,8 +252,8 @@ class GeodesicArc:
         self.a = a
         self.b = b
         self.normal = n / nn
-        self.wedge_u = np.cross(b, self.normal)
-        self.wedge_v = np.cross(self.normal, a)
+        self.wedge_u = cross(b, self.normal)
+        self.wedge_v = cross(self.normal, a)
 
     def length(self) -> float:
         return angular_distance(self.a, self.b)
@@ -257,9 +276,9 @@ def arc_frames(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frames (normal, wedge_u, wedge_v), each (E, 3), of the arcs from
     A[e] to B[e], with GeodesicArc's formulas applied to all rows at once.
     The endpoints are not checked; see require_arc_rows."""
-    N = np.cross(A, B)
+    N = cross(A, B)
     N /= np.linalg.norm(N, axis=1, keepdims=True)
-    return N, np.cross(B, N), np.cross(N, A)
+    return N, cross(B, N), cross(N, A)
 
 
 def require_arc_rows(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -271,7 +290,7 @@ def require_arc_rows(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     B = np.asarray(B, dtype=float)
     bad = ~((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) <= tol.norm)
             & (np.abs(np.einsum("ij,ij->i", B, B) - 1.0) <= tol.norm)
-            & (np.linalg.norm(np.cross(A, B), axis=1) > tol.general_position))
+            & (np.linalg.norm(cross(A, B), axis=1) > tol.general_position))
     for e in np.flatnonzero(bad):
         GeodesicArc(A[e], B[e], tol)
 
@@ -301,7 +320,7 @@ class HalfCircle:
             m = m / nm
         self.p = p
         self.m = m
-        self.normal = np.cross(p, m)
+        self.normal = cross(p, m)
 
     def point_at(self, t: float) -> Vec3:
         """Point at parameter t in [0, 1] from p to -p through m."""
@@ -318,6 +337,51 @@ def loose_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the witness; NaN rows are loose."""
     return ~((np.abs(np.einsum("ij,ij->i", M, M) - 1.0) <= tol.norm)
              & (np.abs(np.einsum("ij,ij->i", P, M)) <= tol.perp))
+
+
+def repair_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """A copy of M whose loose rows e (see loose_midpoints) are replaced by
+    HalfCircle(P[e], M[e], tol).m, all at once; other rows keep their bits.
+
+    HalfCircle's own operations run on the loose rows in bulk: np.vecdot
+    runs the dot loop of its v @ v and p @ m, and its square root stands
+    for np.linalg.norm.  On the first row HalfCircle refuses, HalfCircle is
+    built on that row, so that it raises its own error; the error's
+    ``row`` is that row's index.
+    """
+    P = np.asarray(P, dtype=float)
+    M = np.array(M, dtype=float)
+    rows = np.flatnonzero(loose_midpoints(P, M, tol))
+    if not len(rows):
+        # the usual case but for random witnesses; the bulk steps below
+        # have a fixed cost several times that of loose_midpoints
+        return M
+    p, m = P[rows], M[rows]
+    # require_unit(p), then unit(m) where m is not unit: a row refused here
+    # ends the bulk work, as no later row is needed
+    mm = np.vecdot(m, m)
+    norm = np.sqrt(mm)
+    scale = ~(np.abs(mm - 1.0) <= tol.norm)
+    refused = (~(np.abs(np.vecdot(p, p) - 1.0) <= tol.norm)
+               | scale & ~((norm >= 1e-300) & (norm < math.inf)))
+    stop = int(np.argmax(refused)) if refused.any() else len(rows)
+    p, m, scale = p[:stop], m[:stop], scale[:stop]
+    m[scale] /= norm[:stop, None][scale]
+    d = np.vecdot(p, m)
+    fix = np.flatnonzero(np.abs(d) > tol.perp)
+    m[fix] -= d[fix, None] * p[fix]
+    nm = np.sqrt(np.vecdot(m[fix], m[fix]))
+    parallel = fix[nm <= tol.general_position]
+    if len(parallel) or stop < len(rows):
+        e = int(rows[parallel[0] if len(parallel) else stop])
+        try:
+            HalfCircle(P[e], M[e], tol)
+        except (ValueError, DegenerateConfigurationError) as exc:
+            exc.row = e
+            raise
+    m[fix] /= nm[:, None]
+    M[rows] = m
+    return M
 
 
 Curve = GeodesicArc | HalfCircle

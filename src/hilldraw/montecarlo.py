@@ -18,8 +18,8 @@ from .drawing import (Drawing, DrawingKind, _cached_signs,
                       complete_drawing_from_points, count_crossings)
 from .formulas import hill_number
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                   ToleranceConfig, cross3, dot3, has_coplanar_triple,
-                   row_blocks)
+                   ToleranceConfig, cross, cross3, dot3,
+                   has_coplanar_triple, row_blocks)
 
 
 class SamplingError(Exception):
@@ -87,7 +87,7 @@ def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     ii, jj = np.triu_indices(len(pts), 1)
     # |a x b|^2, not require_arc_rows' |a x b|: they round differently
     for start, stop in row_blocks(len(ii), 3):
-        cr = np.cross(pts[ii[start:stop]], pts[jj[start:stop]])
+        cr = cross(pts[ii[start:stop]], pts[jj[start:stop]])
         if np.any(np.einsum("ij,ij->i", cr, cr)
                   <= tol.general_position ** 2):
             return False

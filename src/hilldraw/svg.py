@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .drawing import Drawing, count_crossings
-from .geom import (HalfCircle, ToleranceConfig, loose_midpoints,
+from .geom import (ToleranceConfig, cross, repair_midpoints,
                    require_arc_rows, require_unit_rows)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -45,12 +45,11 @@ def _samples(d: Drawing, segments: int) -> np.ndarray:
     require_arc_rows(a[arc], b[arc], tol)
     require_unit_rows(a[~arc], tol)
     toward = d.midpoints.copy()
-    for e in np.flatnonzero(~arc & loose_midpoints(a, toward, tol)):
-        toward[e] = HalfCircle(a[e], toward[e], tol).m
+    toward[~arc] = repair_midpoints(a[~arc], toward[~arc], tol)
     # vecdot runs a @ b's dot loop, and math.atan2 is the scalar one, so
     # every sample has point_at's bits
     A, B = a[arc], b[arc]
-    ab, C = np.vecdot(A, B), np.cross(A, B)
+    ab, C = np.vecdot(A, B), cross(A, B)
     W = B - ab[:, None] * A
     toward[arc] = W / np.sqrt(np.vecdot(W, W))[:, None]
     span = np.full(len(arc), math.pi)

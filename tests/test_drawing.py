@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hilldraw import drawing as drawing_mod
 from hilldraw.construct import BlowupPlan, blowup, seed_single
+from hilldraw.docio import drawing_to_doc
 from hilldraw.drawing import (Drawing, DrawingKind, add_apex, add_random_apex,
                               build_cocktail_party,
                               complete_drawing_from_points,
@@ -259,6 +261,21 @@ class TestDeleteVertex:
         with pytest.raises(ValueError):
             delete_vertex(d, 0)
 
+    def test_numpy_integer_index_recorded_as_int(self):
+        d = extend_to_complete(*hill_pairs(3))
+        out = delete_vertex(d, np.int64(2))
+        assert type(out.provenance["deleted_vertex"]) is int
+        doc = drawing_to_doc(out)
+        assert json.dumps(doc) == json.dumps(drawing_to_doc(
+            delete_vertex(d, 2)))
+
+    @pytest.mark.parametrize("v", [1.5, 2.0, True, np.True_, "2", None])
+    def test_non_integer_index_refused(self, v):
+        d = extend_to_complete(*hill_pairs(3))
+        with pytest.raises(TypeError) as err:
+            delete_vertex(d, v)
+        assert str(err.value) == f"vertex index must be an integer, got {v!r}"
+
 
 class ScriptedNormal:
     """Stands in for a Generator whose normal() returns the given draws."""
@@ -477,3 +494,20 @@ class TestPinnedRefusals:
             validate_drawing(bad)
         assert str(err.value) == ("paired vertices 6,2 are not exact "
                                   "antipodes")
+
+    @pytest.mark.parametrize("pairing, entry", [
+        ({0: -3, -3: 0, 1: 4, 4: 1, 2: 5, 5: 2}, "0 -> -3"),
+        ({1: 4, 4: 1, 0: 9, 9: 0, 2: 5, 5: 2}, "0 -> 9"),
+        ({0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2, 6: 7}, "6 -> 7"),
+        ({0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: -1}, "5 -> -1")],
+        ids=["wraps-to-antipode", "wraps-past-n", "extra-key", "value"])
+    def test_pairing_index_outside_the_vertices(self, pairing, entry):
+        """An index outside [0, n) is refused before the symmetry test,
+        also where it wraps onto the exact antipode (-3 is vertex 3)."""
+        d = build_cocktail_party(double([X, Y, Z]))
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints, pairing=pairing)
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == (f"pairing entry {entry} names a vertex "
+                                  "outside [0, 6)")

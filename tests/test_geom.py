@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            GeodesicArc, HalfCircle, ToleranceConfig,
-                           angular_distance, antipode, arcs_cross,
+                           angular_distance, antipode, arcs_cross, cross,
                            curve_frame, half_circle_crosses_arc,
-                           half_circles_cross, is_general_position, orient,
+                           half_circles_cross, is_general_position,
+                           loose_midpoints, orient, repair_midpoints,
                            rotate, unit)
 
 from .oracles import (crossing_oracle_bisect, crossing_oracle_sampled,
@@ -368,3 +369,150 @@ def test_angular_distance_matches_acos(rng):
         u, v = unit(u), unit(v)
         assert angular_distance(u, v) == pytest.approx(
             math.acos(max(-1.0, min(1.0, float(u @ v)))), abs=1e-12)
+
+
+# signed zeros, subnormals, the normal extremes, huge and tiny products,
+# and non-finite values, NaN of either sign among them
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.0, -1.5, 1e-160, 1e308, -1e308, math.inf, -math.inf,
+                     math.nan, -math.nan])
+
+
+def _special_rows(rng, shape):
+    """Normal draws with about a third of the entries replaced by special
+    values, so that rows mix both."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.35
+    x[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+    return x
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestCross:
+    """geom.cross against np.cross, byte for byte, on every shape the
+    package passes."""
+
+    @pytest.mark.parametrize("shapes", [
+        ((40, 3), (40, 3)), ((40, 3), (3,)), ((13, 1, 3), (13, 3)),
+        ((21, 1, 3), (21, 3)), ((6, 4, 3), (6, 4, 3)), ((5, 3), (1, 3))],
+        ids=["E3xE3", "E3x3", "P13xP3", "P13xP3-21", "rings", "E3x13"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arrays_match_np_cross(self, shapes, rng):
+        for _ in range(20):
+            a, b = (_special_rows(rng, s) for s in shapes)
+            assert _same_bytes(cross(a, b), np.cross(a, b))
+            assert _same_bytes(cross(b, a), np.cross(b, a))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_two_vectors_match_np_cross(self, rng):
+        """Two 3-vectors: every special triple against a shuffled one,
+        and mixed draws."""
+        grid = np.array(np.meshgrid(_SPECIAL, _SPECIAL, _SPECIAL)
+                        ).reshape(3, -1).T
+        pairs = list(zip(grid, grid[rng.permutation(len(grid))]))
+        pairs += list(zip(_special_rows(rng, (500, 3)),
+                          _special_rows(rng, (500, 3))))
+        for a, b in pairs:
+            assert _same_bytes(cross(a, b), np.cross(a, b))
+
+    def test_swapped_arguments_negate_exactly(self, rng):
+        a, b = rng.normal(size=(2, 50, 3))
+        assert _same_bytes(cross(b, a), -cross(a, b))
+
+
+def _half_circle_outcome(P, M, tol=DEFAULT_TOL):
+    """HalfCircle on each loose row in turn: the repaired copy of M, or
+    the index, type and text of the first refusal."""
+    out = np.array(M, dtype=float)
+    for e in np.flatnonzero(loose_midpoints(P, M, tol)):
+        try:
+            out[e] = HalfCircle(P[e], M[e], tol).m
+        except (ValueError, DegenerateConfigurationError) as exc:
+            return int(e), type(exc), str(exc)
+    return out
+
+
+def _repair_outcome(P, M, tol=DEFAULT_TOL):
+    try:
+        return repair_midpoints(P, M, tol)
+    except (ValueError, DegenerateConfigurationError) as exc:
+        return exc.row, type(exc), str(exc)
+
+
+def _witness_rows(rng, kinds):
+    """Endpoints P and witnesses M, one row per kind."""
+    P = rng.normal(size=(len(kinds), 3))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    M = rng.normal(size=P.shape)
+    for e, kind in enumerate(kinds):
+        p, m = P[e], M[e]
+        tangent = unit(np.cross(p, m))
+        if kind == "orthonormal":
+            M[e] = tangent
+        elif kind == "nearly":      # loose by a few ulps up to 1e-10
+            M[e] = tangent * (1.0 + rng.normal() * 1e-12) \
+                + p * rng.normal() * 10.0 ** rng.uniform(-16, -10)
+        elif kind == "scaled":
+            M[e] = m * 10.0 ** rng.uniform(-200, 200)
+        elif kind == "zero":
+            M[e] = 0.0
+        elif kind == "parallel":
+            M[e] = rng.normal() * p + rng.normal(size=3) * 1e-12
+        elif kind == "non-unit endpoint":
+            P[e] *= 1.0 + rng.uniform(-0.5, 0.5)
+        elif kind == "non-finite":
+            M[e, rng.integers(3)] = rng.choice([math.inf, math.nan])
+    return P, M
+
+
+class TestRepairMidpoints:
+    KINDS = ("random", "orthonormal", "nearly", "scaled", "zero",
+             "parallel", "non-unit endpoint", "non-finite")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_match_half_circle(self, rng):
+        """Row for row HalfCircle(P[e], M[e]).m on loose rows, the same
+        bits elsewhere, or the first refused row's own error."""
+        refused = 0
+        for trial in range(400):
+            weights = np.ones(len(self.KINDS))
+            weights[4:] = 0.02 if trial % 2 else 0.0
+            kinds = rng.choice(self.KINDS, size=rng.integers(1, 12),
+                               p=weights / weights.sum())
+            P, M = _witness_rows(rng, kinds)
+            want, got = _half_circle_outcome(P, M), _repair_outcome(P, M)
+            if isinstance(want, tuple):
+                refused += 1
+                assert got == want
+            else:
+                assert _same_bytes(got, want)
+        assert refused > 20
+
+    @pytest.mark.parametrize("kind, error, text", [
+        ("zero", ValueError, "cannot normalize a zero vector"),
+        ("parallel", DegenerateConfigurationError,
+         "midpoint witness is parallel to the endpoint"),
+        ("non-unit endpoint", ValueError, "is not unit length"),
+        ("non-finite", ValueError,
+         "cannot normalize a vector of non-finite norm")])
+    def test_first_refused_row_raises_its_own_error(self, kind, error, text,
+                                                    rng):
+        """Two refused rows after a good one: the first is reported."""
+        P, M = _witness_rows(rng, ["random", kind, "zero"])
+        with pytest.raises(error, match=text) as err:
+            repair_midpoints(P, M)
+        assert err.value.row == 1
+
+    def test_returns_a_copy(self, rng):
+        P, M = _witness_rows(rng, ["random", "orthonormal"])
+        kept = M.copy()
+        out = repair_midpoints(P, M)
+        assert np.array_equal(M, kept) and out is not M
+        assert _same_bytes(out[1], M[1]) and not np.array_equal(out[0], M[0])
+        P, M = _witness_rows(rng, ["orthonormal", "orthonormal"])
+        out = repair_midpoints(P, M)
+        assert out is not M and _same_bytes(out, M)

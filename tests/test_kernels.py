@@ -14,7 +14,9 @@ import pytest
 
 from hilldraw import drawing as drawing_mod
 from hilldraw import geom
-from hilldraw.construct import ConstructionError, validate_arrangement
+from hilldraw.construct import (ConstructionError, default_plan_chain,
+                                perturb, recursive_construct,
+                                validate_arrangement)
 from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
                             report_to_doc)
 from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
@@ -30,6 +32,7 @@ from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            GeodesicArc, ToleranceConfig, arc_frames,
                            half_circles_cross, require_arc_rows, unit)
 from hilldraw.montecarlo import DistributionSpec, sample_points
+from hilldraw.svg import export_svg
 
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
                        random_unit_points, splits)
@@ -448,6 +451,15 @@ class TestSignCache:
             d.vertices[0] = pts[1]
         pts[0] = pts[1]                 # the caller's array is not d's
         assert not np.array_equal(d.vertices[0], pts[1])
+
+    def test_half_follows_midpoints(self):
+        d = extend_partial_matching(*hill_pairs(4), [1, 3])
+        assert d.half.sum() == 2
+        d.midpoints = np.full((len(d.uv), 3), np.nan)
+        assert not d.half.any()
+        d.midpoints = d.midpoints.copy()
+        d.midpoints[-1] = (1.0, 0.0, 0.0)
+        assert np.flatnonzero(d.half).tolist() == [len(d.uv) - 1]
 
     @pytest.mark.parametrize("kind", ("complete", "vertex-deleted", "apex"))
     def test_validate_then_count_runs_the_stage_once(self, kind, stage_calls,
@@ -1146,3 +1158,64 @@ class TestBulkArcs:
         early_record["edges"][5] = antipodal_arc
         with pytest.raises(DocumentError, match=r"edges\[0\]: curve"):
             doc_to_drawing(early_record)
+
+
+def test_no_np_cross_and_half_circles_only_for_seeds_or_refusals(
+        monkeypatch):
+    """Every cross product goes through geom.cross, and a HalfCircle is
+    built only for a seed arrangement or, by geom.repair_midpoints, on a
+    witness row it refuses."""
+    crossed, built = [], []
+
+    def no_cross(*args, **kw):
+        crossed.append(args)
+        raise AssertionError("np.cross called")
+
+    init = geom.HalfCircle.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(np, "cross", no_cross)
+    monkeypatch.setattr(geom.HalfCircle, "__init__", counting)
+    for seed in SEEDS.values():
+        seed.cache_clear()
+    rng = np.random.default_rng(61)
+
+    for seed in SEEDS.values():
+        seed()
+    assert len(built) == 1 + 2 + 4
+    config, asg = recursive_construct(
+        SEEDS["four"](), default_plan_chain([(2, 1, 1, 1), (2, 1, 1, 1, 1)]),
+        rng)
+    d = extend_to_complete(config, asg)
+    assert verify(d).passed and len(count_crossings(d).pairs)
+    verify(delete_vertex(d, 0))
+    verify(add_random_apex(config, asg, rng))
+    assert strength(*perturb(config, asg, 1e-6, rng)) == 0
+
+    cocktail = build_cocktail_party(random_config(5, rng))
+    assert count_crossings(cocktail).total == 30
+    assert count_crossings_by_circle_pairs(cocktail) == 30
+    config = double(cocktail.vertices[:5])
+    partial = extend_partial_matching(config, random_assignment(config, rng),
+                                      [0, 2])
+    assert verify(partial).passed and len(count_crossings(partial).pairs)
+    doc = drawing_to_doc(partial)
+    loose = [2.0 * x + 1e-3 for x in doc["edges"][-1]["midpoint"]]
+    doc["edges"][-1]["midpoint"] = loose
+    reread = doc_to_drawing(doc)
+    export_svg(partial)
+    export_svg(Drawing(vertices=reread.vertices, kind=reread.kind,
+                       uv=reread.uv, midpoints=np.where(
+                           reread.half[:, None], 3.0 * reread.midpoints,
+                           np.nan), pairing=dict(reread.pairing)))
+    complete_drawing_from_points(sample_points(12, DistributionSpec(), rng))
+    assert len(built) == 7 and crossed == []
+
+    # a refused witness: HalfCircle is built on that row alone
+    doc["edges"][-1]["midpoint"] = list(partial.vertices[2])
+    with pytest.raises(DegenerateConfigurationError, match="parallel"):
+        doc_to_drawing(doc)
+    assert len(built) == 8 and crossed == []
