@@ -11,8 +11,8 @@ half-circle.
 from __future__ import annotations
 
 import json
-import math
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,31 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or _is_index(x) and abs(x) <= _FLOAT_MAX
 
 
+def _first_false(ok: np.ndarray) -> int:
+    """The index of the first False in ok, or len(ok)."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+def _passes(xs: list, kind: type, test) -> np.ndarray:
+    """test(x) for every entry x of xs, where an x of type kind passes:
+    those are told apart in bulk, the others one by one."""
+    ok = np.fromiter(map(type, xs), object, len(xs)) == kind
+    for i in np.flatnonzero(~ok):
+        ok[i] = test(xs[i])
+    return ok
+
+
+def _rows(rows: list, width: int, kind: type, test) -> int:
+    """The number of leading rows of rows that are lists of width entries
+    that pass test (see _passes)."""
+    stop = _first_false(_passes(rows, list, lambda x: isinstance(x, list)))
+    stop = _first_false(np.fromiter(map(len, rows[:stop]), int, stop)
+                        == width)
+    flat = list(chain.from_iterable(rows[:stop]))
+    return _first_false(_passes(flat, kind, test).reshape(-1, width)
+                        .all(axis=1))
+
+
 def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     """Parse and fully validate a drawing document.
 
@@ -87,16 +112,19 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     raw_verts = doc.get("vertices")
     if not isinstance(raw_verts, list) or not raw_verts:
         raise DocumentError("vertices: expected a non-empty list")
-    verts = np.empty((len(raw_verts), 3))
-    for i, row in enumerate(raw_verts):
-        if (not isinstance(row, list) or len(row) != 3
-                or not all(_is_number(c) for c in row)):
-            raise DocumentError(f"vertices[{i}]: expected [x, y, z]")
-        verts[i] = row
-        # written so that a NaN or infinite coordinate fails it too
-        if not abs(float(verts[i] @ verts[i]) - 1.0) <= tol.norm:
-            raise DocumentError(f"vertices[{i}]: not a unit vector within "
-                                f"tolerance {tol.norm}")
+    # each check runs on the rows before the first that failed the
+    # checks before it, so the first failing row, and its first check,
+    # is reported
+    stop = _rows(raw_verts, 3, float, _is_number)
+    verts = np.array(raw_verts[:stop], dtype=float).reshape(-1, 3)
+    # written so that a NaN or infinite coordinate fails it too;
+    # np.vecdot gives the bits of verts[i] @ verts[i]
+    i = _first_false(np.abs(np.vecdot(verts, verts) - 1.0) <= tol.norm)
+    if i < stop:
+        raise DocumentError(f"vertices[{i}]: not a unit vector within "
+                            f"tolerance {tol.norm}")
+    if stop < len(raw_verts):
+        raise DocumentError(f"vertices[{stop}]: expected [x, y, z]")
 
     n = len(verts)
     pairing: dict[int, int] = {}
@@ -104,17 +132,15 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     if raw_pairing is not None:
         if not isinstance(raw_pairing, list):
             raise DocumentError("pairing: expected a list of [i, j] pairs")
-        for idx, pair in enumerate(raw_pairing):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(_is_index(x) for x in pair)):
-                raise DocumentError(f"pairing[{idx}]: expected [i, j]")
-            a, b = pair
+        stop = _rows(raw_pairing, 2, int, _is_index)
+        for idx, (a, b) in enumerate(raw_pairing[:stop]):
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise DocumentError(f"pairing[{idx}]: invalid vertex indices")
             if a in pairing or b in pairing:
                 raise DocumentError(f"pairing[{idx}]: vertex paired twice")
-            pairing[a] = b
-            pairing[b] = a
+            pairing[a], pairing[b] = b, a
+        if stop < len(raw_pairing):
+            raise DocumentError(f"pairing[{stop}]: expected [i, j]")
     if kind in (DrawingKind.COCKTAIL_PARTY, DrawingKind.PARTIAL_MATCHING) \
             and not pairing:
         raise DocumentError(f"pairing: required for kind {kind.value!r}")
@@ -122,64 +148,73 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise DocumentError("edges: expected a list")
-    ends, mids = [], []
-    failure = None      # (record index, error) of the first failing record
-    try:
-        for idx, rec in enumerate(raw_edges):
-            if not isinstance(rec, dict):
-                raise DocumentError(f"edges[{idx}]: expected an object")
-            u, v = rec.get("u"), rec.get("v")
-            if not (_is_index(u) and _is_index(v)):
-                raise DocumentError(f"edges[{idx}]: bad endpoints")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise DocumentError(f"edges[{idx}]: endpoint out of range")
-            curve_kind, mp = rec.get("curve"), rec.get("midpoint")
-            if curve_kind == "arc":
-                mp = (np.nan,) * 3
-            elif curve_kind != "half_circle":
-                raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
-                                    f"'half_circle', got {curve_kind!r}")
-            elif (not isinstance(mp, list) or len(mp) != 3 or not all(
-                    _is_number(c) and math.isfinite(c) for c in mp)):
-                raise DocumentError(f"edges[{idx}]: half_circle needs a "
-                                    "[x, y, z] midpoint")
-            elif pairing.get(u) != v:
-                raise DocumentError(f"edges[{idx}]: half_circle joins an "
-                                    "unpaired couple")
-            ends.append((u, v))
-            mids.append(mp)
-    except DocumentError as exc:
-        failure = idx, exc
-    uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    midpoints = np.array(mids, dtype=float).reshape(-1, 3)
-    half = ~np.isnan(midpoints).all(axis=1)
+    # as for the vertices, each check runs on the records before the first
+    # one that failed so far: stop is that record, why its message
+    stop, why = len(raw_edges), None
+
+    def cut(ok, message, rows=None):
+        """Stop at the first record where ok, over rows or over the
+        records before stop, is False, if that record comes first."""
+        nonlocal stop, why
+        bad = np.flatnonzero(~ok) if rows is None else rows[~ok]
+        if len(bad) and bad[0] < stop:
+            stop, why = int(bad[0]), message
+
+    cut(_passes(raw_edges, dict, lambda x: isinstance(x, dict)),
+        "expected an object")
+    us, vs, curves, mps = (list(map(dict.get, raw_edges[:stop], repeat(key)))
+                           for key in ("u", "v", "curve", "midpoint"))
+    cut(_passes(us, int, _is_index) & _passes(vs, int, _is_index),
+        "bad endpoints")
+    ends = np.array([us[:stop], vs[:stop]], dtype=object)
+    cut(((ends >= 0) & (ends < n)).all(axis=0) & (ends[0] != ends[1]),
+        "endpoint out of range")
+    uv = ends[:, :stop].astype(np.int64).T
+    curves = np.fromiter(curves[:stop], object, stop)
+    arc = curves == "arc"
+    known = arc | (curves == "half_circle")
+    cut(known, "curve must be 'arc' or 'half_circle', got "
+        f"{next(iter(curves[~known]), None)!r}")
+    rows = np.flatnonzero(~arc[:stop])
+    mps = list(map(mps.__getitem__, rows.tolist()))
+    good = _rows(mps, 3, float, _is_number)
+    M = np.full((len(rows), 3), np.nan)     # NaN past the good rows
+    M[:good] = np.array(mps[:good], dtype=float).reshape(-1, 3)
+    cut(np.isfinite(M).all(axis=1), "half_circle needs a [x, y, z] midpoint",
+        rows)
+    cut(np.fromiter(map(pairing.get, uv[rows, 0].tolist(), repeat(-1)),
+                    int, len(rows)) == uv[rows, 1],
+        "half_circle joins an unpaired couple", rows)
+    exc = DocumentError(f"edges[{stop}]: {why}") if why else None
+    rows = rows[rows < stop]
+    uv, midpoints = uv[:stop], np.full((stop, 3), np.nan)
     # midpoints are orthonormalized in bulk; the first refused one's error
     # is its record's
-    rows = np.flatnonzero(half)
     try:
         midpoints[rows] = repair_midpoints(verts[uv[rows, 0]],
-                                           midpoints[rows], tol)
-    except (ValueError, DegenerateConfigurationError) as exc:
-        idx = int(rows[exc.row])
-        failure = idx, (DocumentError(f"edges[{idx}]: {exc}")
-                        if isinstance(exc, ValueError) else exc)
-    # equal or antipodal arc endpoints are refused in record order, before
-    # the first failing record and before validate_drawing's checks
-    idx, exc = failure or (len(uv), None)
-    arcs = uv[:idx][~half[:idx]]
-    require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], tol)
-    if exc is not None:
-        raise exc
-
+                                           M[:len(rows)], tol)
+    except (ValueError, DegenerateConfigurationError) as err:
+        stop = int(rows[err.row])
+        exc = (DocumentError(f"edges[{stop}]: {err}")
+               if isinstance(err, ValueError) else err)
     prov = doc.get("provenance") or {}
-    if not isinstance(prov, dict):
-        raise DocumentError("provenance: expected an object")
-    d = Drawing(vertices=verts, kind=kind, uv=uv, midpoints=midpoints,
-                pairing=pairing, provenance=prov, tol=tol)
     try:
+        if exc is not None:
+            raise exc
+        if not isinstance(prov, dict):
+            raise DocumentError("provenance: expected an object")
+        d = Drawing(vertices=verts, kind=kind, uv=uv, midpoints=midpoints,
+                    pairing=pairing, provenance=prov, tol=tol)
         validate_drawing(d)
-    except ValueError as exc:
-        raise DocumentError(f"drawing invalid: {exc}") from exc
+    except (ValueError, DegenerateConfigurationError) as err:
+        # equal or antipodal arc endpoints are refused in record order,
+        # before the first failing record and any later check; where
+        # validate_drawing passes, no arc is
+        arcs = uv[:stop][arc[:stop]]
+        require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], tol)
+        if isinstance(err, DocumentError) or not isinstance(err, ValueError):
+            raise
+        raise DocumentError(f"drawing invalid: {err}") from err
     return d
 
 

@@ -152,7 +152,9 @@ class Drawing:
 
     ``pairing`` maps each vertex to its antipodal partner where one exists;
     it is structural metadata (never inferred geometrically) and drives both
-    the graph-kind bookkeeping and the counting skip rules.
+    the graph-kind bookkeeping and the counting skip rules.  Its entries
+    are ints (numpy integers are stored as ints; validate_drawing refuses
+    any other type).
     """
 
     vertices: np.ndarray
@@ -170,6 +172,10 @@ class Drawing:
         self.vertices = np.array(self.vertices, dtype=float)
         self.uv = np.array(self.uv, dtype=np.int64).reshape(-1, 2)
         self.midpoints = np.array(self.midpoints, dtype=float).reshape(-1, 3)
+        # numpy integers as ints, which JSON can write
+        self.pairing = {(int(a) if isinstance(a, np.integer) else a):
+                        (int(b) if isinstance(b, np.integer) else b)
+                        for a, b in self.pairing.items()}
         if len(self.midpoints) != len(self.uv):
             raise ValueError("need one midpoint row per edge")
         for a in (self.vertices, self.uv, self.midpoints):
@@ -198,13 +204,18 @@ def validate_drawing(d: Drawing) -> None:
     offending edge is reported.
 
     The orientation signs of the sign counter are computed here, once, and
-    kept on d for count_crossings.  Where their guard covers the vertex
-    off-curve test (see _off_curve_bound) that test is skipped, since no
-    vertex can fail it; otherwise it runs as it is.
+    kept on d for count_crossings.  Where their guard covers the arc
+    endpoint test and the vertex off-curve test (see _off_curve_bound)
+    both are skipped, since no arc or vertex can fail them; otherwise they
+    run as they are.
     """
     n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
     if d.pairing:
+        for a, b in d.pairing.items():
+            if not type(a) is type(b) is int:
+                raise ValueError(f"pairing entry {a!r} -> {b!r} is not a "
+                                 "pair of integers")
         # the first entry a -> b in dict order with an index outside
         # [0, n) is reported, then the first with pairing.get(b) != a, or
         # verts[b] != -verts[a]
@@ -250,9 +261,11 @@ def validate_drawing(d: Drawing) -> None:
                              "a unit vector orthogonal to its endpoint")
         raise ValueError(f"matching edge ({eu},{ev}) must be a half-circle")
 
-    require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
+    clears = _stage_clears(d, d.tol)
+    if not clears:
+        require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
     _check_edge_census(d, int(half.sum()))
-    if not _stage_clears(d, d.tol):
+    if not clears:
         _check_vertices_off_curves(d)
 
 
@@ -282,7 +295,7 @@ def _check_edge_census(d: Drawing, matching_edges: int) -> None:
 
 def _off_curve_bound(tol: ToleranceConfig) -> float:
     """Least unmasked |det| of _orientation_signs above which no vertex
-    can fail _check_vertices_off_curves.
+    can fail _check_vertices_off_curves, and no arc require_arc_rows.
 
     The test refuses vertex w on edge e if |N.w| <= g = tol.general_position
     and w lies in e's wedge.  Every vertex w off e's ends meets e in a triple
@@ -290,9 +303,10 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     a half-circle from p through m, unless w is the partner of an end.
     Such a w = -a is masked, but it can never trip the test: it lies
     outside the arc's wedge, as U.(-a) = -(b x N).a = -N.(a x b) =
-    -|a x b| and likewise V.(-b) = -|a x b|, and require_arc_rows passed
-    only arcs with |a x b| > g, far beyond rounding.  A half-circle's
-    partners are its own ends, which the test exempts.
+    -|a x b| and likewise V.(-b) = -|a x b|, and every arc has
+    |a x b| > g, far beyond rounding (require_arc_rows, or see
+    below).  A half-circle's partners are its own ends, which the
+    test exempts.
 
     On the guarded triples, with u = 2^-53 and s = 1 + tol.norm, so that
     validated points have |x|^2 <= s: the stage's det = (a x b).w has an
@@ -306,6 +320,14 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     fire once the stage's |det| exceeds s g (1 + 10u) + 21u s^2.  The
     bound (g + 1e-14) s^2 is larger for every g a guard can pass, as such
     a g is below |det| <= s^1.5.
+
+    Nor can require_arc_rows refuse an arc ab of a drawing with at least
+    five points, each unit within tol.norm, where ab joins no couple:
+    some point c is neither a, b nor a partner of either, so (a, b, c) is
+    guarded, and the stage's det = fl(x.c), with x = fl(a x b) the cross
+    product require_arc_rows takes, has |det| <= |x| |c| (1 + 3u).  So
+    np.linalg.norm(x) >= |det| (1 - 6u) / sqrt(s), which exceeds g once
+    |det| exceeds the bound.
 
     No other test |det| <= g of a guarded triple can fire then either.
     Two evaluations of one determinant, each a cross product and a dot
@@ -322,9 +344,11 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
 
 
 def _stage_clears(d: Drawing, tol: ToleranceConfig) -> bool:
-    """Whether d's stage (see _cached_signs) clears _off_curve_bound."""
+    """Whether d's stage (see _cached_signs) clears _off_curve_bound, on
+    at least five points."""
     posT, least = _cached_signs(d, tol)
-    return posT is not None and least > _off_curve_bound(tol)
+    return (posT is not None and least > _off_curve_bound(tol)
+            and len(posT) >= 5)
 
 
 def _check_vertices_off_curves(d: Drawing) -> None:
@@ -817,11 +841,11 @@ def _orientation_signs(d: Drawing, key: float):
 
     words = (P + 63) // 64
     posT = np.empty((P, words, P), dtype=np.uint64)
-    idx = np.arange(P)
+    # the couples (x, y), sorted by x, with y = x or y = x's antipodal
+    # partner: a triple that holds both is masked
     partner = np.concatenate([_partners(d), np.full(len(hidx), -1)])
-    # pair[x, y]: x = y or an antipodal couple, masked in every triple
-    pair = (idx[:, None] == idx) | (partner[:, None] == idx)
-    mid = idx >= n
+    ys = np.stack([np.arange(P), partner], axis=1).ravel()
+    xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
     # tile of row_blocks; fresh dets arrays of varying size cost more
@@ -838,11 +862,15 @@ def _orientation_signs(d: Drawing, key: float):
         dets = dets_buf[:r * (P - a0) * P].reshape(r, -1, P)
         np.matmul(pair_cross[a0:a1, a0:].reshape(-1, 3), pts.T,
                   out=dets.reshape(-1, P))
-        masked = pair[a0:a1, a0:, None] | pair[a0:a1, None, :] | pair[a0:]
-        if len(hidx):
-            masked |= mid[a0:a1, None, None] & mid[a0:, None] & mid
-        # a masked det is NaN: it has neither sign, and fmin skips it
-        np.copyto(dets, np.nan, where=masked)
+        # a masked det is NaN: it has neither sign, and fmin skips it;
+        # the masks are written by index, a couple (a, c), (b, c) or
+        # (a, b) at a time, and three midpoints as one slice
+        lo, hi = np.searchsorted(xs, (a0, a1))
+        rows, cols = xs[lo:hi] - a0, ys[lo:hi]
+        dets[rows, :, cols] = np.nan
+        dets[:, xs[lo:] - a0, ys[lo:]] = np.nan
+        dets[rows[cols >= a0], cols[cols >= a0] - a0] = np.nan
+        dets[max(n - a0, 0):, max(n - a0, 0):, n:] = np.nan
         bits = np.zeros((r, P - a0, 64 * words), dtype=bool)
         np.greater(dets, 0.0, out=bits[..., :P])
         posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)

@@ -20,6 +20,8 @@ containment check measured one point at a time before it took each
 parent's children in one pass.  apex_checks_reference is add_apex's pair of
 general-position checks as they ran before the apex drawing's orientation
 stage could vouch for them, one vertex pair and one edge at a time.
+doc_to_drawing_reference is the document parser as it ran before it
+checked records in bulk, one record at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ from itertools import combinations
 
 import numpy as np
 
-from hilldraw.drawing import DrawingKind
+from hilldraw.docio import (DRAWING_FORMAT, DocumentError, _is_index,
+                            _is_number)
+from hilldraw.drawing import Drawing, DrawingKind, validate_drawing
 from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
                            HalfCircle, ToleranceConfig, angular_distance,
-                           has_coplanar_triple, row_blocks, unit)
+                           has_coplanar_triple, repair_midpoints,
+                           require_arc_rows, row_blocks, unit)
 
 
 def half_circle_distance_reference(h: HalfCircle, x) -> float:
@@ -403,3 +408,126 @@ def points_usable_reference(pts: np.ndarray, tol: ToleranceConfig) -> bool:
                   <= tol.general_position ** 2):
             return False
     return not has_coplanar_triple(pts, tol.general_position)
+
+
+def doc_to_drawing_reference(doc: dict, tol: ToleranceConfig | None = None
+                              ) -> Drawing:
+    """doc_to_drawing as it checked a document before its checks ran in
+    bulk: vertex rows, pairing entries and edge records one at a time, in
+    order, each record through every check before the next."""
+    if not isinstance(doc, dict):
+        raise DocumentError("drawing document must be a JSON object")
+    if doc.get("format") != DRAWING_FORMAT:
+        raise DocumentError(f"format: expected {DRAWING_FORMAT!r}, got "
+                            f"{doc.get('format')!r}")
+    try:
+        kind = DrawingKind(doc["kind"])
+    except KeyError:
+        raise DocumentError("kind: missing") from None
+    except ValueError:
+        raise DocumentError(f"kind: unknown value {doc['kind']!r}") from None
+
+    if tol is None:
+        stored = doc.get("tolerances")
+        try:
+            tol = ToleranceConfig.from_dict({} if stored is None else stored)
+        except ValueError as exc:
+            raise DocumentError(f"tolerances: {exc}") from None
+
+    raw_verts = doc.get("vertices")
+    if not isinstance(raw_verts, list) or not raw_verts:
+        raise DocumentError("vertices: expected a non-empty list")
+    verts = np.empty((len(raw_verts), 3))
+    for i, row in enumerate(raw_verts):
+        if (not isinstance(row, list) or len(row) != 3
+                or not all(_is_number(c) for c in row)):
+            raise DocumentError(f"vertices[{i}]: expected [x, y, z]")
+        verts[i] = row
+        # written so that a NaN or infinite coordinate fails it too
+        if not abs(float(verts[i] @ verts[i]) - 1.0) <= tol.norm:
+            raise DocumentError(f"vertices[{i}]: not a unit vector within "
+                                f"tolerance {tol.norm}")
+
+    n = len(verts)
+    pairing: dict[int, int] = {}
+    raw_pairing = doc.get("pairing")
+    if raw_pairing is not None:
+        if not isinstance(raw_pairing, list):
+            raise DocumentError("pairing: expected a list of [i, j] pairs")
+        for idx, pair in enumerate(raw_pairing):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(_is_index(x) for x in pair)):
+                raise DocumentError(f"pairing[{idx}]: expected [i, j]")
+            a, b = pair
+            if not (0 <= a < n and 0 <= b < n) or a == b:
+                raise DocumentError(f"pairing[{idx}]: invalid vertex indices")
+            if a in pairing or b in pairing:
+                raise DocumentError(f"pairing[{idx}]: vertex paired twice")
+            pairing[a] = b
+            pairing[b] = a
+    if kind in (DrawingKind.COCKTAIL_PARTY, DrawingKind.PARTIAL_MATCHING) \
+            and not pairing:
+        raise DocumentError(f"pairing: required for kind {kind.value!r}")
+
+    raw_edges = doc.get("edges")
+    if not isinstance(raw_edges, list):
+        raise DocumentError("edges: expected a list")
+    ends, mids = [], []
+    failure = None      # (record index, error) of the first failing record
+    try:
+        for idx, rec in enumerate(raw_edges):
+            if not isinstance(rec, dict):
+                raise DocumentError(f"edges[{idx}]: expected an object")
+            u, v = rec.get("u"), rec.get("v")
+            if not (_is_index(u) and _is_index(v)):
+                raise DocumentError(f"edges[{idx}]: bad endpoints")
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise DocumentError(f"edges[{idx}]: endpoint out of range")
+            curve_kind, mp = rec.get("curve"), rec.get("midpoint")
+            if curve_kind == "arc":
+                mp = (np.nan,) * 3
+            elif curve_kind != "half_circle":
+                raise DocumentError(f"edges[{idx}]: curve must be 'arc' or "
+                                    f"'half_circle', got {curve_kind!r}")
+            elif (not isinstance(mp, list) or len(mp) != 3 or not all(
+                    _is_number(c) and math.isfinite(c) for c in mp)):
+                raise DocumentError(f"edges[{idx}]: half_circle needs a "
+                                    "[x, y, z] midpoint")
+            elif pairing.get(u) != v:
+                raise DocumentError(f"edges[{idx}]: half_circle joins an "
+                                    "unpaired couple")
+            ends.append((u, v))
+            mids.append(mp)
+    except DocumentError as exc:
+        failure = idx, exc
+    uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    midpoints = np.array(mids, dtype=float).reshape(-1, 3)
+    half = ~np.isnan(midpoints).all(axis=1)
+    # midpoints are orthonormalized in bulk; the first refused one's error
+    # is its record's
+    rows = np.flatnonzero(half)
+    try:
+        midpoints[rows] = repair_midpoints(verts[uv[rows, 0]],
+                                           midpoints[rows], tol)
+    except (ValueError, DegenerateConfigurationError) as exc:
+        idx = int(rows[exc.row])
+        failure = idx, (DocumentError(f"edges[{idx}]: {exc}")
+                        if isinstance(exc, ValueError) else exc)
+    # equal or antipodal arc endpoints are refused in record order, before
+    # the first failing record and before validate_drawing's checks
+    idx, exc = failure or (len(uv), None)
+    arcs = uv[:idx][~half[:idx]]
+    require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], tol)
+    if exc is not None:
+        raise exc
+
+    prov = doc.get("provenance") or {}
+    if not isinstance(prov, dict):
+        raise DocumentError("provenance: expected an object")
+    d = Drawing(vertices=verts, kind=kind, uv=uv, midpoints=midpoints,
+                pairing=pairing, provenance=prov, tol=tol)
+    try:
+        validate_drawing(d)
+    except ValueError as exc:
+        raise DocumentError(f"drawing invalid: {exc}") from exc
+    return d

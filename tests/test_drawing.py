@@ -6,7 +6,7 @@ import pytest
 
 from hilldraw import drawing as drawing_mod
 from hilldraw.construct import BlowupPlan, blowup, seed_single
-from hilldraw.docio import drawing_to_doc
+from hilldraw.docio import doc_to_drawing, drawing_to_doc
 from hilldraw.drawing import (Drawing, DrawingKind, add_apex, add_random_apex,
                               build_cocktail_party,
                               complete_drawing_from_points,
@@ -511,3 +511,33 @@ class TestPinnedRefusals:
             validate_drawing(bad)
         assert str(err.value) == (f"pairing entry {entry} names a vertex "
                                   "outside [0, 6)")
+
+    @pytest.mark.parametrize("pairing, entry", [
+        ({0: 3.0, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}, "0 -> 3.0"),
+        ({3.0: 0, 0: 3, 1: 4, 4: 1, 2: 5, 5: 2}, "3.0 -> 0"),
+        ({0: 3, 3: 0, 1: True, 4: 1, 2: 5, 5: 2}, "1 -> True"),
+        ({0: 3, 3: 0, 1: 4, 4: 1, "2": 5, 5: 2}, "'2' -> 5")],
+        ids=["float-value", "float-key", "bool", "str"])
+    def test_pairing_entries_are_integers(self, pairing, entry):
+        """A float, bool or str entry once validated (3.0 and '3' as 3) and
+        then failed its JSON round trip, or raised a bare IndexError."""
+        d = build_cocktail_party(double([X, Y, Z]))
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints, pairing=pairing)
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == (f"pairing entry {entry} is not a pair "
+                                  "of integers")
+
+    def test_numpy_integer_pairing_round_trips(self):
+        """np.int64 keys and values are stored as ints: the drawing
+        validates, counts and writes JSON, and parses back equal."""
+        d = build_cocktail_party(double([X, Y, Z]))
+        pairing = {np.int64(a): np.int32(b) for a, b in d.pairing.items()}
+        e = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                    midpoints=d.midpoints, pairing=pairing)
+        assert all(type(x) is int for x in (*e.pairing, *e.pairing.values()))
+        validate_drawing(e)
+        assert count_crossings(e) == count_crossings(d)
+        back = doc_to_drawing(json.loads(json.dumps(drawing_to_doc(e))))
+        assert back.pairing == d.pairing

@@ -634,9 +634,9 @@ def _near_axis_half_circle(q, rng):
 
 
 class TestValidationVerdicts:
-    """validate_drawing skips the exact vertex off-curve test only where
-    the orientation guard covers it, so its verdict and message are always
-    those of the exact test."""
+    """validate_drawing skips the exact vertex off-curve test and the arc
+    endpoint test only where the orientation guard covers them, so its
+    verdict and message are always those of the exact tests."""
 
     @pytest.mark.parametrize("factor", (1 - 1e-12, 1 + 1e-12,
                                         -1 + 1e-12, -1 - 1e-12))
@@ -667,6 +667,49 @@ class TestValidationVerdicts:
         for d in drawings:
             validate_drawing(_fresh(d))
         assert exact_calls == []
+
+    def test_covered_drawings_skip_the_arc_test(self, rng, monkeypatch):
+        """The arc test runs only where the guard refuses, as next to a
+        midpoint near an arc."""
+        drawings = [*_three_kinds().values(),
+                    complete_drawing_from_points(random_unit_points(30, rng)),
+                    build_cocktail_party(random_config(7, rng))]
+        refused, _ = midpoint_near_arc(*hill_pairs(5), 2, 5e-10)
+        arc_calls = _counted(monkeypatch, "require_arc_rows")
+        for d in drawings:
+            validate_drawing(_fresh(d))
+        assert arc_calls == []
+        validate_drawing(_fresh(refused))
+        assert arc_calls == [1]
+
+    @pytest.mark.parametrize("factor, want", [
+        (1 - 1e-12, (DegenerateConfigurationError, "arc endpoints are "
+                     "equal or antipodal within tolerance")),
+        (1 + 1e-12, (DegenerateConfigurationError, "vertex 1 lies on edge "
+                     "(0,2) within tolerance"))])
+    def test_arc_at_the_margin(self, factor, want):
+        """Vertex 1 at |e1 x v1| = general_position (1 -+ 1e-12) from
+        vertex 0 = e1: the arc test refuses arc (0,1), or passes it and
+        the off-curve test decides."""
+        g = factor * DEFAULT_TOL.general_position
+        rest = random_unit_points(6, np.random.default_rng(41))
+        pts = np.concatenate([[[1.0, 0.0, 0.0], [np.sqrt(1.0 - g * g), g,
+                                                 0.0]], rest])
+        assert _verdict(validate_drawing, _points_drawing(pts)) == want
+
+    def test_four_points_are_not_covered(self):
+        """A cocktail drawing on two equal base points: every triple of
+        its four points holds a couple or a repeated point, so the guard
+        passes with nothing to guard, and the arc test still refuses."""
+        a = np.array([0.6, 0.8, 0.0])
+        d = Drawing(vertices=[a, a, -a, -a], kind=DrawingKind.COCKTAIL_PARTY,
+                    uv=[[0, 1], [0, 3], [1, 2], [2, 3]],
+                    midpoints=np.full((4, 3), np.nan),
+                    pairing={0: 2, 2: 0, 1: 3, 3: 1})
+        assert drawing_mod._cached_signs(d, d.tol)[1] == np.inf
+        assert _verdict(validate_drawing, d) == (
+            DegenerateConfigurationError,
+            "arc endpoints are equal or antipodal within tolerance")
 
     @pytest.mark.parametrize("det", (5e-10, 1e-14))
     def test_refused_guard_runs_the_exact_test(self, det, exact_calls):
@@ -750,13 +793,19 @@ def _points_drawing(pts):
 @pytest.fixture(scope="module")
 def stage_drawings():
     """Point drawings of 1 to 3 points and of 1, 2 and 3 bitset words,
-    with Hill, vertex-deleted, apex and cocktail drawings."""
+    with Hill, vertex-deleted, apex, cocktail and partial drawings.  In
+    "vertex 0 deleted" the former partner of vertex 0, now unpaired, is
+    vertex 5, in a later block than vertex 0 under tiles of 5 and 1000."""
     rng = np.random.default_rng(617)
     pts = random_unit_points(129, rng)
     out = {f"K{P}": _points_drawing(pts[:P])
            for P in (1, 2, 3, 17, 64, 65, 129)}
     out.update(_three_kinds())
+    out["vertex 0 deleted"] = delete_vertex(out["complete"], 0)
     out["cocktail"] = build_cocktail_party(random_config(6, rng))
+    config = random_config(7, rng)
+    out["partial"] = extend_partial_matching(
+        config, random_assignment(config, rng), [0, 3, 4])
     return out
 
 
@@ -820,6 +869,25 @@ class TestDeterminantsOnce:
         least = coplanar_reference(pts)
         assert geom.has_coplanar_triple(pts, least)
         assert not geom.has_coplanar_triple(pts, np.nextafter(least, 0.0))
+
+
+@pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+def test_refused_guard_least_is_pinned(tile, monkeypatch):
+    """TestDeterminantsOnce's refused-guard drawings: no signs, and the
+    least |det| seen up to the refusing block, as pinned under every
+    tile."""
+    monkeypatch.setattr(geom, "_TILE", tile)
+    rng = np.random.default_rng(31)
+    z = 0.5 * DEFAULT_TOL.general_position
+    c = np.sqrt((1.0 - z * z) / 2.0)
+    config = random_config(6, rng)
+    drawings = [_near_axis_arc(np.array([c, c, z]), rng)[0],
+                midpoint_near_arc(config, random_assignment(config, rng),
+                                  2, 5e-10)[0]]
+    got = [(posT is None, least) for posT, least in (
+        drawing_mod._orientation_signs(d, DEFAULT_TOL.general_position)
+        for d in drawings)]
+    assert got == [(True, 5e-10), (True, 4.999999744383561e-10)]
 
 
 def _scalar_crossings(halves):
