@@ -7,11 +7,12 @@ verified against closed-form integer counts.  A drawing is arrays only:
 its vertices, Drawing.uv (the endpoints of each edge) and
 Drawing.midpoints (NaN for an arc, the midpoint witness of a half-circle).
 
-Every drawing is counted from the orientation signs of its vertices and
-half-circle midpoints; where a triple is too close to coplanar, it is swept
-over all edge pairs instead, tile by tile, through one batched predicate,
-optionally on a process pool.  The sign counter and the sweep share no
-arithmetic and cross-check each other.  A third counter walks tiles of
+Every drawing is counted from the orientation signs of its vertex triples
+and of det(p, m, x) for each half-circle from p through its midpoint
+witness m and each vertex x; where one of them is too close to zero, it is
+swept over all edge pairs instead, tile by tile, through one batched
+predicate, optionally on a process pool.  The sign counter and the sweep
+share no arithmetic and cross-check each other.  A third counter walks tiles of
 great-circle pairs on matching-free drawings; it cannot disagree with the
 closed form there, and checks the attribution argument and that no
 decision came near the dead zone.
@@ -139,6 +140,10 @@ def random_assignment(config: AntipodalConfig, rng,
         "could not sample a valid midpoint assignment")
 
 
+# a Drawing field that only memoizes: no constructor argument, no compare
+_MEMO = dict(default=None, init=False, compare=False, repr=False)
+
+
 @dataclass
 class Drawing:
     """A spherical drawing: vertices, edge arrays, and metadata.
@@ -164,9 +169,9 @@ class Drawing:
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
-    # the last _orientation_signs result, see _cached_signs
-    _signs: tuple | None = field(default=None, init=False, compare=False,
-                                 repr=False)
+    # the memos of _cached_signs and _partners
+    _signs: tuple | None = field(**_MEMO)
+    _partner: tuple | None = field(**_MEMO)
 
     def __post_init__(self):
         self.vertices = np.array(self.vertices, dtype=float)
@@ -225,9 +230,7 @@ def validate_drawing(d: Drawing) -> None:
             i = int(np.argmax(outside))
             raise ValueError(f"pairing entry {a[i]} -> {b[i]} names a "
                              f"vertex outside [0, {n})")
-        order = np.argsort(a)
-        at = order[np.searchsorted(a, b, sorter=order) % len(a)]
-        skew = (a[at] != b) | (b[at] != a)
+        skew = _partners(d)[b] != a
         bad = skew | (verts[b] != -verts[a]).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -298,9 +301,10 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     can fail _check_vertices_off_curves, and no arc require_arc_rows.
 
     The test refuses vertex w on edge e if |N.w| <= g = tol.general_position
-    and w lies in e's wedge.  Every vertex w off e's ends meets e in a triple
-    that _orientation_signs guards: (a, b, w) for an arc ab, (p, m, w) for
-    a half-circle from p through m, unless w is the partner of an end.
+    and w lies in e's wedge.  Every vertex w off e's ends meets e in a
+    determinant that _orientation_signs guards, unless w is the partner of
+    an end: the vertex triple (a, b, w) for an arc ab, and the table entry
+    det(p, m, w) for a half-circle from p through m.
     Such a w = -a is masked, but it can never trip the test: it lies
     outside the arc's wedge, as U.(-a) = -(b x N).a = -N.(a x b) =
     -|a x b| and likewise V.(-b) = -|a x b|, and every arc has
@@ -322,8 +326,8 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     a g is below |det| <= s^1.5.
 
     Nor can require_arc_rows refuse an arc ab of a drawing with at least
-    five points, each unit within tol.norm, where ab joins no couple:
-    some point c is neither a, b nor a partner of either, so (a, b, c) is
+    five vertices, each unit within tol.norm, where ab joins no couple:
+    some vertex c is neither a, b nor a partner of either, so (a, b, c) is
     guarded, and the stage's det = fl(x.c), with x = fl(a x b) the cross
     product require_arc_rows takes, has |det| <= |x| |c| (1 + 3u).  So
     np.linalg.norm(x) >= |det| (1 - 6u) / sqrt(s), which exceeds g once
@@ -345,10 +349,9 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
 
 def _stage_clears(d: Drawing, tol: ToleranceConfig) -> bool:
     """Whether d's stage (see _cached_signs) clears _off_curve_bound, on
-    at least five points."""
-    posT, least = _cached_signs(d, tol)
-    return (posT is not None and least > _off_curve_bound(tol)
-            and len(posT) >= 5)
+    at least five vertices."""
+    signs, least = _cached_signs(d, tol)
+    return signs is not None and least > _off_curve_bound(tol) and d.n >= 5
 
 
 def _check_vertices_off_curves(d: Drawing) -> None:
@@ -540,7 +543,7 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     pts = np.concatenate([verts, asg.midpoints])
     if not (_stage_clears(out, tol) and np.all(np.abs(np.einsum(
             "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
-        # n^2 dets at once: far less memory than the stage's P^3 / 8 bytes
+        # n^2 dets at once: far less memory than the stage's n^3 / 8 bytes
         N, U, V, _, partner = _pack_drawing(base_drawing)
         # triples through an antipodal pair are exempt
         bad = ((np.abs(cross(verts, q) @ verts.T) <= tol.general_position)
@@ -649,10 +652,14 @@ class CrossingReport:
 
 
 def _partners(d: Drawing) -> np.ndarray:
-    """Antipodal partner of each vertex, or -1 for an unpaired one."""
-    partner = np.full(d.n, -1, dtype=np.int64)
-    partner[list(d.pairing)] = list(d.pairing.values())
-    return partner
+    """Antipodal partner of each vertex, or -1 for an unpaired one, as a
+    read-only array kept on d while d.n and d.pairing stay the same."""
+    if d._partner is None or d._partner[0] != (d.n, d.pairing):
+        partner = np.full(d.n, -1, dtype=np.int64)
+        partner[list(d.pairing)] = list(d.pairing.values())
+        partner.flags.writeable = False
+        d._partner = (d.n, dict(d.pairing)), partner
+    return d._partner[1]
 
 
 def _pack_drawing(d: Drawing):
@@ -801,50 +808,59 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _orientation_signs(d: Drawing, key: float):
-    """The orientation stage of the sign counter: (posT, least).
+    """The orientation stage of the sign counter: (signs, least).
 
-    The points are d's n vertices followed by one midpoint witness m per
-    half-circle edge, in edge order; posT[a, w, c] is word w of the
-    bitset pos[a, c] of the points x with det(a,c,x) > 0, and least is the
-    smallest |det| of an unmasked triple.
+    signs is (posT, sides).  posT[a, w, c] is word w of the bitset
+    pos[a, c] of the vertices x with det(a,c,x) > 0, over d's n vertices.
+    sides is the (k, n) int8 table of sign det(p, m, x) over the k
+    half-circle edges, in edge order, each from p through its midpoint
+    witness m, and the vertices x.  least is the smallest |det| of an
+    unmasked vertex triple or table entry.
 
-    Masks and guard.  Three kinds of triple are masked by index, never by
-    size: a repeated index (det(a,b,a) is about 1e-17, not 0), an
-    antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep skips
-    every edge pair that splits a couple, such as a quarter arc (p, m)
-    and an arc at -p), and three midpoints (every arc has at most one, so
-    no arc pair uses such a triple, while blowups put many midpoints on
-    one great circle).  A masked triple has neither sign, so a rule that
-    needs it finds nothing.  If any other triple has |det| <= margin =
-    key + max |p.m|, posT is None and least is the smallest |det| seen up
-    to that block, at most margin.  A point that is not finite gives no
-    signs either (least is NaN): masked determinants are NaN here, so
-    determinants made NaN by such a point would pass for masked ones.
+    Masks and guard.  Two kinds of vertex triple are masked by index,
+    never by size: a repeated index (det(a,b,a) is about 1e-17, not 0)
+    and an antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep
+    skips every edge pair that splits a couple).  In the table, the
+    entries x = +-p, a half-circle's own ends, are masked and read 0.  A
+    masked determinant has neither sign, so a rule that needs it finds
+    nothing.  If any other triple or entry has |det| <= margin = key +
+    max |p.m|, signs is None and least is the smallest |det| of the table
+    and of the blocks up to the refusing one, at most margin.  A vertex or
+    witness that is not finite gives no signs either (least is NaN):
+    masked determinants are NaN here, so determinants made NaN by such a
+    point would pass for masked ones.
 
-    The P^2 cross products a x b are computed once, and rows a in [a0, a1)
-    are dotted with every point only for b >= a0: geom.cross takes each
+    The n^2 cross products a x b are computed once, and rows a in [a0, a1)
+    are dotted with every vertex only for b >= a0: geom.cross takes each
     component as a difference of two rounded products, a1 b2 - a2 b1 and
     so on, which swapping a and b swaps, so cross(b, a) = -cross(a, b)
     exactly and det(b,a,c) = -det(a,b,c) bit for bit; thus
     pos[b, a] for b >= a1 is det(a,b,c) < 0, and with masks symmetric in
-    a triple, posT, least and the guard are those of all P^3 triples.
+    a triple, posT, least and the guard are those of all n^3 triples.
+    The table takes det(p, m, x) as cross(p, m).x, the sweep's own
+    half-circle normal dotted with x.
     """
-    n = d.n
-    hidx = np.flatnonzero(d.half)
-    ends, mids = d.vertices[d.uv[hidx, 0]], d.midpoints[hidx]
-    pts = np.concatenate([d.vertices, mids])
-    P = len(pts)
-    if not np.isfinite(pts).all():
+    pts, half = d.vertices, d.half
+    P, huv, mids = len(pts), d.uv[half], d.midpoints[half]
+    ends = pts[huv[:, 0]]
+    if not (np.isfinite(pts).all() and np.isfinite(mids).all()):
         return None, np.nan
     margin = key + float(
         np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
 
+    # the table first: its least starts the blocks' guard
+    least, sides = np.inf, np.empty((len(huv), P), dtype=np.int8)
+    if len(huv):
+        table = cross(ends, mids) @ pts.T
+        table[np.arange(len(huv))[:, None], huv] = np.nan
+        np.subtract(table > 0.0, table < 0.0, out=sides, dtype=np.int8)
+        least = float(np.fmin.reduce(np.abs(table, out=table), axis=None,
+                                     initial=np.inf))
     words = (P + 63) // 64
     posT = np.empty((P, words, P), dtype=np.uint64)
     # the couples (x, y), sorted by x, with y = x or y = x's antipodal
     # partner: a triple that holds both is masked
-    partner = np.concatenate([_partners(d), np.full(len(hidx), -1)])
-    ys = np.stack([np.arange(P), partner], axis=1).ravel()
+    ys = np.stack([np.arange(P), _partners(d)], axis=1).ravel()
     xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
@@ -855,7 +871,6 @@ def _orientation_signs(d: Drawing, key: float):
         a0 = blocks[-1][1]
     dets_buf = np.empty(P * max(((a1 - a0) * (P - a0) for a0, a1 in blocks),
                                 default=0))
-    least = np.inf
     for a0, a1 in blocks:
         r = a1 - a0
         # dets[r, b - a0, c] = det(a0 + r, b, c)
@@ -864,13 +879,12 @@ def _orientation_signs(d: Drawing, key: float):
                   out=dets.reshape(-1, P))
         # a masked det is NaN: it has neither sign, and fmin skips it;
         # the masks are written by index, a couple (a, c), (b, c) or
-        # (a, b) at a time, and three midpoints as one slice
+        # (a, b) at a time
         lo, hi = np.searchsorted(xs, (a0, a1))
         rows, cols = xs[lo:hi] - a0, ys[lo:hi]
         dets[rows, :, cols] = np.nan
         dets[:, xs[lo:] - a0, ys[lo:]] = np.nan
         dets[rows[cols >= a0], cols[cols >= a0] - a0] = np.nan
-        dets[max(n - a0, 0):, max(n - a0, 0):, n:] = np.nan
         bits = np.zeros((r, P - a0, 64 * words), dtype=bool)
         np.greater(dets, 0.0, out=bits[..., :P])
         posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)
@@ -881,10 +895,10 @@ def _orientation_signs(d: Drawing, key: float):
             np.abs(dets, out=dets), axis=None, initial=np.inf)))
         if not least > margin:
             return None, least
-    return posT, least
+    return (posT, sides), least
 
 
-# ((key, vertex shape, vertex bytes), (posT, least)), see _cached_signs
+# ((key, vertex shape, vertex bytes), (signs, least)), see _cached_signs
 _POINT_SIGNS = (None, None)
 
 
@@ -900,144 +914,159 @@ def _cached_signs(d: Drawing, tol: ToleranceConfig):
     key = max(tol.general_position, _DET_FLOOR)
     arrays = (d.vertices, d.uv, d.midpoints)
     if d._signs is not None:
-        kept_key, kept_arrays, kept_pairing, posT, least = d._signs
+        kept_key, kept_arrays, kept_pairing, signs, least = d._signs
         if (kept_key == key and kept_pairing == d.pairing
                 and all(x is y for x, y in zip(kept_arrays, arrays))):
-            return posT, least
+            return signs, least
     if d.pairing or d.half.any():
-        posT, least = _orientation_signs(d, key)
+        signs, least = _orientation_signs(d, key)
     else:
         content = (key, d.vertices.shape, d.vertices.tobytes())
         if _POINT_SIGNS[0] != content:
             _POINT_SIGNS = None, None       # free the kept bitsets first
             _POINT_SIGNS = content, _orientation_signs(d, key)
-        posT, least = _POINT_SIGNS[1]
-    d._signs = (key, arrays, dict(d.pairing), posT, least)
-    return posT, least
+        signs, least = _POINT_SIGNS[1]
+    d._signs = (key, arrays, dict(d.pairing), signs, least)
+    return signs, least
 
 
 def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     """Per-edge crossing counts of any drawing from orientation signs, or
     None where the sweep must count instead.
 
-    Points and arcs.  The points are d's n vertices followed by one
-    midpoint witness m per half-circle edge.  A half-circle edge from p to
-    -p gives the two quarter arcs (p, m) and (m, -p); every other edge is
-    one arc.  Arcs are shorter arcs, and two shorter arcs ab and cd with
-    frames N = unit(a x b), U = b x N, V = N x a meet in the sweep's
-    triple products, with X = N_ab x N_cd,
+    The sweep's predicate.  An arc ab, a shorter arc, has the frame
+    N = unit(a x b), U = b x N, V = N x a, and a half-circle from p
+    through its midpoint witness m has (p x m, m, m).  Two curves cross
+    iff the four products X.U and X.V of both frames, with X = N x N',
+    share one strict sign.  For arcs ab and cd they are
         X.U_ab = -det(b,c,d)/|c x d|,   X.V_ab = det(a,c,d)/|c x d|,
         X.U_cd =  det(a,b,d)/|a x b|,   X.V_cd = -det(a,b,c)/|a x b|,
-    so they cross iff, with s = sign det(a,b,c), det(a,b,d) = -s,
-    det(b,c,d) = s and det(a,c,d) = -s.  A half-circle's own frame is
-    (p x m, m, m).  Against arc cd the sweep's products are det(p,m,d),
-    -det(p,m,c) and, twice, (det(c,d,p) - (p.m) det(c,d,m))/|c x d|;
-    against half-circle (q, w) they are det(q,w,p) - (p.m) det(q,w,m) and
-    -det(p,m,q) + (q.w) det(p,m,w).
+    so ab and cd cross iff, with s = sign det(a,b,c), det(a,b,d) = -s,
+    det(b,c,d) = s and det(a,c,d) = -s.  Against arc cd, half-circle
+    (p, m) gives det(p,m,d) and -det(p,m,c), up to positive factors, and,
+    twice, (det(c,d,p) - (p.m) det(c,d,m))/|c x d|; against half-circle
+    (q, w) it gives, twice each, det(q,w,p) - (p.m) det(q,w,m) and
+    -det(p,m,q) + (q.w) det(p,m,w).  So, with the p.m terms dropped, arc
+    cd crosses (p, m) iff det(p,m,d), -det(p,m,c) and det(c,d,p) share
+    one strict sign, and (p, m) crosses (q, w) iff det(q,w,p) and
+    -det(p,m,q) do.
 
-    Masks and guard.  The signs come from _orientation_signs, which masks
-    triples by index and returns no signs when some other triple has
-    |det| <= max(tol.general_position, _DET_FLOOR) + max |p.m| =: margin;
-    then None is returned.
+    Masks and guard.  The signs come from _orientation_signs: the vertex
+    triples as bitsets, and det(p,m,x) as the table sides.  It masks
+    triples and the entries x = +-p by index, and returns no signs when
+    some other one has |det| <= max(tol.general_position, _DET_FLOOR) +
+    max |p.m| =: margin; then None is returned.
 
-    Why a passing guard means the sweep's counts.  Every product above is
-    a guarded determinant, up to positive factors and a p.m term of at
-    most max |p.m|; with margin far above the rounding of either
-    computation, the sweep decides every sign as the determinants do.  It
-    also refuses no pair: each product exceeds general_position >
-    tol.sign in size, so mags > tol.sign >= tol.sign * |X|, and |X|, at
-    least any product with a unit vector, exceeds tol.sign.  In exact
-    arithmetic, with p.m = 0, a half-circle minus m is the union of its
-    two open quarter arcs, and the sign rule on them is the sweep's own
-    test.  A half-circle meets another curve at most once: the great
-    circles share only +-x, and the half-circle holds one of them.  A
-    guarded midpoint lies on no other arc either, since det(m,c,d) is
-    guarded.  So each crossing falls inside exactly one quarter arc:
-    no edge pair is counted twice, and none is lost at m.  The rule's
-    extra det(m,c,d) is guarded as well; it can only make the counter
-    fall back more often.
+    Why a passing guard means the sweep's counts.  The sweep skips every
+    pair that shares a vertex or splits an antipodal couple, and every
+    other pair has only unmasked determinants in the rules above: a
+    vertex triple of three distinct vertices, no two a couple, or a table
+    entry at x != +-p.  Each of the sweep's products is such a guarded
+    determinant, up to positive factors and a p.m term of at most
+    max |p.m|; with margin far above the rounding of either computation,
+    the sweep decides every sign as the determinants do.  It also refuses
+    no pair: each product exceeds general_position > tol.sign in size, so
+    mags > tol.sign >= tol.sign * |X|, and |X|, at least any product with
+    a unit vector, exceeds tol.sign.  The determinants det(c,d,m) and
+    det(q,w,m) enter only through the p.m terms, and need no guard.
 
-    Counting.  The signs are packed into bitsets over d: pos[a, b] and
-    neg[a, b] hold the d with det(a,b,d) > 0 and < 0, and arcs[c] the d
-    joined to c by an arc.  A crossing arc cd has one end on each side of
-    ab's great circle (det(a,b,d) = -s above), so arc ab crosses
-    sum_c popcount(neg[a,b] & pos[b,c] & neg[a,c] & arcs[c]) arcs over
-    the c with det(a,b,c) > 0.  The mirrored rule over the c with
-    det(a,b,c) < 0, pos[a,b] & neg[b,c] & pos[a,c], would find each of
-    these arcs once more from its other end d, since det(b,d,c) =
-    -det(b,c,d) and det(a,d,c) = -det(a,c,d), and nothing else: its
-    count equals this one, so one side suffices.
+    Counting arcs against arcs.  The signs are packed into bitsets over
+    d's n vertices: pos[a, b] and neg[a, b] hold the d with det(a,b,d) > 0
+    and < 0.  Every vertex pair that is no arc must be a couple, whose
+    triples are masked, so no bitset of the arcs is needed: a pair cd
+    with the signs of a crossing is an arc.  A crossing arc cd has one end
+    on each side of ab's great circle (det(a,b,d) = -s above), so arc ab
+    crosses sum_c popcount(neg[a,b] & pos[b,c] & neg[a,c]) arcs over the
+    c with det(a,b,c) > 0.  The mirrored rule over the c with det(a,b,c)
+    < 0, pos[a,b] & neg[b,c] & pos[a,c], would find each of these arcs
+    once more from its other end d, since det(b,d,c) = -det(b,c,d) and
+    det(a,d,c) = -det(a,c,d), and nothing else: its count equals this
+    one, so one side suffices.
     Only pos is packed: neg[a, b] = pos[b, a], as det(b,a,d) =
     -det(a,b,d) (see _orientation_signs).  The bitsets are held
     word-major, posT[a, w, c] = word w of pos[a, c] and negT[a, w, c] =
-    word w of neg[a, c] = posT[c, w, a], and arcs likewise, so that every
-    AND runs along the P columns c rather than along a row's few words.
-    The arcs are taken in blocks; where every point pair is an arc, as in
-    a point drawing, the AND with arcs[c] is skipped and the pairs a < b
-    are taken vertex by vertex, so that rows are slices rather than
-    gathers.  The quarter arcs' counts are summed onto their edges.
+    word w of neg[a, c] = posT[c, w, a], so that every AND runs along the
+    n columns c rather than along a row's few words.  The arcs are taken
+    in blocks; where every vertex pair is an arc, as in a point drawing,
+    the pairs a < b are taken vertex by vertex, so that rows are slices
+    rather than gathers.
+
+    Counting half-circles.  The table's signs are packed as bitsets too,
+    over the ends p of the half-circles and over the vertices, so the
+    arc-half rule is one AND per arc with bit p of pos[c, d], det(c,d,p)
+    > 0, and per half-circle one AND per vertex; the half-half rule reads
+    the table at the k ends.  An arc that touches +-p meets a masked
+    entry, which has neither sign, and so does a half-circle pair on one
+    couple: the sweep skips both.
 
     A drawing validate_drawing would refuse, e.g. a half-circle whose
     ends are not the exact antipodal couple it joins, an arc joining a
-    couple or a repeated point pair, is left to the sweep; every other
-    drawing reads its signs through _cached_signs, so a validated drawing
-    reuses the ones its validation computed.
+    couple or a repeated vertex pair, is left to the sweep, as is one
+    that lacks a vertex pair other than a couple; every other drawing
+    reads its signs through _cached_signs, so a validated drawing reuses
+    the ones its validation computed.
     """
-    n = d.n
-    uv, half = d.uv, d.half
-    partner = _partners(d)
-    hidx = np.flatnonzero(half)
-    u, v = uv[hidx, 0], uv[hidx, 1]
-    P = n + len(hidx)
-    at = np.arange(n, P)
-    arcs = np.concatenate([uv[~half], np.stack([u, at], axis=1),
-                           np.stack([at, v], axis=1)])
-    owner = np.concatenate([np.flatnonzero(~half), hidx, hidx])
+    n, uv, half, partner = d.n, d.uv, d.half, _partners(d)
+    arcs, (ends, far) = uv[~half], uv[half].T
     lo, hi = arcs.min(axis=1), arcs.max(axis=1)
-    key = lo * P + hi
-    if (not np.array_equal(partner[uv[:, 0]] == uv[:, 1], half)
-            or not np.array_equal(d.vertices[v], -d.vertices[u])
-            or (lo == hi).any() or (np.diff(np.sort(key)) == 0).any()):
+    couples = np.count_nonzero(partner > np.arange(n))
+    if (not np.array_equal((partner[uv[:, 0]] == uv[:, 1])
+                           | (partner[uv[:, 1]] == uv[:, 0]), half)
+            or not np.array_equal(d.vertices[far], -d.vertices[ends])
+            or (lo == hi).any() or (np.diff(np.sort(lo * n + hi)) == 0).any()
+            or (signs := _cached_signs(d, tol)[0]) is None
+            or len(lo) + couples != n * (n - 1) // 2):
         return None
-    posT, _ = _cached_signs(d, tol)
-    if posT is None:
-        return None
-    words = posT.shape[1]
+    (posT, sides), words = signs, signs[0].shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
-
-    joinedT = None
-    if len(key) < P * (P - 1) // 2:
-        joinedT = np.zeros((P, 64 * words), dtype=bool)
-        joinedT[lo, hi] = joinedT[hi, lo] = True
-        joinedT = np.ascontiguousarray(_pack(joinedT).T)
 
     def crossings(a, b):
         """Arcs crossed by the arcs ab, for b a slice or an index array
         and a one index or one per ab."""
         # pos[a, b] = negT[b, :, a] and neg[a, b] = posT[b, :, a]
         above = np.unpackbits(np.ascontiguousarray(negT[b, :, a]).view(
-            np.uint8), axis=-1, count=P, bitorder="little")
+            np.uint8), axis=-1, count=n, bitorder="little")
         # [ab, w, c]: word w of neg[a,b] & pos[b,c] & neg[a,c]
-        found = posT[b, :, a][..., None] & posT[b] & negT[a]
-        if joinedT is not None:
-            found &= joinedT
-        counts = np.bitwise_count(found)
+        counts = np.bitwise_count(posT[b, :, a][..., None] & posT[b] & negT[a])
         counts *= above[:, None]          # the c with det(a,b,c) > 0
         return counts.sum(axis=(1, 2), dtype=np.int64)
 
-    if joinedT is None:
-        # every point pair is an arc: vertex by vertex, rows are slices;
+    per_edge = np.zeros(len(uv), dtype=np.int64)
+    if not couples:
+        # every vertex pair is an arc: vertex by vertex, rows are slices;
         # gathered per arc, as below, they nearly double the time on K_100
-        crossed = np.zeros((P, P), dtype=np.int64)
-        for a in range(P - 1):
-            crossed[a, a + 1:] = crossings(a, slice(a + 1, P))
+        crossed = np.zeros((n, n), dtype=np.int64)
+        for a in range(n - 1):
+            crossed[a, a + 1:] = crossings(a, slice(a + 1, n))
         crossed = crossed[lo, hi]
     else:
         crossed = np.zeros(len(lo), dtype=np.int64)
-        for s0, s1 in row_blocks(len(lo), P * words):
+        for s0, s1 in row_blocks(len(lo), n * words):
             crossed[s0:s1] = crossings(lo[s0:s1], hi[s0:s1])
-    return np.bincount(owner, weights=crossed,
-                       minlength=len(uv)).astype(np.int64)
+    if len(ends):
+        # below[x] and over[x] hold the ends p of the half-circles with
+        # det(p,m,x) < 0 and > 0, and the first k rows of over_h the x
+        # with det(p,m,x) > 0 for each half-circle, all packed at once
+        bits = np.zeros((3, n, 64 * words), dtype=bool)
+        bits[0][:, ends], bits[1][:, ends] = (sides < 0).T, (sides > 0).T
+        bits[2][:len(ends), :n] = sides > 0
+        below, over, over_h = _pack(bits)
+        # arc cd crosses (p, m) iff c is below, d over and det(c,d,p) > 0,
+        # or the same with c and d swapped
+        found = (below[lo] & over[hi] & posT[lo, :, hi]
+                 | over[lo] & below[hi] & posT[hi, :, lo])
+        crossed += np.bitwise_count(found).sum(axis=1, dtype=np.int64)
+        # so (p, m) crosses the arcs xy with x below, y over and det(p,x,y)
+        # > 0: from each x below, the y in over_h & pos[p, x], as a pair xy
+        # that is no arc is a couple, whose triples are masked; and (q, w)
+        # iff det(q,w,p) and det(p,m,q) have opposite signs
+        found = np.bitwise_count(posT[ends] & over_h[:len(ends), :, None]
+                                 ).sum(axis=1, dtype=np.int64)
+        at = sides[:, ends]
+        per_edge[half] = (((sides < 0) * found).sum(axis=1)
+                          + (at * at.T < 0).sum(axis=1))
+    per_edge[~half] = crossed
+    return per_edge
 
 
 def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
@@ -1045,12 +1074,13 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     """Count all edge crossings of a drawing.
 
     Every drawing is first counted from the orientation signs of its
-    vertices and half-circle midpoints (see :func:`_sign_counts`), in
-    O(P^3 * P/64) word operations over its P points; a validated drawing
-    reuses the signs its validation computed where ``tol`` gives the same
-    guard margin.  The report's pair list is then swept on first read,
-    with the same ``workers``.  Where
-    some triple falls inside the counter's guard, the drawing is swept
+    vertex triples and of a k x n table of determinants for its k
+    half-circles (see :func:`_sign_counts`), in O(n^3 * n/64) word
+    operations over its n vertices and O(E * n/64) for the half-circles;
+    a validated drawing reuses the signs its validation computed where
+    ``tol`` gives the same guard margin.  The report's pair list is then
+    swept on first read, with the same ``workers``.  Where some triple or
+    table entry falls inside the counter's guard, the drawing is swept
     pair by pair instead, with the sweep's counts, errors and first
     refused pair: adjacent pairs and pairs splitting an antipodal couple
     are excluded structurally (see :func:`_sweep`); every other pair goes
@@ -1060,7 +1090,6 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     independent of scheduling.
     """
     tol = tol or d.tol
-    uv = d.uv
 
     def pairs():
         return _sweep_pairs(_pack_drawing(d), tol.sign, workers)
@@ -1068,9 +1097,9 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     per_edge = _sign_counts(d, tol)
     if per_edge is None:
         pairs = pairs()
-        per_edge = np.bincount(pairs.ravel(), minlength=len(uv))
+        per_edge = np.bincount(pairs.ravel(), minlength=len(d.uv))
     # each edge's crossings count once for each of its two endpoints
-    per_vertex = np.bincount(uv.ravel(), weights=np.repeat(per_edge, 2),
+    per_vertex = np.bincount(d.uv.ravel(), weights=np.repeat(per_edge, 2),
                              minlength=d.n).astype(np.int64)
     return CrossingReport(total=int(per_edge.sum()) // 2, per_edge=per_edge,
                           per_vertex=per_vertex, pairs=pairs)

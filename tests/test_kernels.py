@@ -22,7 +22,8 @@ from hilldraw.docio import (DocumentError, doc_to_drawing, drawing_to_doc,
 from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
                               add_apex, add_random_apex,
                               build_cocktail_party,
-                              complete_drawing_from_points, count_crossings,
+                              complete_drawing_from_points,
+                              config_from_drawing, count_crossings,
                               count_crossings_by_circle_pairs, delete_vertex,
                               double, extend_partial_matching,
                               extend_to_complete, make_assignment,
@@ -348,10 +349,11 @@ class TestSignCounter:
         assert count_crossings(d, workers=2) == _sweep_report(d)
 
     @pytest.mark.parametrize("det", (5e-10, 1e-14, 0.0))
-    def test_midpoint_on_an_arc_falls_back(self, det, sweep_calls):
+    def test_midpoint_on_an_arc_is_counted_from_signs(self, det,
+                                                      sweep_calls):
         """Midpoint 2 sits on the interior of arc ab up to a determinant
-        of ``det``: a quarter arc would end on ab's great circle, and the
-        counter must leave the drawing to the sweep."""
+        of ``det``.  No crossing decision reads det(a, b, m), so the guard
+        passes, and the signs count the drawing as the sweep does."""
         rng = np.random.default_rng(31)
         config = random_config(6, rng)
         d, (a, b) = midpoint_near_arc(
@@ -359,16 +361,12 @@ class TestSignCounter:
         m = d.midpoints[(d.uv == (2, 8)).all(axis=1)][0]
         assert abs(np.linalg.det(d.vertices[[a, b]].tolist() + [m])) \
             <= max(det * 1.01, 1e-16)
-        try:
-            want = _sweep_report(d)
-        except DegenerateConfigurationError as exc:
-            with pytest.raises(DegenerateConfigurationError) as err:
-                count_crossings(d)
-            assert str(err.value) == str(exc)
-        else:
-            calls = len(sweep_calls)
-            rep = count_crossings(d)
-            assert len(sweep_calls) > calls     # the sweep did the counting
+        want = _sweep_report(d)
+        assert want.per_edge[(d.uv == (2, 8)).all(axis=1)][0] > 0
+        for fresh in (d, _fresh(d)):
+            sweep_calls.clear()
+            rep = count_crossings(fresh)
+            assert sweep_calls == []            # counted from signs
             assert rep == want
 
     @pytest.mark.parametrize("floor", (drawing_mod._DET_FLOOR, 0.0))
@@ -394,8 +392,9 @@ class TestSignCounter:
         assert rep == _sweep_report(d)
 
     def test_invalid_drawings_go_to_the_sweep(self, sweep_calls):
-        """A repeated edge, or a half-circle whose far end is not the exact
-        antipode, leaves the counting to the sweep."""
+        """A repeated edge, a half-circle whose far end is not the exact
+        antipode, an arc on a couple paired one way only, or a missing
+        vertex pair that is no couple leaves the counting to the sweep."""
         config, asg = hill("single", 4, [6, 4])
         d = extend_to_complete(config, asg)
         twice = Drawing(vertices=d.vertices, kind=d.kind,
@@ -407,10 +406,59 @@ class TestSignCounter:
         vertices[4] = unit(vertices[4] + 1e-9)
         moved = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
                         midpoints=d.midpoints, pairing=d.pairing)
-        for bad in (twice, moved):
+        points = _points_drawing(random_unit_points(
+            8, np.random.default_rng(4)))
+        # the arc (0, 4) joins the couple 4 -> 0: the signs would mask it
+        one_way = Drawing(vertices=points.vertices, kind=points.kind,
+                          uv=points.uv, midpoints=points.midpoints,
+                          pairing={4: 0})
+        missing = Drawing(vertices=points.vertices, kind=points.kind,
+                          uv=points.uv[1:], midpoints=points.midpoints[1:])
+        for bad in (twice, moved, one_way, missing):
             calls = len(sweep_calls)
             assert count_crossings(bad) == _sweep_report(bad)
             assert len(sweep_calls) > calls
+
+
+# Streams [seed, 0, op] of the benchmark's generate | verify | mutate op,
+# k = 5 + op % 20, in whose drawings a midpoint witness m lies within the
+# guard's margin of some vertex pair's great circle: det(m, c, d), which
+# no crossing decision reads.
+WITNESS_STREAMS = ((7, 59), (1, 155), (1, 195), (1, 408), (1, 478),
+                   (0, 12), (0, 266), (0, 278), (0, 335))
+
+
+def _pipeline_drawings(seed, op):
+    """The op's complete, vertex-deleted and apex drawings: Hill pairs of
+    k couples from the single, two or four seed (by k), a random vertex
+    deleted and a random apex added, all drawn from the op's stream."""
+    k = 5 + op % 20
+    rng = np.random.default_rng([seed, 0, op])
+    config, asg = hill(("single", "two", "four")[(k - 5) % 3], k, rng)
+    d = extend_to_complete(config, asg)
+    minus = delete_vertex(d, int(rng.integers(d.n)))
+    return d, minus, add_random_apex(*config_from_drawing(d), rng)
+
+
+@pytest.mark.parametrize("seed, op", WITNESS_STREAMS)
+def test_witness_streams_are_counted_from_signs(seed, op, sweep_calls):
+    for d in _pipeline_drawings(seed, op):
+        sweep_calls.clear()
+        rep = count_crossings(d)
+        assert sweep_calls == []                # counted from signs
+        assert rep == _sweep_report(d)
+
+
+@pytest.mark.parametrize("seed, k", (("single", 28), ("two", 44)))
+def test_deep_blowups_are_counted_from_signs(seed, k, sweep_calls):
+    """The drawings of a scan over k = 20..45, each built from rng
+    [5, k], with a witness within the guard's margin of a vertex pair's
+    great circle."""
+    d = extend_to_complete(*hill(seed, k, [5, k]))
+    sweep_calls.clear()
+    rep = count_crossings(d)
+    assert sweep_calls == []
+    assert rep == _sweep_report(d)
 
 
 def _fresh(d):
@@ -633,6 +681,14 @@ def _near_axis_half_circle(q, rng):
                    pairing=full.pairing), (0, config.k)
 
 
+def _vertex_near_half_circle(det, rng):
+    """_near_axis_half_circle's apex drawing with det(e1, e2, q) = det,
+    the table entry of half-circle (0, k) at the apex q, and q off that
+    half-circle (q[1] < 0): validation passes."""
+    c = -np.sqrt((1.0 - det * det) / 2.0)
+    return _near_axis_half_circle(np.array([c, c, det]), rng)[0]
+
+
 class TestValidationVerdicts:
     """validate_drawing skips the exact vertex off-curve test and the arc
     endpoint test only where the orientation guard covers them, so its
@@ -670,11 +726,13 @@ class TestValidationVerdicts:
 
     def test_covered_drawings_skip_the_arc_test(self, rng, monkeypatch):
         """The arc test runs only where the guard refuses, as next to a
-        midpoint near an arc."""
+        vertex near a half-circle's plane; a midpoint near an arc is
+        covered."""
         drawings = [*_three_kinds().values(),
                     complete_drawing_from_points(random_unit_points(30, rng)),
-                    build_cocktail_party(random_config(7, rng))]
-        refused, _ = midpoint_near_arc(*hill_pairs(5), 2, 5e-10)
+                    build_cocktail_party(random_config(7, rng)),
+                    midpoint_near_arc(*hill_pairs(5), 2, 5e-10)[0]]
+        refused = _vertex_near_half_circle(5e-10, rng)
         arc_calls = _counted(monkeypatch, "require_arc_rows")
         for d in drawings:
             validate_drawing(_fresh(d))
@@ -713,12 +771,9 @@ class TestValidationVerdicts:
 
     @pytest.mark.parametrize("det", (5e-10, 1e-14))
     def test_refused_guard_runs_the_exact_test(self, det, exact_calls):
-        """A midpoint next to an arc: the guard refuses, and the exact test
-        decides, as before."""
-        rng = np.random.default_rng(31)
-        config = random_config(6, rng)
-        d, _ = midpoint_near_arc(config, random_assignment(config, rng), 2,
-                                 det)
+        """A vertex next to a half-circle's plane, off the half-circle: the
+        guard refuses, and the exact test decides, as before."""
+        d = _vertex_near_half_circle(det, np.random.default_rng(31))
         assert drawing_mod._cached_signs(d, d.tol)[0] is None
         exact_calls.clear()
         validate_drawing(_fresh(d))
@@ -826,42 +881,42 @@ class TestDeterminantsOnce:
 
     @staticmethod
     def _check_stage(d):
+        """posT over the n vertices and the half-circle table sides, each
+        against one np.cross per block, with the masks built here anew."""
         key = max(d.tol.general_position, drawing_mod._DET_FLOOR)
-        posT, least = drawing_mod._orientation_signs(d, key)
-        half = d.half
-        pts = np.concatenate([d.vertices, d.midpoints[half]])
-        dets = block_dets_reference(pts)
-        P = len(pts)
-        idx = np.arange(P)
-        partner = np.concatenate([drawing_mod._partners(d),
-                                  np.full(half.sum(), -1)])
+        (posT, sides), least = drawing_mod._orientation_signs(d, key)
+        dets = block_dets_reference(d.vertices)
+        n = d.n
+        idx = np.arange(n)
+        partner = np.full(n, -1)
+        partner[list(d.pairing)] = list(d.pairing.values())
         pair = (idx[:, None] == idx) | (partner[:, None] == idx)
-        mid = idx >= d.n
-        masked = (pair[:, :, None] | pair[:, None, :] | pair
-                  | mid[:, None, None] & mid[:, None] & mid)
-        assert least == np.abs(dets[~masked]).min(initial=np.inf)
-        assert posT.shape == (P, (P + 63) // 64, P)
-        bits = np.zeros((P, P, 64 * posT.shape[1]), dtype=bool)
-        bits[..., :P] = (dets > 0.0) & ~masked
+        masked = pair[:, :, None] | pair[:, None, :] | pair
+        huv = d.uv[d.half]
+        table = (np.cross(d.vertices[huv[:, 0]], d.midpoints[d.half])
+                 @ d.vertices.T)
+        ends = (idx == huv[:, :1]) | (idx == huv[:, 1:])
+        assert least == min(np.abs(dets[~masked]).min(initial=np.inf),
+                            np.abs(table[~ends]).min(initial=np.inf))
+        assert posT.shape == (n, (n + 63) // 64, n)
+        bits = np.zeros((n, n, 64 * posT.shape[1]), dtype=bool)
+        bits[..., :n] = (dets > 0.0) & ~masked
         assert np.array_equal(posT.transpose(0, 2, 1), np.packbits(
             bits, axis=-1, bitorder="little").view(np.uint64))
+        assert sides.dtype == np.int8 and sides.shape == (len(huv), n)
+        assert np.array_equal(sides, np.where(ends, 0, np.sign(table)))
 
     @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
     def test_refused_guard_gives_no_signs(self, tile, monkeypatch):
-        """A point near an arc's great circle, or a midpoint near an arc:
-        no signs, and a least within the margin."""
+        """A point near an arc's great circle, or a vertex near a
+        half-circle's plane: no signs, and a least within the margin.  A
+        midpoint near an arc is no refusal."""
         monkeypatch.setattr(geom, "_TILE", tile)
-        rng = np.random.default_rng(31)
-        z = 0.5 * DEFAULT_TOL.general_position
-        c = np.sqrt((1.0 - z * z) / 2.0)
-        config = random_config(6, rng)
-        drawings = [_near_axis_arc(np.array([c, c, z]), rng)[0],
-                    midpoint_near_arc(config, random_assignment(config, rng),
-                                      2, 5e-10)[0]]
-        for d in drawings:
+        for d, refused in _guard_drawings():
             key = max(d.tol.general_position, drawing_mod._DET_FLOOR)
-            posT, least = drawing_mod._orientation_signs(d, key)
-            assert posT is None and least <= key + d.tol.perp
+            signs, least = drawing_mod._orientation_signs(d, key)
+            assert (signs is None) == refused
+            assert (least <= key + d.tol.perp) == refused
 
     @pytest.mark.parametrize("n", (5, 40, 150))
     def test_coplanarity_check(self, n, rng):
@@ -871,23 +926,31 @@ class TestDeterminantsOnce:
         assert not geom.has_coplanar_triple(pts, np.nextafter(least, 0.0))
 
 
-@pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
-def test_refused_guard_least_is_pinned(tile, monkeypatch):
-    """TestDeterminantsOnce's refused-guard drawings: no signs, and the
-    least |det| seen up to the refusing block, as pinned under every
-    tile."""
-    monkeypatch.setattr(geom, "_TILE", tile)
+def _guard_drawings():
+    """(drawing, refused) for a point at det 5e-10 from an arc's great
+    circle, a vertex at det 5e-10 from a half-circle's plane and a
+    midpoint at det 5e-10 from an arc."""
     rng = np.random.default_rng(31)
     z = 0.5 * DEFAULT_TOL.general_position
     c = np.sqrt((1.0 - z * z) / 2.0)
     config = random_config(6, rng)
-    drawings = [_near_axis_arc(np.array([c, c, z]), rng)[0],
-                midpoint_near_arc(config, random_assignment(config, rng),
-                                  2, 5e-10)[0]]
-    got = [(posT is None, least) for posT, least in (
+    near_arc = midpoint_near_arc(config, random_assignment(config, rng), 2,
+                                 z)[0]
+    return [(_near_axis_arc(np.array([c, c, z]), rng)[0], True),
+            (_vertex_near_half_circle(z, rng), True), (near_arc, False)]
+
+
+@pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+def test_refused_guard_least_is_pinned(tile, monkeypatch):
+    """TestDeterminantsOnce's guard drawings: no signs, and the least |det|
+    seen up to the refusing block or table, as pinned under every tile;
+    the midpoint near an arc clears the margin."""
+    monkeypatch.setattr(geom, "_TILE", tile)
+    got = [(signs is None, least) for signs, least in (
         drawing_mod._orientation_signs(d, DEFAULT_TOL.general_position)
-        for d in drawings)]
-    assert got == [(True, 5e-10), (True, 4.999999744383561e-10)]
+        for d, _ in _guard_drawings())]
+    assert got == [(True, 5e-10), (True, 5e-10),
+                   (False, 0.0005659505508607802)]
 
 
 def _scalar_crossings(halves):
