@@ -32,7 +32,8 @@ from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, arc_frames, cross, cross3, dot3,
                    frame_signs, is_general_position, loose_midpoints,
                    repair_midpoints, require_arc_rows, require_unit,
-                   require_unit_rows, row_blocks, triangle_tiles, unit)
+                   require_unit_rows, row_blocks, triangle_tiles, unit,
+                   upper_pairs)
 
 
 class DrawingKind(str, Enum):
@@ -152,8 +153,8 @@ class Drawing:
     midpoints[e] is NaN, else the half-circle from vertices[u] through that
     unit midpoint witness to -vertices[u].  ``vertices``, ``uv`` (E, 2)
     and ``midpoints`` (E, 3) are read-only copies of the arrays passed in,
-    so the orientation signs validation computes, which count_crossings
-    reuses, cannot go stale.
+    so the orientation signs and the structural verdict validation
+    computes, which count_crossings reuses, cannot go stale.
 
     ``pairing`` maps each vertex to its antipodal partner where one exists;
     it is structural metadata (never inferred geometrically) and drives both
@@ -169,7 +170,7 @@ class Drawing:
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
-    # the memos of _cached_signs and _partners
+    # the memos of _cached_signs and of _partners and _verdict
     _signs: tuple | None = field(**_MEMO)
     _partner: tuple | None = field(**_MEMO)
 
@@ -205,8 +206,11 @@ def validate_drawing(d: Drawing) -> None:
 
     Geometric failures (arc endpoints equal or antipodal, a vertex inside
     an edge's curve) raise DegenerateConfigurationError; structural
-    mismatches raise ValueError.  Edges are checked in order and the first
-    offending edge is reported.
+    mismatches raise ValueError.  The structural checks, of the pairing,
+    the edges and the census, are d's verdict (see _verdict), computed
+    once and kept on d, where count_crossings reads it too.  Faults are
+    raised in the order unit rows, pairing, edges (the first offending
+    edge is reported), arc endpoints, census, vertices off curves.
 
     The orientation signs of the sign counter are computed here, once, and
     kept on d for count_crossings.  Where their guard covers the arc
@@ -214,86 +218,127 @@ def validate_drawing(d: Drawing) -> None:
     both are skipped, since no arc or vertex can fail them; otherwise they
     run as they are.
     """
-    n = d.n
     verts = require_unit_rows(d.vertices, d.tol)
-    if d.pairing:
-        for a, b in d.pairing.items():
-            if not type(a) is type(b) is int:
-                raise ValueError(f"pairing entry {a!r} -> {b!r} is not a "
-                                 "pair of integers")
-        # the first entry a -> b in dict order with an index outside
-        # [0, n) is reported, then the first with pairing.get(b) != a, or
-        # verts[b] != -verts[a]
-        a, b = np.array([*d.pairing.items()], dtype=np.int64).T
-        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ValueError(f"pairing entry {a[i]} -> {b[i]} names a "
-                             f"vertex outside [0, {n})")
-        skew = _partners(d)[b] != a
-        bad = skew | (verts[b] != -verts[a]).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError("pairing map is not symmetric" if skew[i] else
-                             f"paired vertices {a[i]},{b[i]} are not exact "
-                             "antipodes")
-
-    uv, half = d.uv, d.half
-    u, v = uv[:, 0], uv[:, 1]
-    invalid = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
-    u, v = np.clip(u, 0, n - 1), np.clip(v, 0, n - 1)
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    duplicate = first[inverse] != np.arange(len(key))
-    paired = _partners(d)[u] == v
-    loose = half & loose_midpoints(verts[u], d.midpoints, d.tol)
-    bad = invalid | duplicate | (half & ~paired) | loose | (~half & paired)
-    if bad.any():
-        i = int(np.argmax(bad))
-        eu, ev = uv[i].tolist()
-        if invalid[i]:
-            raise ValueError(f"edge ({eu},{ev}) has invalid endpoints")
-        if duplicate[i]:
-            raise ValueError(f"duplicate edge ({eu},{ev})")
-        if half[i] and not paired[i]:
-            raise ValueError(
-                f"half-circle edge ({eu},{ev}) does not join a paired "
-                "antipodal couple")
-        if half[i]:
-            raise ValueError(f"half-circle edge ({eu},{ev}) midpoint is not "
-                             "a unit vector orthogonal to its endpoint")
-        raise ValueError(f"matching edge ({eu},{ev}) must be a half-circle")
-
+    fault, census = _verdict(d)
+    if fault:
+        raise ValueError(fault)
     clears = _stage_clears(d, d.tol)
     if not clears:
-        require_arc_rows(verts[u[~half]], verts[v[~half]], d.tol)
-    _check_edge_census(d, int(half.sum()))
+        arcs = d.uv[~d.half]
+        require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], d.tol)
+    if census:
+        raise ValueError(census)
     if not clears:
         _check_vertices_off_curves(d)
 
 
-def _check_edge_census(d: Drawing, matching_edges: int) -> None:
-    n = d.n
+def _partners(d: Drawing) -> np.ndarray:
+    """Antipodal partner of each vertex, or -1 for an unpaired one, as a
+    read-only array.
+
+    It is kept in d._partner, with d's verdict once _verdict is asked for
+    it, while d's arrays, kind, tol and pairing stay those they were
+    computed from.  A pairing entry that is no pair of ints, or names an
+    index outside [0, n), raises validate_drawing's ValueError: the first
+    in dict order, all type faults before any range fault.
+    """
+    now = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
+    if (d._partner and d._partner[1] == d.pairing
+            and all(x is y for x, y in zip(d._partner[0], now))):
+        return d._partner[2]
+    for a, b in d.pairing.items():
+        if not type(a) is type(b) is int:
+            raise ValueError(f"pairing entry {a!r} -> {b!r} is not a pair "
+                             "of integers")
+    a, b = np.array([*d.pairing.items()], dtype=np.int64).reshape(-1, 2).T
+    outside = (a < 0) | (a >= d.n) | (b < 0) | (b >= d.n)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"pairing entry {a[i]} -> {b[i]} names a vertex "
+                         f"outside [0, {d.n})")
+    partner = np.full(d.n, -1, dtype=np.int64)
+    partner[a] = b
+    partner.flags.writeable = False
+    d._partner = now, dict(d.pairing), partner, None
+    return partner
+
+
+def _verdict(d: Drawing) -> tuple[str | None, str | None]:
+    """d's structural verdict (fault, census), computed once and kept
+    with d's partner array (see _partners): validate_drawing's texts of
+    the first pairing or edge fault and of the census fault, each None
+    where it passes.
+
+    Reported, in this order: the first pairing entry a -> b in dict order
+    with pairing.get(b) != a or verts[b] != -verts[a]; the first edge with
+    invalid or repeated endpoints, a half-circle off a couple or with a
+    loose midpoint, or an arc on a couple, each fault in that order; the
+    census.  All three are computed by _check_edge_census.  A pairing that
+    _partners refuses raises its ValueError.
+    """
+    partner = _partners(d)
+    if d._partner[3] is None:
+        d._partner = (*d._partner[:3], _check_edge_census(d, partner))
+    return d._partner[3]
+
+
+def _check_edge_census(d: Drawing, partner: np.ndarray):
+    """d's structural verdict (fault, census), with partner its partner
+    array; see _verdict for the order of the faults.
+
+    The census is one rule for every kind: every vertex pair that is no
+    couple of d.pairing is an edge, as the paper's closed forms assume,
+    and d.kind fixes which couples carry half-circles: none for a
+    cocktail party, any for a partial matching, all for the other kinds.
+    It runs on edges that pass the edge checks, distinct vertex pairs
+    each a half-circle iff it is a couple, so it counts: a pair that is
+    no couple lacks an edge iff the arcs are fewer than such pairs.
+    """
+    n, uv, half, verts = d.n, d.uv, d.half, d.vertices
+    a, b = np.array([*d.pairing.items()], dtype=np.int64).reshape(-1, 2).T
+    skew = partner[b] != a
+    bad = skew | (verts[b] != -verts[a]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return ("pairing map is not symmetric" if skew[i] else
+                f"paired vertices {a[i]},{b[i]} are not exact antipodes"), None
+    u, v = np.clip(uv, 0, n - 1).T
+    invalid = (uv[:, 0] != u) | (uv[:, 1] != v) | (u == v)
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    paired = partner[u] == v
+    faults = (invalid, first[inverse] != np.arange(len(key)), half & ~paired,
+              half & loose_midpoints(verts[u], d.midpoints, d.tol),
+              ~half & paired)
+    bad = np.logical_or.reduce(faults)
+    if bad.any():
+        i = int(np.argmax(bad))
+        e = "({},{})".format(*uv[i].tolist())
+        return next(text for hit, text in zip(faults, (
+            f"edge {e} has invalid endpoints", f"duplicate edge {e}",
+            f"half-circle edge {e} does not join a paired antipodal couple",
+            f"half-circle edge {e} midpoint is not a unit vector orthogonal "
+            "to its endpoint", f"matching edge {e} must be a half-circle"))
+            if hit[i]), None
+    halves, got, couples = int(half.sum()), len(uv), len(d.pairing) // 2
     complete = n * (n - 1) // 2
-    npairs = len(d.pairing) // 2
-    got = len(d.uv)
+    lacks = got - halves != complete - couples
     if d.kind is DrawingKind.COCKTAIL_PARTY:
-        want = complete - npairs
-        if n % 2 != 0 or npairs != n // 2 or got != want or matching_edges:
-            raise ValueError(
-                f"cocktail-party drawing on {n} vertices must have "
-                f"{complete - n // 2} arc edges and a full pairing")
-    elif d.kind is DrawingKind.PARTIAL_MATCHING:
-        if n % 2 != 0 or npairs != n // 2:
-            raise ValueError("partial-matching drawing needs a full pairing")
-        t = complete - got
-        if not 0 <= t <= n // 2:
-            raise ValueError(f"edge count {got} matches no valid matching size")
-    else:
-        if got != complete:
-            raise ValueError(
-                f"{d.kind.value} drawing must contain all {complete} edges, "
-                f"got {got}")
+        if lacks or halves or 2 * couples != n:
+            return None, (f"cocktail-party drawing on {n} vertices must have "
+                          f"{complete - n // 2} arc edges and a full pairing")
+    elif d.kind is not DrawingKind.PARTIAL_MATCHING:
+        if lacks or halves != couples:
+            return None, (f"{d.kind.value} drawing must contain all "
+                          f"{complete} edges, got {got}")
+    elif 2 * couples != n:
+        return None, "partial-matching drawing needs a full pairing"
+    elif got < complete - n // 2:
+        return None, f"edge count {got} matches no valid matching size"
+    elif lacks:
+        return None, (f"partial-matching drawing on {n} vertices must join "
+                      "every vertex pair that is no couple")
+    return None, None
 
 
 def _off_curve_bound(tol: ToleranceConfig) -> float:
@@ -371,14 +416,9 @@ def _check_vertices_off_curves(d: Drawing) -> None:
                 f"vertex {w} lies on edge ({eu},{ev}) within tolerance")
 
 
-def _arc_midpoints(uv: np.ndarray) -> np.ndarray:
-    """The NaN midpoint rows of the arc edges uv."""
-    return np.full((len(uv), 3), np.nan)
-
-
 def _cocktail_uv(config: AntipodalConfig) -> np.ndarray:
     """Every non-antipodal pair i < j of the doubled set, as (E, 2)."""
-    uv = np.stack(np.triu_indices(config.n, 1), axis=1)
+    uv = upper_pairs(config.n)
     return uv[uv[:, 1] != uv[:, 0] + config.k]
 
 
@@ -392,9 +432,9 @@ def complete_drawing_from_points(points, tol: ToleranceConfig = DEFAULT_TOL,
     verts = np.asarray(points, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
         raise ValueError("expected an (n, 3) array with n >= 4")
-    uv = np.stack(np.triu_indices(len(verts), 1), axis=1)
+    uv = upper_pairs(len(verts))
     d = Drawing(vertices=verts, kind=DrawingKind.COMPLETE, uv=uv,
-                midpoints=_arc_midpoints(uv), pairing={},
+                midpoints=np.full((len(uv), 3), np.nan), pairing={},
                 provenance=dict(provenance or {}), tol=tol)
     validate_drawing(d)
     return d
@@ -411,7 +451,7 @@ def build_cocktail_party(config: AntipodalConfig,
     uv = _cocktail_uv(config)
     d = Drawing(vertices=config.doubled,
                 kind=DrawingKind.COCKTAIL_PARTY, uv=uv,
-                midpoints=_arc_midpoints(uv),
+                midpoints=np.full((len(uv), 3), np.nan),
                 pairing=config.pairing(),
                 provenance=dict(provenance or {}),
                 tol=tol)
@@ -451,15 +491,11 @@ def _matching_drawing(config: AntipodalConfig, asg: HalfCircleAssignment,
     arcs = _cocktail_uv(config)
     halves = np.array([(i, i + k) for i in chosen], dtype=np.int64)
     uv = np.concatenate([arcs, halves.reshape(-1, 2)])
-    midpoints = np.concatenate([_arc_midpoints(arcs),
+    midpoints = np.concatenate([np.full((len(arcs), 3), np.nan),
                                 asg.midpoints[chosen]])
-    t = k - len(chosen)
-    if t == 0:
-        kind = DrawingKind.COMPLETE
-    elif t == k:
-        kind = DrawingKind.COCKTAIL_PARTY
-    else:
-        kind = DrawingKind.PARTIAL_MATCHING
+    kind = (DrawingKind.COMPLETE if len(chosen) == k else
+            DrawingKind.PARTIAL_MATCHING if chosen else
+            DrawingKind.COCKTAIL_PARTY)
     prov = dict(provenance or {})
     prov.setdefault("matching_pairs", chosen)
     return Drawing(vertices=config.doubled, kind=kind, uv=uv,
@@ -537,7 +573,7 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                   kind=DrawingKind.COMPLETE_PLUS_APEX,
                   uv=np.concatenate([base_drawing.uv, spokes]),
                   midpoints=np.concatenate([base_drawing.midpoints,
-                                            _arc_midpoints(spokes)]),
+                                            np.full((n, 3), np.nan)]),
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
     pts = np.concatenate([verts, asg.midpoints])
@@ -583,10 +619,10 @@ def config_from_drawing(d: Drawing
     order = np.argsort(lower)
     if lower[order].tolist() != reps:
         raise ValueError("drawing lacks a matching half-circle per pair")
-    # the stage masks a base triple only where two of its points are paired
-    guarded = {d.pairing[a] for a in reps}.isdisjoint(reps)
-    config = _double(d.vertices[reps], d.tol,
-                     checked=guarded and _stage_clears(d, d.tol))
+    # the stage masks a base triple only where two of its points are a
+    # couple, which a pairing and edges that pass rule out
+    config = _double(d.vertices[reps], d.tol, checked=_verdict(d)[0] is None
+                     and _stage_clears(d, d.tol))
     asg = make_assignment(config, d.midpoints[half][order], d.tol)
     return config, asg
 
@@ -649,17 +685,6 @@ class CrossingReport:
                 and np.array_equal(self.per_edge, other.per_edge)
                 and np.array_equal(self.per_vertex, other.per_vertex)
                 and np.array_equal(self.pairs, other.pairs))
-
-
-def _partners(d: Drawing) -> np.ndarray:
-    """Antipodal partner of each vertex, or -1 for an unpaired one, as a
-    read-only array kept on d while d.n and d.pairing stay the same."""
-    if d._partner is None or d._partner[0] != (d.n, d.pairing):
-        partner = np.full(d.n, -1, dtype=np.int64)
-        partner[list(d.pairing)] = list(d.pairing.values())
-        partner.flags.writeable = False
-        d._partner = (d.n, dict(d.pairing)), partner
-    return d._partner[1]
 
 
 def _pack_drawing(d: Drawing):
@@ -999,24 +1024,24 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     entry, which has neither sign, and so does a half-circle pair on one
     couple: the sweep skips both.
 
-    A drawing validate_drawing would refuse, e.g. a half-circle whose
-    ends are not the exact antipodal couple it joins, an arc joining a
-    couple or a repeated vertex pair, is left to the sweep, as is one
-    that lacks a vertex pair other than a couple; every other drawing
-    reads its signs through _cached_signs, so a validated drawing reuses
-    the ones its validation computed.
+    Eligibility.  The counter tests no structure of its own: it reads
+    the verdict validate_drawing raises from (_verdict), which a
+    validated drawing keeps, and counts only where its pairing and edge
+    checks pass, the guard passes and its census holds, in
+    validate_drawing's order.  Then every vertex pair but the couples is
+    an edge, each half-circle joins an exact antipodal couple and no arc
+    does, as the rules above assume.  Any drawing validate_drawing would
+    refuse for its pairing, edges or census is left to the sweep.  The
+    signs come through _cached_signs, so a validated drawing reuses the
+    ones its validation computed.
     """
-    n, uv, half, partner = d.n, d.uv, d.half, _partners(d)
-    arcs, (ends, far) = uv[~half], uv[half].T
-    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
-    couples = np.count_nonzero(partner > np.arange(n))
-    if (not np.array_equal((partner[uv[:, 0]] == uv[:, 1])
-                           | (partner[uv[:, 1]] == uv[:, 0]), half)
-            or not np.array_equal(d.vertices[far], -d.vertices[ends])
-            or (lo == hi).any() or (np.diff(np.sort(lo * n + hi)) == 0).any()
-            or (signs := _cached_signs(d, tol)[0]) is None
-            or len(lo) + couples != n * (n - 1) // 2):
+    # in validate_drawing's order: the stage before the census
+    fault, census = _verdict(d)
+    if fault or (signs := _cached_signs(d, tol)[0]) is None or census:
         return None
+    n, uv, half = d.n, d.uv, d.half
+    arcs, ends = uv[~half], uv[half, 0]
+    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
     (posT, sides), words = signs, signs[0].shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
 
@@ -1032,7 +1057,7 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
         return counts.sum(axis=(1, 2), dtype=np.int64)
 
     per_edge = np.zeros(len(uv), dtype=np.int64)
-    if not couples:
+    if not d.pairing:
         # every vertex pair is an arc: vertex by vertex, rows are slices;
         # gathered per arc, as below, they nearly double the time on K_100
         crossed = np.zeros((n, n), dtype=np.int64)
@@ -1087,7 +1112,10 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     through the sign predicate, tile by tile, so working memory stays
     bounded.  With ``workers > 1`` the tiles are dealt out over a process
     pool and the merged pairs are sorted, so counts and pair lists are
-    independent of scheduling.
+    independent of scheduling.  Any drawing validate_drawing would refuse
+    for its pairing, edges or census is swept too (see _verdict); a
+    pairing entry that is no pair of ints in [0, n) raises
+    validate_drawing's ValueError, as no partner array can be formed.
     """
     tol = tol or d.tol
 
@@ -1128,7 +1156,7 @@ def count_crossings_by_circle_pairs(d: Drawing,
                          "antipodal drawings only")
     couples = np.array(sorted({tuple(sorted(p)) for p in d.pairing.items()}),
                        dtype=np.int64).reshape(-1, 2)
-    cycles = np.stack(np.triu_indices(len(couples), 1), axis=1)
+    cycles = upper_pairs(len(couples))
     ci, cj = cycles.T
     # ring_u[c] = a, b, -a, -b: cycle c's arcs run from ring_u to ring_v
     ring_u = d.vertices[couples[cycles].transpose(0, 2, 1).reshape(-1, 4)]
@@ -1222,7 +1250,9 @@ class VerificationReport:
 def verify(d: Drawing, tol: ToleranceConfig | None = None,
            workers: int = 1) -> VerificationReport:
     """Compare the geometric crossing count with the closed form for the
-    drawing's kind; all comparisons are exact integer equalities."""
+    drawing's kind; all comparisons are exact integer equalities.  The
+    closed forms hold for the drawings validate_drawing accepts, and
+    verify does not validate d itself."""
     tol = tol or d.tol
     rep = count_crossings(d, tol, workers=workers)
     n = d.n

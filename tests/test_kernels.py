@@ -41,7 +41,7 @@ from .oracles import (apex_checks_reference, block_dets_reference,
                       brute_count,
                       circle_pair_count_reference, coplanar_reference,
                       points_usable_reference)
-from .test_drawing import hill_pairs, random_config
+from .test_drawing import census_gap, hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
 
@@ -636,6 +636,80 @@ class TestSignCache:
         assert np.array_equal(got, sampled(points_usable_reference))
         kept = np.array_equal(np.abs(got[:2]), np.eye(3)[:2])
         assert kept == (factor > 1.0)
+
+
+def _swept_drawings():
+    """The four drawings of test_invalid_drawings_go_to_the_sweep, built
+    the same way, and the census gap of a partial matching."""
+    config, asg = hill("single", 4, [6, 4])
+    d = extend_to_complete(config, asg)
+    twice = Drawing(vertices=d.vertices, kind=d.kind,
+                    uv=np.concatenate([d.uv, d.uv[:1]]),
+                    midpoints=np.concatenate([d.midpoints, d.midpoints[:1]]),
+                    pairing=d.pairing)
+    vertices = d.vertices.copy()
+    vertices[4] = unit(vertices[4] + 1e-9)
+    moved = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                    midpoints=d.midpoints, pairing=d.pairing)
+    points = _points_drawing(random_unit_points(
+        8, np.random.default_rng(4)))
+    one_way = Drawing(vertices=points.vertices, kind=points.kind,
+                      uv=points.uv, midpoints=points.midpoints,
+                      pairing={4: 0})
+    missing = Drawing(vertices=points.vertices, kind=points.kind,
+                      uv=points.uv[1:], midpoints=points.midpoints[1:])
+    return [twice, moved, one_way, missing, census_gap()]
+
+
+def _refused(d):
+    """Whether validate_drawing raises ValueError on d, or d's orientation
+    stage refuses."""
+    try:
+        validate_drawing(d)
+    except ValueError:
+        return True
+    except DegenerateConfigurationError:
+        pass
+    return drawing_mod._cached_signs(d, d.tol)[0] is None
+
+
+class TestOneVerdict:
+    """The sign counter's eligibility is validate_drawing's structural
+    verdict, kept on the drawing, and the stage: nothing else."""
+
+    def test_counter_declines_exactly_what_validation_refuses(self):
+        swept = _swept_drawings()
+        drawings = [*_three_kinds().values(), *swept]
+        for seed, op in WITNESS_STREAMS:
+            drawings += _pipeline_drawings(seed, op)
+        declined = 0
+        for d in drawings:
+            per_edge = drawing_mod._sign_counts(_fresh(d), d.tol)
+            assert (per_edge is None) == _refused(_fresh(d))
+            if per_edge is None:
+                declined += 1
+            else:
+                assert np.array_equal(per_edge, _sweep_report(d).per_edge)
+        assert declined == len(swept)
+
+    def test_count_reads_the_validated_verdict(self, monkeypatch):
+        calls = _counted(monkeypatch, "_check_edge_census")
+        for d in _three_kinds().values():
+            fresh = _fresh(d)
+            calls.clear()
+            validate_drawing(fresh)
+            assert len(calls) == 1
+            rep = count_crossings(fresh)
+            assert verify(fresh).passed
+            assert len(calls) == 1
+            assert rep == _sweep_report(fresh)
+        # new arrays or another kind after validation: the verdict is
+        # computed anew, once each
+        fresh.midpoints = fresh.midpoints.copy()
+        assert count_crossings(fresh) == _sweep_report(fresh)
+        fresh.kind = DrawingKind.COMPLETE_MINUS_VERTEX
+        assert count_crossings(fresh) == _sweep_report(fresh)
+        assert len(calls) == 3
 
 
 def _verdict(check, d):
