@@ -24,6 +24,7 @@ import multiprocessing
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,10 +142,6 @@ def random_assignment(config: AntipodalConfig, rng,
         "could not sample a valid midpoint assignment")
 
 
-# a Drawing field that only memoizes: no constructor argument, no compare
-_MEMO = dict(default=None, init=False, compare=False, repr=False)
-
-
 @dataclass
 class Drawing:
     """A spherical drawing: vertices, edge arrays, and metadata.
@@ -152,9 +149,10 @@ class Drawing:
     The e-th edge joins the vertices uv[e] = (u, v): the shorter arc if
     midpoints[e] is NaN, else the half-circle from vertices[u] through that
     unit midpoint witness to -vertices[u].  ``vertices``, ``uv`` (E, 2)
-    and ``midpoints`` (E, 3) are read-only copies of the arrays passed in,
-    so the orientation signs and the structural verdict validation
-    computes, which count_crossings reuses, cannot go stale.
+    and ``midpoints`` (E, 3) are read-only copies of the arrays passed in.
+    What validation derives from them, and count_crossings reuses, is
+    kept on the drawing (see _kept) and rebuilt once any of them, kind,
+    tol or pairing is replaced or edited, so it cannot go stale.
 
     ``pairing`` maps each vertex to its antipodal partner where one exists;
     it is structural metadata (never inferred geometrically) and drives both
@@ -170,9 +168,8 @@ class Drawing:
     pairing: dict[int, int] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     tol: ToleranceConfig = DEFAULT_TOL
-    # the memos of _cached_signs and of _partners and _verdict
-    _signs: tuple | None = field(**_MEMO)
-    _partner: tuple | None = field(**_MEMO)
+    # d's kept state (see _kept): no constructor argument, no compare
+    _memo: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.array(self.vertices, dtype=float)
@@ -208,9 +205,10 @@ def validate_drawing(d: Drawing) -> None:
     an edge's curve) raise DegenerateConfigurationError; structural
     mismatches raise ValueError.  The structural checks, of the pairing,
     the edges and the census, are d's verdict (see _verdict), computed
-    once and kept on d, where count_crossings reads it too.  Faults are
-    raised in the order unit rows, pairing, edges (the first offending
-    edge is reported), arc endpoints, census, vertices off curves.
+    once and kept on d, where count_crossings and verify read it too.
+    Faults are raised in the order unit rows, pairing, edges (the first
+    offending edge is reported), arc endpoints, census, vertices off
+    curves.
 
     The orientation signs of the sign counter are computed here, once, and
     kept on d for count_crossings.  Where their guard covers the arc
@@ -222,7 +220,7 @@ def validate_drawing(d: Drawing) -> None:
     fault, census = _verdict(d)
     if fault:
         raise ValueError(fault)
-    clears = _stage_clears(d, d.tol)
+    clears = _stage_clears(d)
     if not clears:
         arcs = d.uv[~d.half]
         require_arc_rows(verts[arcs[:, 0]], verts[arcs[:, 1]], d.tol)
@@ -232,20 +230,27 @@ def validate_drawing(d: Drawing) -> None:
         _check_vertices_off_curves(d)
 
 
-def _partners(d: Drawing) -> np.ndarray:
-    """Antipodal partner of each vertex, or -1 for an unpaired one, as a
-    read-only array.
+def _kept(d: Drawing) -> SimpleNamespace:
+    """d's kept state, rebuilt whenever d's arrays, kind or tol are other
+    objects than, or d.pairing differs from, those it was built from.
+    This is the only test of whether what d keeps is still current.
 
-    It is kept in d._partner, with d's verdict once _verdict is asked for
-    it, while d's arrays, kind, tol and pairing stay those they were
-    computed from.  A pairing entry that is no pair of ints, or names an
-    index outside [0, n), raises validate_drawing's ValueError: the first
-    in dict order, all type faults before any range fault.
+    The state is a namespace.  ``source`` holds the arrays, kind and tol
+    it was built from, and ``pairing`` a copy of the pairing.  A rebuild
+    builds ``partner``, each vertex's antipodal partner or -1 for an
+    unpaired one, read-only, and the pairing's entries a -> b as int64
+    arrays ``a`` and ``b``, in dict order.  A pairing entry that is no
+    pair of ints, or names an index outside [0, n), raises
+    validate_drawing's ValueError: the first in dict order, all type
+    faults before any range fault.  ``verdict`` (see _verdict) is None
+    until the verdict is first asked for, and ``key`` until the
+    orientation stage is, which then sets ``signs`` and ``least`` for
+    that guard key (see _cached_signs).
     """
-    now = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
-    if (d._partner and d._partner[1] == d.pairing
-            and all(x is y for x, y in zip(d._partner[0], now))):
-        return d._partner[2]
+    source = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
+    if (d._memo and d._memo.pairing == d.pairing
+            and all(x is y for x, y in zip(d._memo.source, source))):
+        return d._memo
     for a, b in d.pairing.items():
         if not type(a) is type(b) is int:
             raise ValueError(f"pairing entry {a!r} -> {b!r} is not a pair "
@@ -259,32 +264,33 @@ def _partners(d: Drawing) -> np.ndarray:
     partner = np.full(d.n, -1, dtype=np.int64)
     partner[a] = b
     partner.flags.writeable = False
-    d._partner = now, dict(d.pairing), partner, None
-    return partner
+    d._memo = SimpleNamespace(source=source, a=a, b=b, partner=partner,
+                              pairing=dict(d.pairing), verdict=None, key=None)
+    return d._memo
 
 
 def _verdict(d: Drawing) -> tuple[str | None, str | None]:
-    """d's structural verdict (fault, census), computed once and kept
-    with d's partner array (see _partners): validate_drawing's texts of
-    the first pairing or edge fault and of the census fault, each None
-    where it passes.
+    """d's structural verdict (fault, census), computed by
+    _check_edge_census when first asked for and kept (see _kept):
+    validate_drawing's texts of the first pairing or edge fault and of the
+    census fault, each None where it passes.
 
     Reported, in this order: the first pairing entry a -> b in dict order
     with pairing.get(b) != a or verts[b] != -verts[a]; the first edge with
     invalid or repeated endpoints, a half-circle off a couple or with a
     loose midpoint, or an arc on a couple, each fault in that order; the
-    census.  All three are computed by _check_edge_census.  A pairing that
-    _partners refuses raises its ValueError.
+    census.  A pairing that _kept refuses raises its ValueError.
     """
-    partner = _partners(d)
-    if d._partner[3] is None:
-        d._partner = (*d._partner[:3], _check_edge_census(d, partner))
-    return d._partner[3]
+    kept = _kept(d)
+    if kept.verdict is None:
+        kept.verdict = _check_edge_census(d, kept.partner, kept.a, kept.b)
+    return kept.verdict
 
 
-def _check_edge_census(d: Drawing, partner: np.ndarray):
-    """d's structural verdict (fault, census), with partner its partner
-    array; see _verdict for the order of the faults.
+def _check_edge_census(d: Drawing, partner, a, b):
+    """d's structural verdict (fault, census), from d's kept partner array
+    and pairing entries a -> b (see _kept); see _verdict for the order of
+    the faults.
 
     The census is one rule for every kind: every vertex pair that is no
     couple of d.pairing is an edge, as the paper's closed forms assume,
@@ -295,7 +301,6 @@ def _check_edge_census(d: Drawing, partner: np.ndarray):
     no couple lacks an edge iff the arcs are fewer than such pairs.
     """
     n, uv, half, verts = d.n, d.uv, d.half, d.vertices
-    a, b = np.array([*d.pairing.items()], dtype=np.int64).reshape(-1, 2).T
     skew = partner[b] != a
     bad = skew | (verts[b] != -verts[a]).any(axis=1)
     if bad.any():
@@ -392,11 +397,11 @@ def _off_curve_bound(tol: ToleranceConfig) -> float:
     return (tol.general_position + 1e-14) * (1.0 + tol.norm) ** 2
 
 
-def _stage_clears(d: Drawing, tol: ToleranceConfig) -> bool:
-    """Whether d's stage (see _cached_signs) clears _off_curve_bound, on
-    at least five vertices."""
-    signs, least = _cached_signs(d, tol)
-    return signs is not None and least > _off_curve_bound(tol) and d.n >= 5
+def _stage_clears(d: Drawing) -> bool:
+    """Whether d's stage (see _cached_signs) for d.tol clears
+    _off_curve_bound, on at least five vertices."""
+    signs, least = _cached_signs(d, d.tol)
+    return signs is not None and least > _off_curve_bound(d.tol) and d.n >= 5
 
 
 def _check_vertices_off_curves(d: Drawing) -> None:
@@ -577,7 +582,7 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
     pts = np.concatenate([verts, asg.midpoints])
-    if not (_stage_clears(out, tol) and np.all(np.abs(np.einsum(
+    if not (_stage_clears(out) and np.all(np.abs(np.einsum(
             "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
         # n^2 dets at once: far less memory than the stage's n^3 / 8 bytes
         N, U, V, _, partner = _pack_drawing(base_drawing)
@@ -622,7 +627,7 @@ def config_from_drawing(d: Drawing
     # the stage masks a base triple only where two of its points are a
     # couple, which a pairing and edges that pass rule out
     config = _double(d.vertices[reps], d.tol, checked=_verdict(d)[0] is None
-                     and _stage_clears(d, d.tol))
+                     and _stage_clears(d))
     asg = make_assignment(config, d.midpoints[half][order], d.tol)
     return config, asg
 
@@ -703,7 +708,7 @@ def _pack_drawing(d: Drawing):
     mids = d.midpoints[half]
     N[half] = cross(d.vertices[uv[half, 0]], mids)
     U[half] = V[half] = mids
-    return N, U, V, uv, _partners(d)
+    return N, U, V, uv, _kept(d).partner
 
 
 def _sweep(packed, tiles, sign_tol) -> np.ndarray:
@@ -885,7 +890,7 @@ def _orientation_signs(d: Drawing, key: float):
     posT = np.empty((P, words, P), dtype=np.uint64)
     # the couples (x, y), sorted by x, with y = x or y = x's antipodal
     # partner: a triple that holds both is masked
-    ys = np.stack([np.arange(P), _partners(d)], axis=1).ravel()
+    ys = np.stack([np.arange(P), _kept(d).partner], axis=1).ravel()
     xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
@@ -929,30 +934,27 @@ _POINT_SIGNS = (None, None)
 
 def _cached_signs(d: Drawing, tol: ToleranceConfig):
     """_orientation_signs(d, key) with key = max(tol.general_position,
-    _DET_FLOOR).  The result is kept on d and reused while the key, d's
-    arrays and d.pairing stay those it was computed from.  With no pairing
-    and no half-circle it depends on the key and the vertices alone, and
-    its last such run is also kept by their content: validating
-    sample_points' result reuses the sampler's run, edited points do not.
+    _DET_FLOOR), computed when first asked for and kept (see _kept) with
+    its key; another key runs it anew and keeps that run instead.  With
+    no pairing and no half-circle it depends on the key and the vertices
+    alone, and its last such run is also kept by their content:
+    validating sample_points' result reuses the sampler's run, edited
+    points do not.
     """
     global _POINT_SIGNS
     key = max(tol.general_position, _DET_FLOOR)
-    arrays = (d.vertices, d.uv, d.midpoints)
-    if d._signs is not None:
-        kept_key, kept_arrays, kept_pairing, signs, least = d._signs
-        if (kept_key == key and kept_pairing == d.pairing
-                and all(x is y for x, y in zip(kept_arrays, arrays))):
-            return signs, least
-    if d.pairing or d.half.any():
-        signs, least = _orientation_signs(d, key)
-    else:
-        content = (key, d.vertices.shape, d.vertices.tobytes())
-        if _POINT_SIGNS[0] != content:
-            _POINT_SIGNS = None, None       # free the kept bitsets first
-            _POINT_SIGNS = content, _orientation_signs(d, key)
-        signs, least = _POINT_SIGNS[1]
-    d._signs = (key, arrays, dict(d.pairing), signs, least)
-    return signs, least
+    kept = _kept(d)
+    if kept.key != key:
+        if d.pairing or d.half.any():
+            kept.signs, kept.least = _orientation_signs(d, key)
+        else:
+            content = (key, d.vertices.shape, d.vertices.tobytes())
+            if _POINT_SIGNS[0] != content:
+                _POINT_SIGNS = None, None       # free the kept bitsets first
+                _POINT_SIGNS = content, _orientation_signs(d, key)
+            kept.signs, kept.least = _POINT_SIGNS[1]
+        kept.key = key
+    return kept.signs, kept.least
 
 
 def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
@@ -1113,9 +1115,10 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     bounded.  With ``workers > 1`` the tiles are dealt out over a process
     pool and the merged pairs are sorted, so counts and pair lists are
     independent of scheduling.  Any drawing validate_drawing would refuse
-    for its pairing, edges or census is swept too (see _verdict); a
-    pairing entry that is no pair of ints in [0, n) raises
-    validate_drawing's ValueError, as no partner array can be formed.
+    for its pairing, edges or census is swept too (see _verdict), except
+    where the sweep cannot index its vertices: a pairing entry that is no
+    pair of ints in [0, n), as no partner array can be formed, and an edge
+    endpoint outside [0, n) raise validate_drawing's ValueError.
     """
     tol = tol or d.tol
 
@@ -1124,6 +1127,8 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
 
     per_edge = _sign_counts(d, tol)
     if per_edge is None:
+        if not ((d.uv >= 0) & (d.uv < d.n)).all():
+            raise ValueError(_verdict(d)[0])
         pairs = pairs()
         per_edge = np.bincount(pairs.ravel(), minlength=len(d.uv))
     # each edge's crossings count once for each of its two endpoints
@@ -1251,9 +1256,15 @@ def verify(d: Drawing, tol: ToleranceConfig | None = None,
            workers: int = 1) -> VerificationReport:
     """Compare the geometric crossing count with the closed form for the
     drawing's kind; all comparisons are exact integer equalities.  The
-    closed forms hold for the drawings validate_drawing accepts, and
-    verify does not validate d itself."""
+    closed forms hold for the drawings validate_drawing accepts.  A
+    drawing it refuses for its pairing, edges or census raises its
+    ValueError here, from d's kept verdict (see _verdict), which a
+    validated drawing already holds; the geometric checks are not run
+    again."""
     tol = tol or d.tol
+    fault, census = _verdict(d)
+    if fault or census:
+        raise ValueError(fault or census)
     rep = count_crossings(d, tol, workers=workers)
     n = d.n
     checks = []

@@ -97,6 +97,21 @@ class TestDouble:
             double([X, Y])
 
 
+class TestAssignments:
+    def test_midpoint_on_a_vertex_is_refused(self):
+        with pytest.raises(DegenerateConfigurationError) as err:
+            make_assignment(double([X, Y, Z]), [Y, Z, X])
+        assert str(err.value) == ("midpoint 0 coincides with vertex 1 "
+                                  "within tolerance")
+
+    def test_random_assignment_gives_up(self):
+        scripted = ScriptedNormal([[Y, Z, X]] * drawing_mod._MAX_TRIES)
+        with pytest.raises(DegenerateConfigurationError) as err:
+            random_assignment(double([X, Y, Z]), scripted)
+        assert str(err.value) == "could not sample a valid midpoint assignment"
+        assert scripted.draws == drawing_mod._MAX_TRIES
+
+
 class TestBuildCocktailParty:
     def test_octahedral_drawing(self):
         d = build_cocktail_party(double([X, Y, Z]))
@@ -383,6 +398,16 @@ class TestAddApex:
         assert count_crossings(out).total == hill_number(7)
 
 
+    def test_no_apex_in_64_samples(self):
+        """Every sample is vertex 0, coplanar with any two vertices."""
+        config, asg = hill_pairs(3)
+        scripted = ScriptedNormal([config.base[0]] * drawing_mod._MAX_TRIES)
+        with pytest.raises(DegenerateConfigurationError) as err:
+            add_random_apex(config, asg, scripted)
+        assert str(err.value) == "no valid apex found in 64 samples"
+        assert scripted.draws == drawing_mod._MAX_TRIES
+
+
 class TestVerify:
     def test_complete_drawing_passes(self):
         config, asg = hill_pairs(4)
@@ -460,6 +485,17 @@ class TestConfigFromDrawing:
                            match="base points are not in general position"):
             config_from_drawing(bad)
         assert calls == [1]
+
+    @pytest.mark.parametrize("pairing, drop, text", [
+        ({0: 3, 3: 0, 1: 4, 4: 1}, [], "pairing does not cover all vertices"),
+        (None, [(0, 3)], "drawing lacks a matching half-circle per pair")],
+        ids=["pairing", "half-circle"])
+    def test_structure_refusals(self, pairing, drop, text):
+        d = extend_to_complete(*hill_pairs(3))
+        bad = relabelled(d, DrawingKind.COMPLETE, drop=drop, pairing=pairing)
+        with pytest.raises(ValueError) as err:
+            config_from_drawing(bad)
+        assert str(err.value) == text
 
     def test_rejects_random_complete(self, rng):
         pts = random_unit_points(6, rng)

@@ -41,7 +41,7 @@ from .oracles import (apex_checks_reference, block_dets_reference,
                       brute_count,
                       circle_pair_count_reference, coplanar_reference,
                       points_usable_reference)
-from .test_drawing import census_gap, hill_pairs, random_config
+from .test_drawing import CENSUS_GAP, census_gap, hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
 
@@ -710,6 +710,42 @@ class TestOneVerdict:
         fresh.kind = DrawingKind.COMPLETE_MINUS_VERTEX
         assert count_crossings(fresh) == _sweep_report(fresh)
         assert len(calls) == 3
+
+
+class TestVerdictRefusals:
+    """Where the kept verdict holds a fault, verify raises
+    validate_drawing's ValueError instead of comparing a closed form, and
+    count_crossings raises it where an edge endpoint lies outside the
+    vertices, which the sweep cannot index."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_verify_refuses_the_census_gap(self, seed):
+        """verify used to report partial_matching_total as failed."""
+        bad = census_gap(seed)
+        want = _verdict(validate_drawing, _fresh(bad))
+        assert want == (ValueError, CENSUS_GAP)
+        assert _verdict(verify, bad) == want
+
+    def test_verify_refuses_the_swept_drawings(self):
+        for d in _swept_drawings():
+            want = _verdict(validate_drawing, _fresh(d))
+            assert want[0] is ValueError
+            assert want[1] in drawing_mod._verdict(_fresh(d))
+            assert _verdict(verify, _fresh(d)) == want
+
+    @pytest.mark.parametrize("end", (-1, -3, 8))
+    def test_count_refuses_an_endpoint_outside(self, end, sweep_calls):
+        """Once "edge pair (5,10) falls in the sign dead zone" for -1,
+        "(5,13)" for -3 and a bare IndexError for n = 8."""
+        d = build_cocktail_party(random_config(4, np.random.default_rng(3)))
+        uv = d.uv.copy()
+        uv[5, 1] = end
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=uv,
+                      midpoints=d.midpoints, pairing=d.pairing)
+        want = (ValueError, f"edge ({uv[5, 0]},{end}) has invalid endpoints")
+        assert _verdict(validate_drawing, _fresh(bad)) == want
+        assert _verdict(count_crossings, bad) == want
+        assert sweep_calls == []
 
 
 def _verdict(check, d):

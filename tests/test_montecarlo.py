@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hilldraw import montecarlo
 from hilldraw.drawing import complete_drawing_from_points, count_crossings
 from hilldraw.formulas import hill_number
-from hilldraw.geom import DEFAULT_TOL, ToleranceConfig, rotate
+from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                           ToleranceConfig, rotate)
 from hilldraw.montecarlo import (CensusResult, DistributionSpec,
                                  ExperimentConfig, SamplingError, k4_census,
                                  random_drawing_cr, ratio_experiment,
@@ -122,6 +124,38 @@ class TestRandomDrawingCr:
         c2 = count_crossings(complete_drawing_from_points(rotated)).total
         assert c1 == c2
 
+    def test_degenerate_attempt_moves_to_the_next_stream(self,
+                                                         monkeypatch):
+        calls = _refuse_counts(monkeypatch, 1)
+        dist = DistributionSpec()
+        pts = sample_points(8, dist, np.random.default_rng([11, 1]))
+        want = count_crossings(complete_drawing_from_points(pts)).total
+        assert random_drawing_cr(8, dist, seed=11) == want
+        assert len(calls) == 2
+
+    def test_every_attempt_refused(self, monkeypatch):
+        calls = _refuse_counts(monkeypatch, montecarlo._MAX_TRIES)
+        with pytest.raises(SamplingError) as err:
+            random_drawing_cr(8, DistributionSpec(), seed=11)
+        assert str(err.value) == ("no countable sample for stream [11] in "
+                                  "16 attempts")
+        assert len(calls) == montecarlo._MAX_TRIES
+
+
+def _refuse_counts(monkeypatch, refusals):
+    """Makes montecarlo's count_crossings refuse its first calls as
+    degenerate; returns the list of its calls."""
+    calls = []
+
+    def refusing(d, tol, workers):
+        calls.append(1)
+        if len(calls) <= refusals:
+            raise DegenerateConfigurationError("forced")
+        return count_crossings(d, tol, workers=workers)
+
+    monkeypatch.setattr(montecarlo, "count_crossings", refusing)
+    return calls
+
 
 class TestRatioExperiment:
     def test_determinism_and_stats(self):
@@ -203,6 +237,16 @@ class TestK4Census:
         # pinned to the histograms of three pairwise arc tests per sample,
         # which the census's sign split must reproduce sample for sample
         assert k4_census(trials, dist, seed, tol).counts == counts
+
+    def test_resampling_gives_up(self):
+        """Four equal points are all in the dead zone: every round redraws
+        them until the census gives up."""
+        flat = DistributionSpec(kind="antipodal_symmetrized",
+                                base=lambda rng, size: np.tile(
+                                    [0.0, 0.0, 1.0], (size, 1)))
+        with pytest.raises(SamplingError) as err:
+            k4_census(3, flat, seed=1)
+        assert str(err.value) == "census resampling did not converge"
 
     def test_histogram_normalizes(self):
         result = k4_census(2000, DistributionSpec(), seed=1)
