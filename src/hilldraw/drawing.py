@@ -745,8 +745,9 @@ def _sweep(packed, tiles, sign_tol) -> np.ndarray:
         active = ~(blocked[:, uv[c0:c1, 0]] | blocked[:, uv[c0:c1, 1]])
         if r1 - r0 > 1:
             active &= np.arange(c0, c1) > np.arange(r0, r1)[:, None]
-        return (crossing & active, active & (nx <= sign_tol),
-                active & (mags <= sign_tol * nx))
+        # ~(x > tol): a NaN decision is refused, not read as no crossing
+        return (crossing & active, active & ~(nx > sign_tol),
+                active & ~(mags > sign_tol * nx))
 
     def same_circle(i, j):
         return DegenerateConfigurationError(
@@ -844,8 +845,9 @@ def _orientation_signs(d: Drawing, key: float):
     pos[a, c] of the vertices x with det(a,c,x) > 0, over d's n vertices.
     sides is the (k, n) int8 table of sign det(p, m, x) over the k
     half-circle edges, in edge order, each from p through its midpoint
-    witness m, and the vertices x.  least is the smallest |det| of an
-    unmasked vertex triple or table entry.
+    witness m, and the vertices x.  Both are read-only, as they are kept
+    and shared.  least is the smallest |det| of an unmasked vertex triple
+    or table entry.
 
     Masks and guard.  Two kinds of vertex triple are masked by index,
     never by size: a repeated index (det(a,b,a) is about 1e-17, not 0)
@@ -925,6 +927,7 @@ def _orientation_signs(d: Drawing, key: float):
             np.abs(dets, out=dets), axis=None, initial=np.inf)))
         if not least > margin:
             return None, least
+    posT.flags.writeable = sides.flags.writeable = False
     return (posT, sides), least
 
 
@@ -1014,9 +1017,9 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     word-major, posT[a, w, c] = word w of pos[a, c] and negT[a, w, c] =
     word w of neg[a, c] = posT[c, w, a], so that every AND runs along the
     n columns c rather than along a row's few words.  The arcs are taken
-    in blocks; where every vertex pair is an arc, as in a point drawing,
-    the pairs a < b are taken vertex by vertex, so that rows are slices
-    rather than gathers.
+    in blocks, and each block's ANDs are written into the copy of posT[b]
+    that gathering by index makes, so a block needs one temporary of its
+    size, not three.
 
     Counting half-circles.  The table's signs are packed as bitsets too,
     over the ends p of the half-circles and over the vertices, so the
@@ -1046,30 +1049,20 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     lo, hi = arcs.min(axis=1), arcs.max(axis=1)
     (posT, sides), words = signs, signs[0].shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
-
-    def crossings(a, b):
-        """Arcs crossed by the arcs ab, for b a slice or an index array
-        and a one index or one per ab."""
+    per_edge = np.zeros(len(uv), dtype=np.int64)
+    crossed = np.zeros(len(lo), dtype=np.int64)
+    for s0, s1 in row_blocks(len(lo), n * words):
+        a, b = lo[s0:s1], hi[s0:s1]
         # pos[a, b] = negT[b, :, a] and neg[a, b] = posT[b, :, a]
         above = np.unpackbits(np.ascontiguousarray(negT[b, :, a]).view(
             np.uint8), axis=-1, count=n, bitorder="little")
         # [ab, w, c]: word w of neg[a,b] & pos[b,c] & neg[a,c]
-        counts = np.bitwise_count(posT[b, :, a][..., None] & posT[b] & negT[a])
+        found = posT[b]
+        found &= negT[a]
+        found &= posT[b, :, a][..., None]
+        counts = np.bitwise_count(found)
         counts *= above[:, None]          # the c with det(a,b,c) > 0
-        return counts.sum(axis=(1, 2), dtype=np.int64)
-
-    per_edge = np.zeros(len(uv), dtype=np.int64)
-    if not d.pairing:
-        # every vertex pair is an arc: vertex by vertex, rows are slices;
-        # gathered per arc, as below, they nearly double the time on K_100
-        crossed = np.zeros((n, n), dtype=np.int64)
-        for a in range(n - 1):
-            crossed[a, a + 1:] = crossings(a, slice(a + 1, n))
-        crossed = crossed[lo, hi]
-    else:
-        crossed = np.zeros(len(lo), dtype=np.int64)
-        for s0, s1 in row_blocks(len(lo), n * words):
-            crossed[s0:s1] = crossings(lo[s0:s1], hi[s0:s1])
+        crossed[s0:s1] = counts.sum(axis=(1, 2), dtype=np.int64)
     if len(ends):
         # below[x] and over[x] hold the ends p of the half-circles with
         # det(p,m,x) < 0 and > 0, and the first k rows of over_h the x

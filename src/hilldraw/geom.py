@@ -216,7 +216,8 @@ def upper_pairs(n: int) -> np.ndarray:
 
 def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     """True iff some triple i < j < l has |det[p_i p_j p_l]| <= margin,
-    i.e. lies on a common great circle within the margin.  The C(n, 2)
+    i.e. lies on a common great circle within the margin, or a NaN
+    determinant, as from a non-finite point.  The C(n, 2)
     cross products p_i x p_j are computed once and dotted with every point
     in blocks of pairs."""
     n = len(points)
@@ -224,7 +225,7 @@ def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     pair_cross = cross(points[ii], points[jj])
     for start, stop in row_blocks(len(ii), n):
         dets = np.abs(pair_cross[start:stop] @ points.T)
-        if np.any((dets <= margin) & (np.arange(n) > jj[start:stop, None])):
+        if np.any(~(dets > margin) & (np.arange(n) > jj[start:stop, None])):
             return True
     return False
 

@@ -44,6 +44,13 @@ class TestSeeds:
         validate_arrangement(arr.points, arr.midpoints)
         assert is_general_position(arr.points)
 
+    def test_non_finite_point_is_refused(self):
+        arr = seed_four()
+        points = arr.points.copy()
+        points[1] = np.nan
+        with pytest.raises(ConstructionError, match="degenerate"):
+            validate_arrangement(points, arr.midpoints)
+
 
 class TestBlowup:
     def test_single_seed_multiplicities(self):

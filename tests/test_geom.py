@@ -97,6 +97,12 @@ class TestGeneralPosition:
         with pytest.raises(ValueError):
             is_general_position([X, Y])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_row_is_not(self, bad):
+        """A NaN determinant is no proof of general position."""
+        with np.errstate(invalid="ignore"):
+            assert not is_general_position([X, Y, Z, (bad, 0.0, 0.0)])
+
 
 class TestAntipode:
     def test_pole(self):

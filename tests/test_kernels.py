@@ -7,7 +7,7 @@ offenders must not depend on it.
 """
 
 import json
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
                            GeodesicArc, ToleranceConfig, arc_frames,
                            half_circles_cross, require_arc_rows, unit)
-from hilldraw.montecarlo import DistributionSpec, sample_points
+from hilldraw.montecarlo import DistributionSpec, SamplingError, sample_points
 from hilldraw.svg import export_svg
 
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
@@ -547,16 +547,22 @@ class TestSignCache:
             assert rep == _sweep_report(fresh) == count_crossings(d)
 
     def test_non_finite_vertex_goes_to_the_sweep(self, rng, sweep_calls):
-        """NaN determinants of a NaN vertex are not taken for masked ones."""
+        """NaN determinants of a NaN vertex are not taken for masked ones,
+        and the sweep refuses the NaN decisions of a NaN or inf vertex
+        rather than read them as no crossing."""
         d = complete_drawing_from_points(random_unit_points(8, rng))
-        vertices = d.vertices.copy()
-        vertices[3] = np.nan
-        d = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
-                    midpoints=d.midpoints)
-        assert drawing_mod._cached_signs(d, d.tol)[0] is None
-        rep = count_crossings(d)
-        assert sweep_calls != []
-        assert rep == _sweep_report(d)
+        for bad in (np.nan, (np.inf, 0.0, 0.0)):
+            vertices = d.vertices.copy()
+            vertices[3] = bad
+            e = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                        midpoints=d.midpoints)
+            assert drawing_mod._cached_signs(e, e.tol)[0] is None
+            sweep_calls.clear()
+            with np.errstate(invalid="ignore"):
+                got = _outcome(count_crossings, e)
+                assert sweep_calls != []
+                assert got == _outcome(lambda e, tol: _sweep_report(e), e)
+            assert got[0] is DegenerateConfigurationError
 
     def test_changed_drawing_is_recounted(self, rng, stage_calls):
         """Signs kept for other vertices or another pairing are not used."""
@@ -636,6 +642,37 @@ class TestSignCache:
         assert np.array_equal(got, sampled(points_usable_reference))
         kept = np.array_equal(np.abs(got[:2]), np.eye(3)[:2])
         assert kept == (factor > 1.0)
+
+    def test_sampler_redraws_a_non_finite_draw(self):
+        """A NaN draw, which the stage declines, is redrawn, not passed by
+        the coplanarity fallback; a base that always gives NaN ends in
+        SamplingError."""
+        first = random_unit_points(8, np.random.default_rng(58))
+        first[5] = np.nan
+
+        def sampled(usable, sets):
+            spec = DistributionSpec(kind="antipodal_symmetrized",
+                                    base=lambda rng, size: next(sets))
+            rng = np.random.default_rng(59)
+            if usable is None:
+                return sample_points(8, spec, rng)
+            while True:
+                pts = spec.draw(rng, 8)
+                if usable(pts, DEFAULT_TOL):
+                    return pts
+
+        def scripted():
+            yield first
+            while True:
+                yield random_unit_points(8, np.random.default_rng(60))
+
+        with np.errstate(invalid="ignore"):
+            got = sampled(None, scripted())
+            assert np.isfinite(got).all()
+            assert np.array_equal(
+                got, sampled(points_usable_reference, scripted()))
+            with pytest.raises(SamplingError):
+                sampled(None, repeat(first))
 
 
 def _swept_drawings():
@@ -1034,6 +1071,39 @@ class TestDeterminantsOnce:
         least = coplanar_reference(pts)
         assert geom.has_coplanar_triple(pts, least)
         assert not geom.has_coplanar_triple(pts, np.nextafter(least, 0.0))
+
+
+class TestOneArcLoop:
+    """_sign_counts counts every drawing's arcs in blocks of rows, the
+    point drawings too, and ANDs into its gathered copy of the kept
+    bitsets, which must stay read-only."""
+
+    def test_block_edges(self, stage_drawings, monkeypatch):
+        """Tiles of 5 give one arc per block, 1000 a few with a short last
+        block; the counts are the sweep's wherever it is cheap to run."""
+        counts = {}
+        for tile in (5, 1000, geom._TILE):
+            monkeypatch.setattr(geom, "_TILE", tile)
+            for name, d in stage_drawings.items():
+                per_edge = drawing_mod._sign_counts(_fresh(d), d.tol)
+                assert per_edge is not None
+                counts.setdefault(name, []).append(per_edge)
+        for name, (first, *rest) in counts.items():
+            assert all(np.array_equal(first, c) for c in rest), name
+            d = stage_drawings[name]
+            if d.n <= 65:
+                assert np.array_equal(first, _sweep_report(d).per_edge), name
+
+    def test_kept_signs_are_read_only(self, stage_drawings):
+        d = _fresh(stage_drawings["complete"])
+        validate_drawing(d)
+        posT, sides = drawing_mod._cached_signs(d, d.tol)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            posT[0, 0, 1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sides[0, 0] = 0
+        first = count_crossings(d)
+        assert count_crossings(d) == first == _sweep_report(d)
 
 
 def _guard_drawings():
