@@ -35,7 +35,8 @@ from .drawing import (AntipodalConfig, HalfCircleAssignment, _double,
                       strength)
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
                    ToleranceConfig, cross, cross3, dot3, is_general_position,
-                   repair_midpoints, require_unit_rows, rotate, unit)
+                   repair_midpoints, require_finite_rows, require_unit_rows,
+                   rotate, unit)
 
 
 class ConstructionError(Exception):
@@ -69,7 +70,10 @@ def validate_arrangement(points, midpoints,
                          tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise ConstructionError unless the half-circles from points[i]
     through midpoints[i], both (k, 3) arrays, are pairwise disjoint and
-    their endpoints are a general-position point set."""
+    their endpoints are a general-position point set.  A point, then a
+    midpoint, that is not finite raises a ValueError naming it first."""
+    require_finite_rows(points, "point")
+    require_finite_rows(midpoints, "midpoint")
     try:
         crossing = half_circle_crossings(points, midpoints, tol)
     except DegenerateConfigurationError as exc:

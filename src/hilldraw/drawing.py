@@ -32,9 +32,9 @@ from .formulas import hill_number, partial_matching_target, per_vertex_target
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, arc_frames, cross, cross3, dot3,
                    frame_signs, is_general_position, loose_midpoints,
-                   repair_midpoints, require_arc_rows, require_unit,
-                   require_unit_rows, row_blocks, triangle_tiles, unit,
-                   upper_pairs)
+                   repair_midpoints, require_arc_rows, require_finite_rows,
+                   require_unit, require_unit_rows, row_blocks, tile_rows,
+                   triangle_tiles, unit, upper_pairs)
 
 
 class DrawingKind(str, Enum):
@@ -190,8 +190,9 @@ class Drawing:
 
     @property
     def half(self) -> np.ndarray:
-        """(E,) mask of the half-circle edges: rows not all NaN."""
-        return ~np.isnan(self.midpoints).all(axis=1)
+        """(E,) read-only mask of the half-circle edges: rows not all
+        NaN, kept with d's state (see _kept)."""
+        return _kept(self, paired=False).half
 
     def matching_size(self) -> int:
         """Number of matching edges missing from the complete graph."""
@@ -230,14 +231,16 @@ def validate_drawing(d: Drawing) -> None:
         _check_vertices_off_curves(d)
 
 
-def _kept(d: Drawing) -> SimpleNamespace:
+def _kept(d: Drawing, paired: bool = True) -> SimpleNamespace:
     """d's kept state, rebuilt whenever d's arrays, kind or tol are other
     objects than, or d.pairing differs from, those it was built from.
     This is the only test of whether what d keeps is still current.
 
     The state is a namespace.  ``source`` holds the arrays, kind and tol
     it was built from, and ``pairing`` a copy of the pairing.  A rebuild
-    builds ``partner``, each vertex's antipodal partner or -1 for an
+    builds ``half``, the read-only mask behind Drawing.half.  Unless
+    ``paired`` is False, the pairing is then read as well, once per
+    state: ``partner``, each vertex's antipodal partner or -1 for an
     unpaired one, read-only, and the pairing's entries a -> b as int64
     arrays ``a`` and ``b``, in dict order.  A pairing entry that is no
     pair of ints, or names an index outside [0, n), raises
@@ -248,9 +251,16 @@ def _kept(d: Drawing) -> SimpleNamespace:
     that guard key (see _cached_signs).
     """
     source = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
-    if (d._memo and d._memo.pairing == d.pairing
-            and all(x is y for x, y in zip(d._memo.source, source))):
-        return d._memo
+    kept = d._memo
+    if not (kept and kept.pairing == d.pairing
+            and all(x is y for x, y in zip(kept.source, source))):
+        half = ~np.isnan(d.midpoints).all(axis=1)
+        half.flags.writeable = False
+        kept = d._memo = SimpleNamespace(
+            source=source, pairing=dict(d.pairing), half=half, partner=None,
+            verdict=None, key=None)
+    if not paired or kept.partner is not None:
+        return kept
     for a, b in d.pairing.items():
         if not type(a) is type(b) is int:
             raise ValueError(f"pairing entry {a!r} -> {b!r} is not a pair "
@@ -264,9 +274,8 @@ def _kept(d: Drawing) -> SimpleNamespace:
     partner = np.full(d.n, -1, dtype=np.int64)
     partner[a] = b
     partner.flags.writeable = False
-    d._memo = SimpleNamespace(source=source, a=a, b=b, partner=partner,
-                              pairing=dict(d.pairing), verdict=None, key=None)
-    return d._memo
+    kept.a, kept.b, kept.partner = a, b, partner
+    return kept
 
 
 def _verdict(d: Drawing) -> tuple[str | None, str | None]:
@@ -283,14 +292,14 @@ def _verdict(d: Drawing) -> tuple[str | None, str | None]:
     """
     kept = _kept(d)
     if kept.verdict is None:
-        kept.verdict = _check_edge_census(d, kept.partner, kept.a, kept.b)
+        kept.verdict = _check_edge_census(d, kept)
     return kept.verdict
 
 
-def _check_edge_census(d: Drawing, partner, a, b):
-    """d's structural verdict (fault, census), from d's kept partner array
-    and pairing entries a -> b (see _kept); see _verdict for the order of
-    the faults.
+def _check_edge_census(d: Drawing, kept: SimpleNamespace):
+    """d's structural verdict (fault, census), from d's kept half mask,
+    partner array and pairing entries a -> b (see _kept); see _verdict
+    for the order of the faults.
 
     The census is one rule for every kind: every vertex pair that is no
     couple of d.pairing is an edge, as the paper's closed forms assume,
@@ -299,8 +308,11 @@ def _check_edge_census(d: Drawing, partner, a, b):
     It runs on edges that pass the edge checks, distinct vertex pairs
     each a half-circle iff it is a couple, so it counts: a pair that is
     no couple lacks an edge iff the arcs are fewer than such pairs.
+    Repeated edges are found by sorting their keys; np.unique finds the
+    first of each only where some key repeats.
     """
-    n, uv, half, verts = d.n, d.uv, d.half, d.vertices
+    n, uv, verts = d.n, d.uv, d.vertices
+    half, partner, a, b = kept.half, kept.partner, kept.a, kept.b
     skew = partner[b] != a
     bad = skew | (verts[b] != -verts[a]).any(axis=1)
     if bad.any():
@@ -310,11 +322,16 @@ def _check_edge_census(d: Drawing, partner, a, b):
     u, v = np.clip(uv, 0, n - 1).T
     invalid = (uv[:, 0] != u) | (uv[:, 1] != v) | (u == v)
     key = np.minimum(u, v) * n + np.maximum(u, v)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    repeated = np.zeros(len(key), dtype=bool)
+    ordered = np.sort(key, kind="stable")   # timsort: keys come in runs
+    if (ordered[1:] == ordered[:-1]).any():
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        repeated = first[inverse] != np.arange(len(key))
     paired = partner[u] == v
-    faults = (invalid, first[inverse] != np.arange(len(key)), half & ~paired,
-              half & loose_midpoints(verts[u], d.midpoints, d.tol),
-              ~half & paired)
+    loose = half.copy()
+    loose[half] = loose_midpoints(verts[u[half]], d.midpoints[half], d.tol)
+    faults = (invalid, repeated, half & ~paired, loose, ~half & paired)
     bad = np.logical_or.reduce(faults)
     if bad.any():
         i = int(np.argmax(bad))
@@ -866,9 +883,18 @@ def _orientation_signs(d: Drawing, key: float):
     are dotted with every vertex only for b >= a0: geom.cross takes each
     component as a difference of two rounded products, a1 b2 - a2 b1 and
     so on, which swapping a and b swaps, so cross(b, a) = -cross(a, b)
-    exactly and det(b,a,c) = -det(a,b,c) bit for bit; thus
-    pos[b, a] for b >= a1 is det(a,b,c) < 0, and with masks symmetric in
-    a triple, posT, least and the guard are those of all n^3 triples.
+    exactly and det(b,a,c) = -det(a,b,c) bit for bit; with masks
+    symmetric in a triple, least and the guard are those of all n^3
+    triples.  The blocks pack pos[a, b] only for b >= a0; pos[b, a] for
+    b > a is then derived from the packed words, with no second
+    comparison: once the guard has passed, every unmasked det exceeds
+    margin >= _DET_FLOOR in size and is finite, so none is 0, and
+    det(b,a,x) > 0 iff det(a,b,x) is not.  So pos[b, a] is pos[a, b]
+    with the bits of the unmasked x flipped, which are every vertex but
+    a, b and their partners, and none where (a, b) is a couple; inside a
+    block this rewrites the bits the block packed, which are the same.
+    A drawing in one block (n <= 32 under the default tile) packs all of
+    posT in its block and derives none.
     The table takes det(p, m, x) as cross(p, m).x, the sweep's own
     half-circle normal dotted with x.
     """
@@ -892,14 +918,15 @@ def _orientation_signs(d: Drawing, key: float):
     posT = np.empty((P, words, P), dtype=np.uint64)
     # the couples (x, y), sorted by x, with y = x or y = x's antipodal
     # partner: a triple that holds both is masked
-    ys = np.stack([np.arange(P), _kept(d).partner], axis=1).ravel()
+    partner = _kept(d).partner
+    ys = np.stack([np.arange(P), partner], axis=1).ravel()
     xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
-    # tile of row_blocks; fresh dets arrays of varying size cost more
+    # tile (geom.tile_rows); fresh dets arrays of varying size cost more
     blocks, a0 = [], 0
     while a0 < P:
-        blocks.append((a0, a0 + row_blocks(P - a0, (P - a0) * P)[0][1]))
+        blocks.append((a0, min(P, a0 + tile_rows((P - a0) * P))))
         a0 = blocks[-1][1]
     dets_buf = np.empty(P * max(((a1 - a0) * (P - a0) for a0, a1 in blocks),
                                 default=0))
@@ -920,13 +947,24 @@ def _orientation_signs(d: Drawing, key: float):
         bits = np.zeros((r, P - a0, 64 * words), dtype=bool)
         np.greater(dets, 0.0, out=bits[..., :P])
         posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)
-        if a1 < P:  # pos[b, a], b >= a1, from det(b,a,c) = -det(a,b,c)
-            np.less(dets[:, r:], 0.0, out=bits[:, r:, :P])
-            posT[a1:, :, a0:a1] = _pack(bits[:, r:]).transpose(1, 2, 0)
         least = min(least, float(np.fmin.reduce(
             np.abs(dets, out=dets), axis=None, initial=np.inf)))
         if not least > margin:
             return None, least
+    if len(blocks) > 1:
+        # pos[b, a] for b > a: pos[a, b] with the bits flipped that no
+        # mask of (a, b, x) holds, where keep[y] drops y and its partner,
+        # and none for a couple (a, b)
+        bits = np.zeros((P, 64 * words), dtype=bool)
+        bits[:, :P] = True
+        bits[xs, ys] = False
+        keep = _pack(bits)
+        mirror = np.bitwise_and(keep[:, :, None], keep.T,
+                                out=np.empty_like(posT))
+        mirror ^= posT.transpose(2, 1, 0)
+        paired = np.flatnonzero(partner >= 0)
+        mirror[partner[paired], :, paired] = 0
+        np.copyto(posT, mirror, where=np.tri(P, k=-1, dtype=bool)[:, None])
     posT.flags.writeable = sides.flags.writeable = False
     return (posT, sides), least
 
@@ -1111,7 +1149,9 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     for its pairing, edges or census is swept too (see _verdict), except
     where the sweep cannot index its vertices: a pairing entry that is no
     pair of ints in [0, n), as no partner array can be formed, and an edge
-    endpoint outside [0, n) raise validate_drawing's ValueError.
+    endpoint outside [0, n) raise validate_drawing's ValueError.  Nor is a
+    drawing swept whose vertex or half-circle midpoint is not finite: the
+    first such vertex, then midpoint, raises a ValueError that names it.
     """
     tol = tol or d.tol
 
@@ -1120,6 +1160,9 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
 
     per_edge = _sign_counts(d, tol)
     if per_edge is None:
+        require_finite_rows(d.vertices, "vertex")
+        require_finite_rows(np.where(d.half[:, None], d.midpoints, 0.0),
+                            "midpoint of edge")
         if not ((d.uv >= 0) & (d.uv < d.n)).all():
             raise ValueError(_verdict(d)[0])
         pairs = pairs()

@@ -119,6 +119,16 @@ def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return P
 
 
+def require_finite_rows(P, name: str) -> None:
+    """Raise ValueError for the first row i of the (m, 3) array P that is
+    not finite: "<name> i is not finite: [x, y, z]"."""
+    P = np.asarray(P, dtype=float)
+    bad = ~np.isfinite(P).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} {i} is not finite: {P[i].tolist()}")
+
+
 def cross(a, b) -> np.ndarray:
     """np.cross(a, b) of float64 3-vectors over the last axis, broadcast,
     bit for bit: the same products and differences, a1*b2 - a2*b1 and so
@@ -172,10 +182,16 @@ def orient(p, q, r, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return 1 if d > 0.0 else -1
 
 
+def tile_rows(width: int) -> int:
+    """Rows whose tile against ``width`` columns holds at most _TILE
+    elements, and at least one."""
+    return max(1, _TILE // max(1, width))
+
+
 def row_blocks(rows: int, width: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) ranges of rows whose tiles against
     ``width`` columns hold at most _TILE elements (at least one row)."""
-    step = max(1, _TILE // max(1, width))
+    step = tile_rows(width)
     return [(s, min(s + step, rows)) for s in range(0, rows, step)]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,11 +46,28 @@ class TestSeeds:
         assert is_general_position(arr.points)
 
     def test_non_finite_point_is_refused(self):
+        """Refused up front, by name: the sweep once refused it as
+        "half-circles are degenerate: edges 0 and 1 lie on the same great
+        circle"."""
         arr = seed_four()
         points = arr.points.copy()
         points[1] = np.nan
-        with pytest.raises(ConstructionError, match="degenerate"):
+        with pytest.raises(ValueError) as err:
             validate_arrangement(points, arr.midpoints)
+        assert str(err.value) == "point 1 is not finite: [nan, nan, nan]"
+
+    @pytest.mark.parametrize("row, value, text", [
+        (2, np.inf, "[inf, inf, inf]"), (0, np.nan, "[nan, nan, nan]")])
+    def test_non_finite_midpoint_is_refused(self, row, value, text):
+        """After every point is found finite; no numpy warning."""
+        arr = seed_four()
+        mids = arr.midpoints.copy()
+        mids[row] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                validate_arrangement(arr.points, mids)
+        assert str(err.value) == f"midpoint {row} is not finite: {text}"
 
 
 class TestBlowup:

@@ -7,6 +7,7 @@ offenders must not depend on it.
 """
 
 import json
+import warnings
 from itertools import combinations, repeat
 
 import numpy as np
@@ -547,22 +548,51 @@ class TestSignCache:
             assert rep == _sweep_report(fresh) == count_crossings(d)
 
     def test_non_finite_vertex_goes_to_the_sweep(self, rng, sweep_calls):
-        """NaN determinants of a NaN vertex are not taken for masked ones,
-        and the sweep refuses the NaN decisions of a NaN or inf vertex
-        rather than read them as no crossing."""
+        """NaN determinants of a NaN vertex are not taken for masked ones:
+        a NaN or inf vertex gets no signs, and the sweep's path refuses it
+        up front, naming it, before any pair is swept and with no numpy
+        warning.  It once raised "edges 0 and 13 lie on the same great
+        circle within tolerance", and the inf case warned from
+        arc_frames."""
         d = complete_drawing_from_points(random_unit_points(8, rng))
-        for bad in (np.nan, (np.inf, 0.0, 0.0)):
+        for bad, text in ((np.nan, "[nan, nan, nan]"),
+                          ((np.inf, 0.0, 0.0), "[inf, 0.0, 0.0]")):
             vertices = d.vertices.copy()
             vertices[3] = bad
             e = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
                         midpoints=d.midpoints)
             assert drawing_mod._cached_signs(e, e.tol)[0] is None
             sweep_calls.clear()
-            with np.errstate(invalid="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 got = _outcome(count_crossings, e)
-                assert sweep_calls != []
-                assert got == _outcome(lambda e, tol: _sweep_report(e), e)
-            assert got[0] is DegenerateConfigurationError
+            assert sweep_calls == []
+            assert got == (ValueError, f"vertex 3 is not finite: {text}")
+
+    def test_non_finite_midpoint_is_refused_by_name(self, sweep_calls):
+        """A half-circle's midpoint witness with an inf, or with a NaN
+        beside finite entries, is refused like a vertex, after every
+        vertex; a row all NaN is an arc, no half-circle."""
+        d = extend_to_complete(*hill("two", 6, [5, 6]))
+        e = int(np.flatnonzero(d.half)[2])
+        sweep_calls.clear()
+        for bad, text in (((np.inf, 0.0, 0.0), "[inf, 0.0, 0.0]"),
+                          ((0.0, np.nan, 1.0), "[0.0, nan, 1.0]")):
+            mids = d.midpoints.copy()
+            mids[e] = bad
+            bad_mid = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                              midpoints=mids, pairing=d.pairing)
+            vertices = d.vertices.copy()
+            vertices[7] = np.nan
+            both = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                           midpoints=mids, pairing=d.pairing)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(count_crossings, bad_mid) == (
+                    ValueError, f"midpoint of edge {e} is not finite: {text}")
+                assert _outcome(count_crossings, both) == (
+                    ValueError, "vertex 7 is not finite: [nan, nan, nan]")
+            assert sweep_calls == []
 
     def test_changed_drawing_is_recounted(self, rng, stage_calls):
         """Signs kept for other vertices or another pairing are not used."""
@@ -1011,6 +1041,29 @@ def stage_drawings():
     return out
 
 
+MIRROR_SIZES = (32, 33, 64, 65, 100)
+MIRROR_KINDS = ("cocktail k=20", *(f"Hill k={k}" for k in range(20, 25)),
+                "Hill k=24, vertex 5 deleted", "Hill k=20 plus apex")
+
+
+@pytest.fixture(scope="module")
+def mirror_drawings():
+    """Point drawings on both sides of the one-block limit (n = 32 under
+    the default tile) and of the word boundary, and drawings with
+    couples, with an unpaired vertex and with an apex."""
+    rng = np.random.default_rng(2020)
+    out = {f"K{n}": _points_drawing(random_unit_points(n, rng))
+           for n in MIRROR_SIZES}
+    out["cocktail k=20"] = build_cocktail_party(random_config(20, rng))
+    for k in range(20, 25):
+        config, asg = hill("four", k, [20, k])
+        out[f"Hill k={k}"] = extend_to_complete(config, asg)
+        if k == 20:
+            out["Hill k=20 plus apex"] = add_random_apex(config, asg, rng)
+    out["Hill k=24, vertex 5 deleted"] = delete_vertex(out["Hill k=24"], 5)
+    return out
+
+
 class TestDeterminantsOnce:
     """The kernels take each cross product once per point set; their
     determinants must be those of one np.cross per block, bit for bit.
@@ -1025,6 +1078,32 @@ class TestDeterminantsOnce:
             monkeypatch.setattr(geom, "_TILE", tile)
             for d in stage_drawings.values():
                 self._check_stage(d)
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    @pytest.mark.parametrize("name", (*(f"K{n}" for n in MIRROR_SIZES),
+                                      *MIRROR_KINDS))
+    def test_mirrored_signs(self, name, tile, mirror_drawings, monkeypatch):
+        """pos[b, a] past a's block is derived from the packed pos[a, b]
+        once the guard has passed: it must still be det(b, a, x) > 0 over
+        the unmasked x, with couples, an unpaired vertex and an apex, on
+        one block (n <= 32 under the default tile) and on several, on one
+        word and on two."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        self._check_stage(mirror_drawings[name])
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    def test_refusal_in_a_later_block(self, tile, monkeypatch, rng):
+        """A K_100 whose only triple inside the margin is (60, 61, 62),
+        rows of a later block than the first under every tile: no signs,
+        and the least |det| of the blocks up to the refusing one."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        z = 5e-10
+        pts = random_unit_points(100, rng)
+        c = np.sqrt((1.0 - z * z) / 2.0)
+        pts[60:63] = np.eye(3)[0], np.eye(3)[1], (c, c, z)
+        key = max(DEFAULT_TOL.general_position, drawing_mod._DET_FLOOR)
+        assert drawing_mod._orientation_signs(_points_drawing(pts),
+                                              key) == (None, z)
 
     @staticmethod
     def _check_stage(d):
@@ -1370,6 +1449,45 @@ class TestValidationReportsFirstBadEdge:
                 validate_drawing(Drawing(vertices=d.vertices, kind=d.kind,
                                          uv=uv, midpoints=mids,
                                          pairing=d.pairing))
+
+    @pytest.mark.parametrize("duplicate, order, text", [
+        (True, 1, "duplicate edge (1,0)"),
+        (True, -1, "half-circle edge (2,6) midpoint is not a unit vector "
+         "orthogonal to its endpoint"),
+        (False, 1, "matching edge (1,5) must be a half-circle"),
+        (False, -1, "half-circle edge (2,6) midpoint is not a unit vector "
+         "orthogonal to its endpoint")],
+        ids=["duplicate-forward", "duplicate-reversed", "forward",
+             "reversed"])
+    def test_duplicate_among_other_faults(self, duplicate, order, text):
+        """Edge 3 repeats edge 0 as (1,0), half-circle (1,5) is an arc on
+        its couple and half-circle (2,6) has a loose midpoint; the records
+        run forward or reversed.  Repeated keys are found by a sort, and
+        the first of each by np.unique where one repeats (with the
+        duplicate), or the sort alone finds none (without it)."""
+        d = extend_to_complete(*hill_pairs(4))
+        assert d.uv[[0, 25, 26]].tolist() == [[0, 1], [1, 5], [2, 6]]
+        uv, mids = d.uv.copy(), d.midpoints.copy()
+        if duplicate:
+            uv[3] = 1, 0
+        mids[25], mids[26] = np.nan, 2.0 * mids[26]
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=uv[::order],
+                      midpoints=mids[::order], pairing=d.pairing)
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == text
+
+    def test_only_duplicate_is_the_last_edge(self, rng):
+        """K_100 with its last record (98,99) replaced by (1,0): 4949
+        distinct keys, and the duplicate is the last record."""
+        d = _points_drawing(random_unit_points(100, rng))
+        uv = d.uv.copy()
+        uv[-1] = 1, 0
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=uv,
+                      midpoints=d.midpoints)
+        with pytest.raises(ValueError) as err:
+            validate_drawing(bad)
+        assert str(err.value) == "duplicate edge (1,0)"
 
     @pytest.mark.parametrize("tile", (1, geom._TILE))
     def test_vertex_on_curve(self, tile, monkeypatch, rng):

@@ -1,12 +1,22 @@
-"""tools/code_lines.py: the code-line count that ROADMAP's size goals use."""
+"""tools/code_lines.py, the code-line count that ROADMAP's size goals use,
+and the summary arithmetic of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _tool("code_lines")
+bench_pairs = _tool("bench_pairs")
 
 SOURCE = '''"""A module docstring
 over two lines."""
@@ -38,3 +48,65 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["a.py", "6"], ["b.py", "2"], ["total", "8"]]
+
+
+def _result_line(correct, ops, p50):
+    """perfbench/run.py's output for one run: plain lines, then JSON."""
+    metrics = {"ops_per_s": {"value": ops, "unit": "1/s"},
+               "op_p50_ms": {"value": p50, "unit": "ms"}}
+    return ("host {}\nops_per_s 1 1/s\nhost_factor 1.0 ratio\n"
+            + json.dumps({"correct": correct, "attempted": 9, "failed": 0,
+                          "metrics": metrics}) + "\n")
+
+
+METRICS = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+           {"name": "op_p50_ms", "unit": "ms", "better": "lower"}]
+
+
+def test_parse_result_reads_the_last_line():
+    assert bench_pairs.parse_result(_result_line(True, 141.5, 7.25)) == {
+        "ops_per_s": 141.5, "op_p50_ms": 7.25, "correct": True,
+        "attempted": 9, "failed": 0}
+    assert bench_pairs.parse_result(
+        _result_line(False, 1.0, 2.0))["correct"] is False
+
+
+def test_summary_quartiles_wins_and_ties():
+    """Five pairs: the change is faster in three, equal in one (a tie,
+    no win for either side) and slower in one; op_p50_ms is better lower.
+    Quartiles are statistics.quantiles' default (exclusive) cut points."""
+    ops = [(100.0, 110.0), (102.0, 112.0), (98.0, 98.0), (101.0, 100.0),
+           (99.0, 109.0)]
+    p50 = [(7.0, 6.5), (7.2, 7.2), (6.9, 7.1), (7.1, 6.4), (7.3, 6.6)]
+    pairs = [({"ops_per_s": po, "op_p50_ms": pp},
+              {"ops_per_s": co, "op_p50_ms": cp})
+             for (po, co), (pp, cp) in zip(ops, p50)]
+    rows = {r["name"]: r for r in bench_pairs.summarize(pairs, METRICS)}
+    ops_row, p50_row = rows["ops_per_s"], rows["op_p50_ms"]
+    assert ops_row["parent"] == (98.5, 100.0, 101.5)
+    assert ops_row["change"] == (99.0, 109.0, 111.0)
+    assert ops_row["wins"] == 3 and ops_row["pairs"] == 5
+    # medians 100 -> 109 against the parent's spread 101.5 - 98.5 = 3
+    assert ops_row["beyond_spread"] is True
+    assert p50_row["wins"] == 3
+    assert p50_row["parent"][1] == 7.1 and p50_row["change"][1] == 6.6
+    # |6.6 - 7.1| = 0.5 against 7.25 - 6.95 = 0.3
+    assert p50_row["beyond_spread"] is True
+    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+
+def test_summary_of_equal_sides_has_no_win():
+    pairs = [({"ops_per_s": x, "op_p50_ms": 1.0},
+              {"ops_per_s": x, "op_p50_ms": 1.0}) for x in (1.0, 2.0, 3.0)]
+    for row in bench_pairs.summarize(pairs, METRICS):
+        assert row["wins"] == 0 and row["beyond_spread"] is False
+        assert row["parent"] == row["change"]
+    text = bench_pairs.format_rows(bench_pairs.summarize(pairs, METRICS))
+    assert text.splitlines()[0] == (
+        "ops_per_s (1/s): parent 2 [1, 3]  change 2 [1, 3]  change wins 0/3"
+        "  medians differ by more than the parent's spread: no")
+
+
+def test_metrics_are_the_benchmark_end_to_end_list():
+    names = [m["name"] for m in bench_pairs.end_to_end_metrics()]
+    assert names == ["ops_per_s", "op_p50_ms", "peak_rss_mb", "setup_s"]
