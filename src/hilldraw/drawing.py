@@ -248,7 +248,8 @@ def _kept(d: Drawing, paired: bool = True) -> SimpleNamespace:
     faults before any range fault.  ``verdict`` (see _verdict) is None
     until the verdict is first asked for, and ``key`` until the
     orientation stage is, which then sets ``signs`` and ``least`` for
-    that guard key (see _cached_signs).
+    that guard key (see _cached_signs), unless delete_vertex or add_apex
+    has set them from a parent's (see _keep_stage).
     """
     source = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
     kept = d._memo
@@ -366,6 +367,9 @@ def _check_edge_census(d: Drawing, kept: SimpleNamespace):
 def _off_curve_bound(tol: ToleranceConfig) -> float:
     """Least unmasked |det| of _orientation_signs above which no vertex
     can fail _check_vertices_off_curves, and no arc require_arc_rows.
+    A lower bound of that least, as a vertex-deleted drawing keeps (see
+    delete_vertex), serves too: where it clears the bound, so does the
+    least.
 
     The test refuses vertex w on edge e if |N.w| <= g = tol.general_position
     and w lies in e's wedge.  Every vertex w off e's ends meets e in a
@@ -541,6 +545,19 @@ def delete_vertex(d: Drawing, v: int,
     untouched antipodal couple (the deleted vertex's partner stays,
     unpaired).  v is any integer (operator.index) but a bool, and is
     recorded in the provenance as a plain int.
+
+    Where d keeps a stage that passed its guard for the key of ``tol``,
+    and d's pairing and edges pass validation, the result's vertex part
+    is derived from d's (see _drop_vertex_signs) and its table computed
+    anew; otherwise the stage is computed afresh.  The derived least is
+    d's, a lower bound of the exact one: removing a vertex only removes
+    triples and table entries, and the margin key + max |p.m| of fewer
+    half-circles is no larger, so d's least > d's margin >= the result's
+    margin, and the guard passes as on the exact least.  Where d's least
+    clears _off_curve_bound, the result's exact least does too, for the
+    same tol, and validation skips the same tests it would skip on a
+    fresh stage; where d's least does not, validation may run them, with
+    the same verdict.
     """
     tol = tol or d.tol
     if d.kind is not DrawingKind.COMPLETE:
@@ -564,6 +581,11 @@ def delete_vertex(d: Drawing, v: int,
                   kind=DrawingKind.COMPLETE_MINUS_VERTEX,
                   uv=uv - (uv > v), midpoints=d.midpoints[rows],
                   pairing=pairing, provenance=prov, tol=tol)
+    # d's pairing is read only where its kept stage shows it was
+    key, kept = max(tol.general_position, _DET_FLOOR), _kept(d, paired=False)
+    if kept.key == key and kept.signs and _verdict(d)[0] is None:
+        _keep_stage(out, key, _drop_vertex_signs(
+            (kept.signs[0], kept.least), v))
     validate_drawing(out)
     return out
 
@@ -581,6 +603,12 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     _off_curve_bound over unit vectors, as that bound assumes, neither
     check can fire and both are skipped.  The apex drawing is validated
     once, as part of the result, reusing the stage.
+
+    The stage's vertex part extends the full drawing's (see _apex_signs),
+    which is read from _slot_signs by content, or computed there, so
+    that the apexes add_random_apex tries all find it; the extension is
+    kept on the apex drawing only, not in the slot.  A refused vertex
+    part stays refused: its triples are all apex triples.
     """
     q = require_unit(q, tol)
     base_drawing = _matching_drawing(config, asg, range(config.k), tol,
@@ -598,6 +626,10 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                                             np.full((n, 3), np.nan)]),
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
+    key = max(tol.general_position, _DET_FLOOR)
+    partner = _kept(base_drawing).partner
+    _keep_stage(out, key, _apex_signs(_slot_signs(verts, partner, key),
+                                      verts, partner, q, key))
     pts = np.concatenate([verts, asg.midpoints])
     if not (_stage_clears(out) and np.all(np.abs(np.einsum(
             "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
@@ -855,29 +887,24 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
-def _orientation_signs(d: Drawing, key: float):
-    """The orientation stage of the sign counter: (signs, least).
+def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
+    """The vertex part of the orientation stage: (posT, least), from the
+    vertices pts, the partner array (see _kept) and the guard key alone.
 
-    signs is (posT, sides).  posT[a, w, c] is word w of the bitset
-    pos[a, c] of the vertices x with det(a,c,x) > 0, over d's n vertices.
-    sides is the (k, n) int8 table of sign det(p, m, x) over the k
-    half-circle edges, in edge order, each from p through its midpoint
-    witness m, and the vertices x.  Both are read-only, as they are kept
-    and shared.  least is the smallest |det| of an unmasked vertex triple
-    or table entry.
+    posT[a, w, c] is word w of the bitset pos[a, c] of the vertices x with
+    det(a,c,x) > 0, over the n vertices; it is read-only, as it is kept
+    and shared.  least is the smallest |det| of an unmasked triple.
 
-    Masks and guard.  Two kinds of vertex triple are masked by index,
-    never by size: a repeated index (det(a,b,a) is about 1e-17, not 0)
-    and an antipodal couple of d.pairing (det(a,b,-a) likewise; the sweep
-    skips every edge pair that splits a couple).  In the table, the
-    entries x = +-p, a half-circle's own ends, are masked and read 0.  A
-    masked determinant has neither sign, so a rule that needs it finds
-    nothing.  If any other triple or entry has |det| <= margin = key +
-    max |p.m|, signs is None and least is the smallest |det| of the table
-    and of the blocks up to the refusing one, at most margin.  A vertex or
-    witness that is not finite gives no signs either (least is NaN):
-    masked determinants are NaN here, so determinants made NaN by such a
-    point would pass for masked ones.
+    Masks and guard.  Two kinds of triple are masked by index, never by
+    size: a repeated index (det(a,b,a) is about 1e-17, not 0) and a couple
+    (x, partner[x]) (det(a,b,-a) likewise; the sweep skips every edge pair
+    that splits a couple).  A masked determinant has neither sign, so a
+    rule that needs it finds nothing.  If any other triple has |det| <=
+    key, posT is None and least is the smallest |det| of the blocks up to
+    the refusing one, at most key; otherwise least is that of all the
+    triples.  A vertex that is not finite gives no posT either (least is
+    NaN): masked determinants are NaN here, so determinants made NaN by
+    such a point would pass for masked ones.
 
     The n^2 cross products a x b are computed once, and rows a in [a0, a1)
     are dotted with every vertex only for b >= a0: geom.cross takes each
@@ -888,37 +915,21 @@ def _orientation_signs(d: Drawing, key: float):
     triples.  The blocks pack pos[a, b] only for b >= a0; pos[b, a] for
     b > a is then derived from the packed words, with no second
     comparison: once the guard has passed, every unmasked det exceeds
-    margin >= _DET_FLOOR in size and is finite, so none is 0, and
+    key >= _DET_FLOOR in size and is finite, so none is 0, and
     det(b,a,x) > 0 iff det(a,b,x) is not.  So pos[b, a] is pos[a, b]
     with the bits of the unmasked x flipped, which are every vertex but
     a, b and their partners, and none where (a, b) is a couple; inside a
     block this rewrites the bits the block packed, which are the same.
-    A drawing in one block (n <= 32 under the default tile) packs all of
-    posT in its block and derives none.
-    The table takes det(p, m, x) as cross(p, m).x, the sweep's own
-    half-circle normal dotted with x.
+    A point set in one block (n <= 32 under the default tile) packs all
+    of posT in its block and derives none.
     """
-    pts, half = d.vertices, d.half
-    P, huv, mids = len(pts), d.uv[half], d.midpoints[half]
-    ends = pts[huv[:, 0]]
-    if not (np.isfinite(pts).all() and np.isfinite(mids).all()):
+    P = len(pts)
+    if not np.isfinite(pts).all():
         return None, np.nan
-    margin = key + float(
-        np.abs(np.einsum("ij,ij->i", ends, mids)).max(initial=0.0))
-
-    # the table first: its least starts the blocks' guard
-    least, sides = np.inf, np.empty((len(huv), P), dtype=np.int8)
-    if len(huv):
-        table = cross(ends, mids) @ pts.T
-        table[np.arange(len(huv))[:, None], huv] = np.nan
-        np.subtract(table > 0.0, table < 0.0, out=sides, dtype=np.int8)
-        least = float(np.fmin.reduce(np.abs(table, out=table), axis=None,
-                                     initial=np.inf))
-    words = (P + 63) // 64
+    least, words = np.inf, (P + 63) // 64
     posT = np.empty((P, words, P), dtype=np.uint64)
     # the couples (x, y), sorted by x, with y = x or y = x's antipodal
     # partner: a triple that holds both is masked
-    partner = _kept(d).partner
     ys = np.stack([np.arange(P), partner], axis=1).ravel()
     xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
     pair_cross = cross(pts[:, None], pts)
@@ -949,7 +960,7 @@ def _orientation_signs(d: Drawing, key: float):
         posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)
         least = min(least, float(np.fmin.reduce(
             np.abs(dets, out=dets), axis=None, initial=np.inf)))
-        if not least > margin:
+        if not least > key:
             return None, least
     if len(blocks) > 1:
         # pos[b, a] for b > a: pos[a, b] with the bits flipped that no
@@ -965,36 +976,176 @@ def _orientation_signs(d: Drawing, key: float):
         paired = np.flatnonzero(partner >= 0)
         mirror[partner[paired], :, paired] = 0
         np.copyto(posT, mirror, where=np.tri(P, k=-1, dtype=bool)[:, None])
-    posT.flags.writeable = sides.flags.writeable = False
+    posT.flags.writeable = False
+    return posT, least
+
+
+def _drop_vertex_signs(vertex, v: int):
+    """The vertex part (posT, least) of a point set with its vertex v
+    deleted, from the point set's own, vertex, in O(n^2 * words): row and
+    column v of posT dropped, and bit v deleted from every word, the
+    higher bits shifted down by one.  Deletion leaves each other triple's
+    determinant and, as the pairing loses only the couple of v, its mask
+    as they were, so these are the bits a fresh run gives.
+
+    least is kept as a lower bound of the new least: the triples left are
+    some of the old ones.  A guard it passes passes on the exact least
+    too, and a clearance of _off_curve_bound holds for it (see
+    delete_vertex).
+    """
+    posT, least = vertex
+    n, words = len(posT), posT.shape[1]
+    keep = np.flatnonzero(np.arange(n) != v)
+    out = posT[keep][:, :, keep]
+    w, b = divmod(v, 64)
+    low = np.uint64((1 << b) - 1)
+    # from word w on: each word shifted down by one, its bit 63 taken
+    # from bit 0 of the next; word w keeps its bits below b
+    tail = out[:, w:] >> np.uint64(1)
+    tail[:, :-1] |= out[:, w + 1:] << np.uint64(63)
+    tail[:, 0] = (out[:, w] & low) | (tail[:, 0] & ~low)
+    out[:, w:] = tail
+    # n - 1 vertices may need one word less
+    out = np.ascontiguousarray(out[:, :(n + 62) // 64])
+    out.flags.writeable = False
+    return out, least
+
+
+def _apex_signs(vertex, pts: np.ndarray, partner: np.ndarray, q, key: float):
+    """The vertex part (posT, least) of pts with q appended as an unpaired
+    vertex n, from pts' own, vertex, in O(n^2 * words).
+
+    The new triples are those through q: det(a, b, q), taken as cross(a,
+    b).q, and det(a, q, c), taken as cross(a, q).c, which are the
+    products a fresh run evaluates, by the same matrix product, so the
+    bits and least are a fresh run's bit for bit; det(q, a, c) is
+    -det(a, q, c) exactly, as in _vertex_signs.  Triples through q mask
+    only a repeated index and the couples of pts.  Where some new triple
+    has |det| <= key, posT is None and least is the smallest |det| of all
+    the triples.  A refused vertex part, posT None, is returned as it
+    is.
+    """
+    posT, least = vertex
+    if posT is None:
+        return vertex
+    n = len(pts)
+    words = (n + 64) // 64
+    # two right-hand columns keep numpy on the matrix-matrix product of a
+    # fresh run, whose rounding a matrix-vector product does not share
+    t1 = (cross(pts[:, None], pts).reshape(-1, 3)
+          @ np.stack([q, q], axis=1))[:, 0].reshape(n, n)
+    t2 = cross(pts, q) @ pts.T
+    # t1[a, b] = det(a, b, q) and t2[a, c] = det(a, q, c), masked (NaN)
+    # where (a, b) or (a, c) is a repeated index or a couple
+    idx = np.arange(n)
+    paired = np.flatnonzero(partner >= 0)
+    for t in (t1, t2):
+        t[idx, idx] = t[paired, partner[paired]] = np.nan
+    least = min(least, *(float(np.fmin.reduce(np.abs(t), axis=None,
+                                               initial=np.inf))
+                         for t in (t1, t2)))
+    if not least > key:
+        return None, least
+    out = np.zeros((n + 1, words, n + 1), dtype=np.uint64)
+    out[:n, :posT.shape[1], :n] = posT
+    # bit q of pos[a, b]; pos[a, q] has the c with det(a, q, c) > 0, and
+    # pos[q, c] the a with det(q, c, a) = -det(c, q, a) > 0
+    out[:n, n // 64, :n] |= (t1 > 0.0).astype(np.uint64) << np.uint64(n % 64)
+    bits = np.zeros((2, n, 64 * words), dtype=bool)
+    np.greater(t2, 0.0, out=bits[0, :, :n])
+    np.less(t2, 0.0, out=bits[1, :, :n])
+    above, below = _pack(bits)
+    out[:n, :, n] = above
+    out[n, :, :n] = below.T
+    out.flags.writeable = False
+    return out, least
+
+
+def _orientation_signs(d: Drawing, key: float, vertex=None):
+    """The orientation stage of the sign counter: (signs, least).
+
+    signs is (posT, sides).  posT is d's vertex part (see _vertex_signs),
+    which ``vertex`` gives as (posT, least) where it is known, and which
+    is computed here otherwise.  sides is the (k, n) int8 table of sign
+    det(p, m, x) over the k half-circle edges, in edge order, each from p
+    through its midpoint witness m, and the vertices x, read-only too.
+    The table takes det(p, m, x) as cross(p, m).x, the sweep's own
+    half-circle normal dotted with x; its entries x = +-p, a half-circle's
+    own ends, are masked and read 0.
+
+    least is the smaller of the vertex part's least and the smallest
+    unmasked |det| of the table.  If it is at most margin = key +
+    max |p.m|, signs is None; a vertex or midpoint that is not finite
+    gives no signs either, and least is then NaN.  The vertex part
+    refuses only at key, the least margin a drawing can have, and
+    otherwise has the least of all its triples, so one vertex part serves
+    every drawing on the same vertices and pairing, whatever its
+    half-circles (see _cached_signs).  Where ``vertex`` gives a lower
+    bound of its least (see _drop_vertex_signs), least is one too.
+    """
+    pts, half = d.vertices, d.half
+    posT, least = vertex or _vertex_signs(pts, _kept(d).partner, key)
+    huv, mids = d.uv[half], d.midpoints[half]
+    if np.isnan(least) or not np.isfinite(mids).all():
+        return None, np.nan
+    sides = np.empty((len(huv), len(pts)), dtype=np.int8)
+    margin = key
+    if len(huv):
+        ends = pts[huv[:, 0]]
+        margin += float(np.abs(np.einsum("ij,ij->i", ends, mids)).max())
+        table = cross(ends, mids) @ pts.T
+        table[np.arange(len(huv))[:, None], huv] = np.nan
+        np.subtract(table > 0.0, table < 0.0, out=sides, dtype=np.int8)
+        least = min(least, float(np.fmin.reduce(
+            np.abs(table, out=table), axis=None, initial=np.inf)))
+    if not least > margin:
+        return None, least
+    sides.flags.writeable = False
     return (posT, sides), least
 
 
-# ((key, vertex shape, vertex bytes), (signs, least)), see _cached_signs
-_POINT_SIGNS = (None, None)
+# ((key, vertex shape, vertex bytes, partner bytes), (posT, least)): the
+# last vertex part computed afresh, see _slot_signs
+_VERTEX_SIGNS = (None, None)
+
+
+def _slot_signs(pts: np.ndarray, partner: np.ndarray, key: float):
+    """_vertex_signs(pts, partner, key), read from the one slot where it
+    holds that content, else computed and kept there instead of the last:
+    every drawing on the same vertices and pairing shares it."""
+    global _VERTEX_SIGNS
+    content = (key, pts.shape, pts.tobytes(), partner.tobytes())
+    if _VERTEX_SIGNS[0] != content:
+        _VERTEX_SIGNS = None, None          # free the kept bitsets first
+        _VERTEX_SIGNS = content, _vertex_signs(pts, partner, key)
+    return _VERTEX_SIGNS[1]
+
+
+def _keep_stage(d: Drawing, key: float, vertex) -> None:
+    """Keep _orientation_signs(d, key, vertex) on d for key (see _kept)."""
+    kept = _kept(d)
+    kept.signs, kept.least = _orientation_signs(d, key, vertex)
+    kept.key = key
 
 
 def _cached_signs(d: Drawing, tol: ToleranceConfig):
     """_orientation_signs(d, key) with key = max(tol.general_position,
     _DET_FLOOR), computed when first asked for and kept (see _kept) with
-    its key; another key runs it anew and keeps that run instead.  With
-    no pairing and no half-circle it depends on the key and the vertices
-    alone, and its last such run is also kept by their content:
-    validating sample_points' result reuses the sampler's run, edited
-    points do not.
+    its key; another key runs it anew and keeps that run instead.
+
+    Its vertex part depends on the key, the vertices and the partner array
+    alone, and comes from _slot_signs, checked by content before any other
+    work: a cocktail party and the partial matchings on its points, a
+    parsed document and the drawing it was written from, and a sampled
+    draw and the drawing on its points compute it once; edited points or
+    another pairing compute it anew.  Only the table is each drawing's
+    own.  delete_vertex and add_apex keep on their drawing a stage derived
+    from their parent's, which is read here as any other.
     """
-    global _POINT_SIGNS
     key = max(tol.general_position, _DET_FLOOR)
     kept = _kept(d)
     if kept.key != key:
-        if d.pairing or d.half.any():
-            kept.signs, kept.least = _orientation_signs(d, key)
-        else:
-            content = (key, d.vertices.shape, d.vertices.tobytes())
-            if _POINT_SIGNS[0] != content:
-                _POINT_SIGNS = None, None       # free the kept bitsets first
-                _POINT_SIGNS = content, _orientation_signs(d, key)
-            kept.signs, kept.least = _POINT_SIGNS[1]
-        kept.key = key
+        _keep_stage(d, key, _slot_signs(d.vertices, kept.partner, key))
     return kept.signs, kept.least
 
 
@@ -1051,7 +1202,7 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     det(a,d,c) = -det(a,c,d), and nothing else: its count equals this
     one, so one side suffices.
     Only pos is packed: neg[a, b] = pos[b, a], as det(b,a,d) =
-    -det(a,b,d) (see _orientation_signs).  The bitsets are held
+    -det(a,b,d) (see _vertex_signs).  The bitsets are held
     word-major, posT[a, w, c] = word w of pos[a, c] and negT[a, w, c] =
     word w of neg[a, c] = posT[c, w, a], so that every AND runs along the
     n columns c rather than along a row's few words.  The arcs are taken
@@ -1147,9 +1298,12 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     pool and the merged pairs are sorted, so counts and pair lists are
     independent of scheduling.  Any drawing validate_drawing would refuse
     for its pairing, edges or census is swept too (see _verdict), except
-    where the sweep cannot index its vertices: a pairing entry that is no
-    pair of ints in [0, n), as no partner array can be formed, and an edge
-    endpoint outside [0, n) raise validate_drawing's ValueError.  Nor is a
+    where the sweep cannot index its vertices or frame an edge: a pairing
+    entry that is no pair of ints in [0, n), as no partner array can be
+    formed, an edge endpoint outside [0, n) and an arc that joins a couple
+    of d.pairing, whose ends are exact antipodes with no great circle
+    through both, raise validate_drawing's ValueError, before any frame
+    is built.  Nor is a
     drawing swept whose vertex or half-circle midpoint is not finite: the
     first such vertex, then midpoint, raises a ValueError that names it.
     """
@@ -1163,7 +1317,9 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
         require_finite_rows(d.vertices, "vertex")
         require_finite_rows(np.where(d.half[:, None], d.midpoints, 0.0),
                             "midpoint of edge")
-        if not ((d.uv >= 0) & (d.uv < d.n)).all():
+        arcs = d.uv[~d.half]
+        if not ((d.uv >= 0) & (d.uv < d.n)).all() or (
+                _kept(d).partner[arcs[:, 0]] == arcs[:, 1]).any():
             raise ValueError(_verdict(d)[0])
         pairs = pairs()
         per_edge = np.bincount(pairs.ravel(), minlength=len(d.uv))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drawing import (Drawing, DrawingKind, _cached_signs,
+from .drawing import (Drawing, DrawingKind, _cached_signs, _stage_clears,
                       complete_drawing_from_points, count_crossings)
 from .formulas import hill_number
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
@@ -83,16 +83,35 @@ class DistributionSpec:
 
 
 def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
-    """General position plus no (near-)equal or (near-)antipodal pair."""
+    """General position plus no (near-)equal or (near-)antipodal pair.
+
+    The orientation stage of the draw's point drawing runs first.  Where
+    it clears _off_curve_bound (drawing._stage_clears) and every point is
+    unit within tol.norm, no pair can fail the separation test
+    fl(|a x b|^2) <= g^2, g = tol.general_position, and the test is
+    skipped, so the pair cross products are computed once.  For a pair
+    a, b and any third point c, det(a, b, c) is guarded, as a point
+    drawing has no couples, and the stage takes it as fl(x.c) with x =
+    cross(a, b), the product the test squares.  With u = 2^-53, s = 1 +
+    tol.norm >= |c|^2 and |det| > (g + 1e-14) s^2: |x| >= |det| / (|c|
+    (1 + 3u)), and the test's sum of three squares has fl(x.x) >= |x|^2
+    (1 - 3u) > (g + 1e-14)^2 s^3 (1 - 3u) / (1 + 3u)^2 > g^2, as the
+    bound can be cleared only where g < 1.  Otherwise the test runs, with
+    its |a x b|^2 form, not require_arc_rows' |a x b|: they round
+    differently.
+    """
+    # edgeless: the stage reads only the vertices of a point drawing
+    d = Drawing(vertices=pts, kind=DrawingKind.COMPLETE, uv=(), midpoints=(),
+                tol=tol)
+    if _stage_clears(d) and (np.abs(np.einsum("ij,ij->i", pts, pts) - 1.0)
+                             <= tol.norm).all():
+        return True
     ii, jj = upper_pairs(len(pts)).T
-    # |a x b|^2, not require_arc_rows' |a x b|: they round differently
     for start, stop in row_blocks(len(ii), 3):
         cr = cross(pts[ii[start:stop]], pts[jj[start:stop]])
         if np.any(np.einsum("ij,ij->i", cr, cr)
                   <= tol.general_position ** 2):
             return False
-    # edgeless: the stage reads only the vertices of a point drawing
-    d = Drawing(vertices=pts, kind=DrawingKind.COMPLETE, uv=(), midpoints=())
     return (_cached_signs(d, tol)[0] is not None
             or not has_coplanar_triple(pts, tol.general_position))
 

@@ -15,6 +15,7 @@ import pytest
 
 from hilldraw import drawing as drawing_mod
 from hilldraw import geom
+from hilldraw import montecarlo as montecarlo_mod
 from hilldraw.construct import (ConstructionError, default_plan_chain,
                                 perturb, recursive_construct,
                                 validate_arrangement)
@@ -475,6 +476,13 @@ def stage_calls(monkeypatch):
 
 
 @pytest.fixture
+def vertex_calls(monkeypatch):
+    """Counts the runs of the stage's vertex determinants, its O(n^3)
+    part."""
+    return _counted(monkeypatch, "_vertex_signs")
+
+
+@pytest.fixture
 def exact_calls(monkeypatch):
     """Counts the runs of the exact vertex off-curve test."""
     return _counted(monkeypatch, "_check_vertices_off_curves")
@@ -512,14 +520,21 @@ class TestSignCache:
 
     @pytest.mark.parametrize("kind", ("complete", "vertex-deleted", "apex"))
     def test_validate_then_count_runs_the_stage_once(self, kind, stage_calls,
-                                                     sweep_calls):
+                                                     vertex_calls,
+                                                     sweep_calls,
+                                                     monkeypatch):
+        """The stage is kept on the drawing; its vertex determinants, from
+        an empty slot (building the three kinds fills it), run once too."""
         d = _fresh(_three_kinds()[kind])
+        monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
         stage_calls.clear()
+        vertex_calls.clear()
         sweep_calls.clear()
         validate_drawing(d)
         rep = count_crossings(d)
         assert verify(d).passed
         assert len(stage_calls) == 1 and sweep_calls == []
+        assert len(vertex_calls) == 1
         assert rep == _sweep_report(d)
 
     def test_refusing_tolerance_recomputes(self, stage_calls, sweep_calls):
@@ -608,39 +623,52 @@ class TestSignCache:
                 == _outcome(lambda d, tol: _sweep_report(d), d))
         assert len(stage_calls) == 1
 
-    def test_sampled_trial_runs_the_stage_once(self, stage_calls,
+    def test_sampled_trial_runs_the_stage_once(self, vertex_calls,
                                                sweep_calls, monkeypatch):
         """sample_points' pass is the one validation and counting read."""
-        monkeypatch.setattr(drawing_mod, "_POINT_SIGNS", (None, None))
+        monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
         for n in (4, 30, 100):
             rng = np.random.default_rng([53, n])
-            stage_calls.clear()
+            vertex_calls.clear()
             sweep_calls.clear()
             pts = sample_points(n, DistributionSpec(), rng)
             d = complete_drawing_from_points(pts)
             rep = count_crossings(d)
-            assert len(stage_calls) == 1 and sweep_calls == []
+            assert len(vertex_calls) == 1 and sweep_calls == []
             assert rep == _sweep_report(d)
 
-    def test_sampled_points_edited_or_other_tolerance(self, stage_calls,
+    def test_sampled_points_edited_or_other_tolerance(self, vertex_calls,
                                                       monkeypatch):
         """The memo is keyed by content: points the caller edits after
         sampling, or a drawing whose tolerance gives another guard key,
         get the stage run anew."""
-        monkeypatch.setattr(drawing_mod, "_POINT_SIGNS", (None, None))
+        monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
         rng = np.random.default_rng(54)
         pts = sample_points(30, DistributionSpec(), rng)
         pts[7] = unit(pts[7] + 1e-3)
-        stage_calls.clear()
+        vertex_calls.clear()
         d = complete_drawing_from_points(pts)
-        assert len(stage_calls) == 1
+        assert len(vertex_calls) == 1
         assert count_crossings(d) == _sweep_report(d)
         pts = sample_points(30, DistributionSpec(), rng)
         tol = ToleranceConfig(general_position=1e-8)
-        stage_calls.clear()
+        vertex_calls.clear()
         d = complete_drawing_from_points(pts, tol)
-        assert len(stage_calls) == 1
+        assert len(vertex_calls) == 1
         assert count_crossings(d) == _sweep_report(d)
+
+    def test_cleared_draw_skips_the_separation_test(self, monkeypatch):
+        """A draw whose stage clears _off_curve_bound takes its pair cross
+        products once, in the stage; on four points, which the bound does
+        not cover, the separation test runs."""
+        calls = []
+        monkeypatch.setattr(montecarlo_mod, "cross",
+                            lambda *args: calls.append(1) or geom.cross(*args))
+        for n in (5, 30, 100):
+            sample_points(n, DistributionSpec(), np.random.default_rng([61, n]))
+        assert calls == []
+        sample_points(4, DistributionSpec(), np.random.default_rng(61))
+        assert calls != []
 
     @pytest.mark.parametrize("tol", (DEFAULT_TOL, ToleranceConfig(
         general_position=5e-14, sign=1e-15)), ids=("default", "below-floor"))
@@ -812,6 +840,26 @@ class TestVerdictRefusals:
         want = (ValueError, f"edge ({uv[5, 0]},{end}) has invalid endpoints")
         assert _verdict(validate_drawing, _fresh(bad)) == want
         assert _verdict(count_crossings, bad) == want
+        assert sweep_calls == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_count_refuses_an_arc_on_a_couple(self, seed, sweep_calls):
+        """A half-circle whose midpoint row is NaN is an arc on an exact
+        couple, which has no great circle.  The count once swept it and
+        raised "edges 1 and 41 lie on the same great circle within
+        tolerance", with numpy's RuntimeWarning from arc_frames."""
+        d = extend_to_complete(*hill(seed, 5, [5, 5]))
+        e = int(np.flatnonzero((d.uv == (1, 6)).all(axis=1))[0])
+        mids = d.midpoints.copy()
+        mids[e] = np.nan
+        bad = Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                      midpoints=mids, pairing=d.pairing)
+        want = (ValueError, "matching edge (1,6) must be a half-circle")
+        sweep_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _verdict(validate_drawing, _fresh(bad)) == want
+            assert _verdict(count_crossings, bad) == want
         assert sweep_calls == []
 
 
@@ -1152,6 +1200,177 @@ class TestDeterminantsOnce:
         assert not geom.has_coplanar_triple(pts, np.nextafter(least, 0.0))
 
 
+def _minus(pts, partner, v):
+    """The points and partner array of pts without vertex v, as
+    delete_vertex leaves them: v's partner unpaired, indices past v
+    shifted down."""
+    partner = np.delete(partner, v)
+    partner = np.where(partner == v, -1, partner - (partner > v))
+    return np.delete(pts, v, axis=0), partner
+
+
+def _margin(d, key):
+    """The guard margin of d's orientation stage: key + max |p.m|."""
+    ends = d.vertices[d.uv[d.half, 0]]
+    return key + np.abs(np.einsum("ij,ij->i", ends, d.midpoints[d.half])
+                        ).max(initial=0.0)
+
+
+class TestDerivedStages:
+    """A vertex-deleted drawing derives its vertex part from its parent's,
+    and an apex drawing from its full drawing's: the bits must be a fresh
+    run's, the apex least a fresh run's and the deletion least a lower
+    bound of it above the margin.  The drawings on one point set share
+    one vertex part."""
+
+    KEY = max(DEFAULT_TOL.general_position, drawing_mod._DET_FLOOR)
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    def test_vertex_parts(self, tile, stage_drawings, mirror_drawings,
+                          monkeypatch):
+        """Every fixture drawing, with vertices 0, n // 2 and n - 1
+        deleted and with an apex: one to three words, and the word count
+        falling from 65 to 64 vertices and from 129 to 128, and rising
+        from 64 to 65."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng(2121)
+        for name, d in {**stage_drawings, **mirror_drawings}.items():
+            pts, partner = d.vertices, drawing_mod._kept(d).partner
+            vertex = drawing_mod._vertex_signs(pts, partner, self.KEY)
+            for v in sorted({0, d.n // 2, d.n - 1}):
+                posT, least = drawing_mod._drop_vertex_signs(vertex, v)
+                fresh = drawing_mod._vertex_signs(*_minus(pts, partner, v),
+                                                  self.KEY)
+                assert np.array_equal(posT, fresh[0]), (name, v)
+                assert posT.flags.c_contiguous and not posT.flags.writeable
+                assert least == vertex[1] <= fresh[1]
+            q = random_unit_points(1, rng)[0]
+            got = drawing_mod._apex_signs(vertex, pts, partner, q, self.KEY)
+            fresh = drawing_mod._vertex_signs(
+                np.concatenate([pts, q[None]]), np.append(partner, -1),
+                self.KEY)
+            assert np.array_equal(got[0], fresh[0]), name
+            assert got[1] == fresh[1] and not got[0].flags.writeable
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    def test_fixture_deletions_and_apexes(self, tile, stage_drawings,
+                                          mirror_drawings, monkeypatch):
+        """The same at the drawings, with their tables: every fixture
+        drawing of kind complete on five or more vertices, with vertices
+        0, n // 2 and n - 1 deleted, and an apex on each Hill one."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng(2122)
+        for name, d in {**stage_drawings, **mirror_drawings}.items():
+            if d.kind is not DrawingKind.COMPLETE or d.n < 5:
+                continue
+            d = _fresh(d)
+            assert drawing_mod._cached_signs(d, d.tol)[0] is not None
+            for v in (0, d.n // 2, d.n - 1):
+                self._check(delete_vertex(d, v), exact=False)
+            if d.pairing:
+                self._check(add_random_apex(*config_from_drawing(d), rng),
+                            exact=True)
+
+    @staticmethod
+    def _check(d, exact):
+        """d's kept stage against a fresh one of the same arrays."""
+        key = TestDerivedStages.KEY
+        (posT, sides), least = drawing_mod._cached_signs(d, d.tol)
+        (fresh_posT, fresh_sides), fresh_least = \
+            drawing_mod._orientation_signs(_fresh(d), key)
+        assert np.array_equal(posT, fresh_posT)
+        assert np.array_equal(sides, fresh_sides)
+        if exact:
+            assert least == fresh_least
+        else:
+            assert _margin(d, key) < least <= fresh_least
+
+    @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hill_deletions_and_apexes(self, seed, tile, vertex_calls,
+                                       monkeypatch):
+        """No vertex determinant is computed for a deletion or an apex,
+        and their stages are a fresh run's; k = 32 and 33 reach two
+        words, the apex of k = 32 from one."""
+        monkeypatch.setattr(geom, "_TILE", tile)
+        rng = np.random.default_rng([21, tile])
+        for k in (5, 12, 32, 33):
+            config, asg = hill(seed, k, [21, k])
+            d = extend_to_complete(config, asg)
+            vertex_calls.clear()
+            minus = [delete_vertex(d, v) for v in
+                     (0, k, 2 * k - 1, int(rng.integers(2 * k)))]
+            plus = add_random_apex(config, asg, rng)
+            assert vertex_calls == []
+            for e in minus:
+                self._check(e, exact=False)
+            self._check(plus, exact=True)
+
+    def test_point_deletion_from_65_to_64(self, vertex_calls):
+        d = complete_drawing_from_points(random_unit_points(
+            65, np.random.default_rng(65)))
+        vertex_calls.clear()
+        minus = [delete_vertex(d, v) for v in (0, 31, 63, 64)]
+        assert vertex_calls == []
+        for e in minus:
+            assert drawing_mod._cached_signs(e, e.tol)[0][0].shape == (
+                64, 1, 64)
+            self._check(e, exact=False)
+
+    def test_other_key_or_refused_parent_is_computed_afresh(self,
+                                                            vertex_calls):
+        config, asg = hill("two", 6, [5, 6])
+        d = extend_to_complete(config, asg)
+        tol = ToleranceConfig(general_position=1e-8)
+        vertex_calls.clear()
+        minus = delete_vertex(d, 2, tol)
+        assert len(vertex_calls) == 1
+        self._check(minus, exact=True)
+        least = drawing_mod._cached_signs(d, d.tol)[1]
+        refused = ToleranceConfig(general_position=2.0 * least)
+        count_crossings(d, refused)
+        assert drawing_mod._cached_signs(d, refused)[0] is None
+        vertex_calls.clear()
+        minus = delete_vertex(d, 2, refused)
+        assert len(vertex_calls) == 1
+        assert drawing_mod._kept(minus).least == \
+            drawing_mod._orientation_signs(_fresh(minus), 2.0 * least)[1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hill_op_runs_the_vertex_determinants_once(self, seed,
+                                                       vertex_calls,
+                                                       sweep_calls,
+                                                       monkeypatch):
+        """Build, a document round trip, a deletion and an apex, each
+        verified, as the CLI's generate, verify and mutate do."""
+        monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
+        rng = np.random.default_rng(22)
+        config, asg = hill(seed, 9, [22, 9])
+        vertex_calls.clear()
+        sweep_calls.clear()
+        d = extend_to_complete(config, asg)
+        parsed = doc_to_drawing(json.loads(json.dumps(drawing_to_doc(d))))
+        assert verify(parsed).passed
+        minus = delete_vertex(parsed, int(rng.integers(parsed.n)))
+        assert verify(minus).passed
+        plus = add_random_apex(*config_from_drawing(parsed), rng)
+        assert verify(plus).passed
+        assert len(vertex_calls) == 1 and sweep_calls == []
+
+    def test_cocktail_then_partial_runs_them_once(self, vertex_calls,
+                                                  sweep_calls, monkeypatch):
+        monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
+        rng = np.random.default_rng(23)
+        for k in (3, 6, 10):
+            config = random_config(k, rng)
+            vertex_calls.clear()
+            assert verify(build_cocktail_party(config)).passed
+            partial = extend_partial_matching(
+                config, random_assignment(config, rng), [int(rng.integers(k))])
+            assert verify(partial).passed
+            assert len(vertex_calls) == 1 and sweep_calls == []
+
+
 class TestOneArcLoop:
     """_sign_counts counts every drawing's arcs in blocks of rows, the
     point drawings too, and ANDs into its gathered copy of the kept
@@ -1201,9 +1420,12 @@ def _guard_drawings():
 
 @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
 def test_refused_guard_least_is_pinned(tile, monkeypatch):
-    """TestDeterminantsOnce's guard drawings: no signs, and the least |det|
-    seen up to the refusing block or table, as pinned under every tile;
-    the midpoint near an arc clears the margin."""
+    """TestDeterminantsOnce's guard drawings: no signs, and the least
+    |det|, as pinned under every tile.  The vertex part stops at a block
+    only where a triple is refused at the key, as the point near an
+    arc's great circle is; otherwise the least is that of all the vertex
+    triples and the table, as for the vertex near a half-circle's plane.
+    The midpoint near an arc clears the margin."""
     monkeypatch.setattr(geom, "_TILE", tile)
     got = [(signs is None, least) for signs, least in (
         drawing_mod._orientation_signs(d, DEFAULT_TOL.general_position)

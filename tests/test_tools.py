@@ -110,3 +110,40 @@ def test_summary_of_equal_sides_has_no_win():
 def test_metrics_are_the_benchmark_end_to_end_list():
     names = [m["name"] for m in bench_pairs.end_to_end_metrics()]
     assert names == ["ops_per_s", "op_p50_ms", "peak_rss_mb", "setup_s"]
+
+
+def test_main_summarizes_each_repeated_workload(tmp_path, monkeypatch,
+                                                capsys):
+    """Two --workload options: each gets its pairs, in alternating order,
+    and one summary headed by its name; the change's runs are faster on
+    "a" and slower on "b"."""
+    runs = []
+
+    def run_side(checkout, workload, seed, seconds):
+        runs.append((checkout.name, workload, seed))
+        ops = 10.0 + seed + (1.0 if (checkout.name == "change")
+                             == (workload == "a") else 0.0)
+        return {"ops_per_s": ops, "op_p50_ms": 1.0, "peak_rss_mb": 1.0,
+                "setup_s": 0.1, "correct": True, "attempted": 3,
+                "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: None)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "a",
+                             "--workload", "b", "--pairs", "2",
+                             "--seed", "5", "--seconds", "1"]) == 0
+    assert runs == [("parent", "a", 5), ("change", "a", 5),
+                    ("change", "a", 6), ("parent", "a", 6),
+                    ("parent", "b", 5), ("change", "b", 5),
+                    ("change", "b", 6), ("parent", "b", 6)]
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [(r["workload"], r["seed"], r["first"]) for r in records] == [
+        ("a", 5, "parent"), ("a", 6, "change"), ("b", 5, "parent"),
+        ("b", 6, "change")]
+    heads = [i for i, line in enumerate(lines) if line.startswith("workload")]
+    assert [lines[i] for i in heads] == ["workload a:", "workload b:"]
+    assert [lines[i + 1].split("change wins ")[1].split()[0]
+            for i in heads] == ["2/2", "0/2"]

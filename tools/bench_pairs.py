@@ -1,20 +1,23 @@
 """Alternating perfbench pairs of two checkouts, and their summary.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-                                [--pairs N] [--seconds S] [--seed K]
+                                [--workload W2 ...] [--pairs N]
+                                [--seconds S] [--seed K]
 
-Pair i runs ``perfbench/run.py --trace 0 --workload W --seed K+i
---seconds S`` once in each checkout, from the checkout's root, so each
-imports its own ``src``; the parent runs first in even pairs and the
-change in odd ones.  Each checkout's ``src`` is byte-compiled first (see
-README, "Comparing two checkouts").  Each pair is printed as one JSON
-line, {"seed", "first", "parent", "change"}, each side with its metrics
-and its run's correct, attempted and failed, as the BENCH_*.json files
-record them.
+The workloads run one after the other, N pairs each.  Pair i of workload
+W runs ``perfbench/run.py --trace 0 --workload W --seed K+i --seconds S``
+once in each checkout, from the checkout's root, so each imports its own
+``src``; the parent runs first in even pairs and the change in odd ones.
+Each checkout's ``src`` is byte-compiled first (see README, "Comparing
+two checkouts").  Each pair is printed as one JSON line, {"workload",
+"seed", "first", "parent", "change"}, each side with its metrics and its
+run's correct, attempted and failed, as the BENCH_*.json files record
+them.
 
-For every end-to-end metric of BENCHMARK.json (next to this script's
-directory) it prints each side's median and quartiles over the pairs, the
-pairs the change won in the metric's better direction (a tie counts for
+After a workload's pairs, a line "workload W:" heads its summary: for
+every end-to-end metric of BENCHMARK.json (next to this script's
+directory), each side's median and quartiles over the pairs, the pairs
+the change won in the metric's better direction (a tie counts for
 neither side), and whether the medians differ by more than the parent's
 interquartile spread.  A run whose result line is not correct is named.
 """
@@ -99,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--seed", type=int, default=1)
@@ -111,21 +114,26 @@ def main(argv: list[str] | None = None) -> int:
     for checkout in checkouts.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
                        cwd=checkout, check=True)
-    pairs, status = [], 0
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {side: run_side(checkouts[side], args.workload, seed,
-                              args.seconds) for side in order}
-        for side in order:
-            if not got[side]["correct"]:
-                print(f"pair {i} (seed {seed}): the {side} run is not "
-                      "correct", file=sys.stderr)
-                status = 1
-        pairs.append((got["parent"], got["change"]))
-        print(json.dumps({"seed": seed, "first": order[0], **got}),
+    status = 0
+    for workload in args.workload:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            got = {side: run_side(checkouts[side], workload, seed,
+                                  args.seconds) for side in order}
+            for side in order:
+                if not got[side]["correct"]:
+                    print(f"{workload} pair {i} (seed {seed}): the {side} "
+                          "run is not correct", file=sys.stderr)
+                    status = 1
+            pairs.append((got["parent"], got["change"]))
+            print(json.dumps({"workload": workload, "seed": seed,
+                              "first": order[0], **got}), flush=True)
+        print(f"workload {workload}:")
+        print(format_rows(summarize(pairs, end_to_end_metrics())),
               flush=True)
-    print(format_rows(summarize(pairs, end_to_end_metrics())))
     return status
 
 
