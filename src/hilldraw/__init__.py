@@ -23,10 +23,8 @@ from .drawing import (AntipodalConfig, CrossingReport, Drawing, DrawingKind,
                       extend_to_complete, make_assignment, random_assignment,
                       strength, verify)
 from .formulas import hill_number, partial_matching_target, per_vertex_target
-from .geom import (DEFAULT_TOL, DegenerateConfigurationError, GeodesicArc,
-                   HalfCircle, ToleranceConfig, angular_distance, antipode,
-                   arcs_cross, half_circle_crosses_arc, half_circles_cross,
-                   is_general_position, orient, rotate, unit)
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError, ToleranceConfig,
+                   antipode, is_general_position, rotate, unit)
 from .montecarlo import (CensusResult, DistributionSpec, ExperimentConfig,
                          ExperimentResult, SamplingError, k4_census,
                          random_drawing_cr, ratio_experiment, sample_points)
@@ -37,18 +35,17 @@ __all__ = [
     "AntipodalConfig", "BlowupPlan", "CensusResult", "ConstructionError",
     "CrossingReport", "DEFAULT_TOL", "DegenerateConfigurationError",
     "DistributionSpec", "Drawing", "DrawingKind", "ExperimentConfig",
-    "ExperimentResult", "GeodesicArc", "HalfCircle", "HalfCircleArrangement",
-    "HalfCircleAssignment", "PerturbationError", "SamplingError",
-    "ToleranceConfig", "VerificationReport", "add_apex", "add_random_apex",
-    "angular_distance", "antipode", "arcs_cross", "blowup",
-    "build_cocktail_party", "complete_drawing_from_points",
+    "ExperimentResult", "HalfCircleArrangement", "HalfCircleAssignment",
+    "PerturbationError", "SamplingError", "ToleranceConfig",
+    "VerificationReport", "add_apex", "add_random_apex", "antipode",
+    "blowup", "build_cocktail_party", "complete_drawing_from_points",
     "config_from_drawing", "count_crossings",
-    "count_crossings_by_circle_pairs", "default_plan_chain", "delete_vertex",
-    "double", "extend_partial_matching", "extend_to_complete",
-    "half_circle_crosses_arc", "half_circles_cross", "hill_number",
-    "is_general_position", "k4_census", "make_assignment", "orient",
-    "partial_matching_target", "per_vertex_target", "perturb",
-    "random_assignment", "random_drawing_cr", "ratio_experiment",
-    "recursive_construct", "rotate", "sample_points", "seed_four",
-    "seed_single", "seed_two", "strength", "unit", "verify",
+    "count_crossings_by_circle_pairs", "default_plan_chain",
+    "delete_vertex", "double", "extend_partial_matching",
+    "extend_to_complete", "hill_number", "is_general_position",
+    "k4_census", "make_assignment", "partial_matching_target",
+    "per_vertex_target", "perturb", "random_assignment",
+    "random_drawing_cr", "ratio_experiment", "recursive_construct",
+    "rotate", "sample_points", "seed_four", "seed_single", "seed_two",
+    "strength", "unit", "verify",
 ]

@@ -33,7 +33,7 @@ import numpy as np
 from .drawing import (AntipodalConfig, HalfCircleAssignment, _double,
                       double, half_circle_crossings, make_assignment,
                       strength)
-from .geom import (DEFAULT_TOL, DegenerateConfigurationError, HalfCircle,
+from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, cross, cross3, dot3, is_general_position,
                    repair_midpoints, require_finite_rows, require_unit_rows,
                    rotate, unit)
@@ -87,9 +87,13 @@ def validate_arrangement(points, midpoints,
                                 "position")
 
 
-def _seed(halves, tol: ToleranceConfig) -> HalfCircleArrangement:
-    arr = HalfCircleArrangement(points=[h.p for h in halves],
-                                midpoints=[h.m for h in halves])
+def _seed(points, midpoints, tol: ToleranceConfig) -> HalfCircleArrangement:
+    """The validated arrangement of the half-circles from points[i]
+    through midpoints[i], (k, 3) arrays: unit points, and the witnesses
+    repaired by geom.repair_midpoints."""
+    points = require_unit_rows(points, tol)
+    arr = HalfCircleArrangement(
+        points=points, midpoints=repair_midpoints(points, midpoints, tol))
     validate_arrangement(arr.points, arr.midpoints, tol)
     return arr
 
@@ -101,8 +105,7 @@ def _seed(halves, tol: ToleranceConfig) -> HalfCircleArrangement:
 @functools.cache
 def seed_single(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     """One equatorial half-circle: endpoints (+-1, 0, 0), midpoint (0, 1, 0)."""
-    return _seed([HalfCircle(np.array([1.0, 0.0, 0.0]),
-                             np.array([0.0, 1.0, 0.0]), tol)], tol)
+    return _seed([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], tol)
 
 
 @functools.cache
@@ -114,8 +117,8 @@ def seed_two(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     """
     tilts = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.31, 0.52, 0.80), 0.03),
              ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.72, -0.21, 0.41), 0.05))
-    return _seed([HalfCircle(rotate(p, axis, angle), rotate(m, axis, angle),
-                             tol) for p, m, axis, angle in tilts], tol)
+    return _seed([rotate(p, axis, angle) for p, _, axis, angle in tilts],
+                 [rotate(m, axis, angle) for _, m, axis, angle in tilts], tol)
 
 
 @functools.cache
@@ -124,14 +127,11 @@ def seed_four(tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleArrangement:
     vertical axis: with midpoint m = (p x z)/|p x z| any two of these halves
     miss each other, one passing in front of the other near each pole."""
     zhat = np.array([0.0, 0.0, 1.0])
-    halves = []
-    for i, az in enumerate((0.3, 1.9, 3.6, 5.1)):
-        lat = 0.7 + 0.04 * i
-        p = np.array([math.sin(lat) * math.cos(az),
-                      math.sin(lat) * math.sin(az),
-                      math.cos(lat)])
-        halves.append(HalfCircle(p, unit(cross(p, zhat)), tol))
-    return _seed(halves, tol)
+    points = np.array([[math.sin(lat) * math.cos(az),
+                        math.sin(lat) * math.sin(az), math.cos(lat)]
+                       for lat, az in zip(0.7 + 0.04 * np.arange(4),
+                                          (0.3, 1.9, 3.6, 5.1))])
+    return _seed(points, [unit(cross(p, zhat)) for p in points], tol)
 
 
 SEEDS = {"single": seed_single, "two": seed_two, "four": seed_four}
@@ -196,8 +196,9 @@ def _children(p, m, mult: int, side: int, lift: float, spread: float,
     """Endpoints and midpoints, each (mult, 3), of the children of the
     half-circle from p through m.  Row i takes the scalar rule's own
     operations (math.cos and math.sin of zeta_i, then the same products
-    and sums, and HalfCircle's fix of a loose midpoint): bit for bit the
-    child a child-by-child loop builds."""
+    and sums, and geom.repair_midpoints' fix of a loose midpoint, the
+    scalar one row by row): bit for bit the child a child-by-child loop
+    builds."""
     n = np.array(cross3(p, m))
     spacing = spread / max(mult - 1, 1)
     # deterministic-seeded jitter keeps the fan off exact symmetries

@@ -32,9 +32,9 @@ from .formulas import hill_number, partial_matching_target, per_vertex_target
 from .geom import (DEFAULT_TOL, DegenerateConfigurationError,
                    ToleranceConfig, arc_frames, cross, cross3, dot3,
                    frame_signs, is_general_position, loose_midpoints,
-                   repair_midpoints, require_arc_rows, require_finite_rows,
-                   require_unit, require_unit_rows, row_blocks, tile_rows,
-                   triangle_tiles, unit, upper_pairs)
+                   repair_midpoints, require_arc_rows, require_arcs_apart,
+                   require_finite_rows, require_unit, require_unit_rows,
+                   row_blocks, tile_rows, triangle_tiles, unit, upper_pairs)
 
 
 class DrawingKind(str, Enum):
@@ -110,8 +110,8 @@ class HalfCircleAssignment:
 def make_assignment(config: AntipodalConfig, midpoints,
                     tol: ToleranceConfig = DEFAULT_TOL) -> HalfCircleAssignment:
     """Validate and orthonormalize midpoints against their base points:
-    orthonormal rows are kept bit for bit, others are repaired as
-    HalfCircle would (geom.repair_midpoints)."""
+    orthonormal rows are kept bit for bit, others are repaired by
+    geom.repair_midpoints."""
     mids = np.asarray(midpoints, dtype=float)
     if mids.shape != config.base.shape:
         raise ValueError("need exactly one midpoint per base point")
@@ -745,8 +745,8 @@ def _pack_drawing(d: Drawing):
     """Arrays consumed by the vectorized predicates: edge frames N, U, V
     (each (E, 3)), endpoints uv and the partner map.
 
-    The frames are curve_frame's, built in bulk: (unit(a x b), b x N,
-    N x a) for an arc ab, and (p x m, m, m) for a half-circle.
+    The frames are geom.frame_signs' (unit(a x b), b x N, N x a) for an
+    arc ab, from geom.arc_frames, and (p x m, m, m) for a half-circle.
     """
     uv, half = d.uv, d.half
     E = len(uv)
@@ -1303,7 +1303,9 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
     formed, an edge endpoint outside [0, n) and an arc that joins a couple
     of d.pairing, whose ends are exact antipodes with no great circle
     through both, raise validate_drawing's ValueError, before any frame
-    is built.  Nor is a
+    is built; then any other arc whose ends are equal or antipodal within
+    d.tol raises validate_drawing's DegenerateConfigurationError (see
+    geom.require_arcs_apart).  Nor is a
     drawing swept whose vertex or half-circle midpoint is not finite: the
     first such vertex, then midpoint, raises a ValueError that names it.
     """
@@ -1321,6 +1323,8 @@ def count_crossings(d: Drawing, tol: ToleranceConfig | None = None,
         if not ((d.uv >= 0) & (d.uv < d.n)).all() or (
                 _kept(d).partner[arcs[:, 0]] == arcs[:, 1]).any():
             raise ValueError(_verdict(d)[0])
+        require_arcs_apart(d.vertices[arcs[:, 0]], d.vertices[arcs[:, 1]],
+                           d.tol)
         pairs = pairs()
         per_edge = np.bincount(pairs.ravel(), minlength=len(d.uv))
     # each edge's crossings count once for each of its two endpoints

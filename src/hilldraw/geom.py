@@ -1,11 +1,15 @@
-"""Robust spherical primitives: unit vectors, orientation signs, geodesic arcs,
-half-circles, and the crossing predicates everything else is built on.
+"""Robust spherical primitives on arrays: unit rows, general position,
+the row checks of arcs and half-circle witnesses, and the batched crossing
+predicate everything else is built on.
 
-All predicates are pure functions of immutable inputs and work in plain
-floating point with explicit sign margins.  A configuration that puts any
-decision value inside the dead zone ``ToleranceConfig.sign`` is refused with
-:class:`DegenerateConfigurationError`; callers are expected to perturb or
-resample rather than tie-break silently.
+Curves are rows of arrays, never objects: an arc is its endpoint pair, a
+half-circle its endpoint and midpoint witness.  Every function works in
+plain floating point with explicit margins.  A configuration that puts a
+decision value inside the dead zone ``ToleranceConfig.sign`` is refused
+with :class:`DegenerateConfigurationError`; callers are expected to
+perturb or resample rather than tie-break silently.  The one-pair scalar
+curves these kernels replaced live on in ``tests/oracles.py`` as their
+references.
 """
 
 from __future__ import annotations
@@ -96,14 +100,9 @@ def unit(v) -> Vec3:
     return v / n
 
 
-def is_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    v = np.asarray(v, dtype=float)
-    return abs(float(v @ v) - 1.0) <= tol.norm
-
-
 def require_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
     v = np.asarray(v, dtype=float)
-    if not is_unit(v, tol):
+    if not abs(float(v @ v) - 1.0) <= tol.norm:
         raise ValueError(f"vector {v.tolist()} is not unit length within "
                          f"tolerance {tol.norm}")
     return v
@@ -111,9 +110,11 @@ def require_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> Vec3:
 
 def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Row-wise require_unit on an (m, 3) array: raises its ValueError for
-    the first row that is not unit length, or not finite."""
+    the first row that is not unit length, or not finite.  np.vecdot runs
+    the dot loop of require_unit's v @ v, so the rows refused are its own
+    (np.einsum rounds differently)."""
     P = np.asarray(P, dtype=float)
-    bad = ~(np.abs(np.einsum("ij,ij->i", P, P) - 1.0) <= tol.norm)
+    bad = ~(np.abs(np.vecdot(P, P) - 1.0) <= tol.norm)
     for i in np.flatnonzero(bad):
         require_unit(P[i], tol)
     return P
@@ -153,33 +154,12 @@ def antipode(p) -> Vec3:
     return -np.asarray(p, dtype=float)
 
 
-def angular_distance(a, b) -> float:
-    """Angle in radians between two unit vectors (stable near 0 and pi)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return math.atan2(float(np.linalg.norm(cross(a, b))), float(a @ b))
-
-
 def rotate(v, axis, angle: float) -> Vec3:
     """Rotate v about a unit axis by angle (right-hand rule), Rodrigues form."""
     v = np.asarray(v, dtype=float)
     a = unit(axis)
     c, s = math.cos(angle), math.sin(angle)
     return v * c + cross(a, v) * s + a * float(a @ v) * (1.0 - c)
-
-
-def orient(p, q, r, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Sign of det[p q r]: +1, -1, or 0 when |det| falls in the dead zone.
-
-    Zero means the three directions are coplanar with the center within
-    tolerance, i.e. they lie on a common great circle.
-    """
-    d = float(np.linalg.det(np.stack([np.asarray(p, float),
-                                      np.asarray(q, float),
-                                      np.asarray(r, float)])))
-    if abs(d) <= tol.sign:
-        return 0
-    return 1 if d > 0.0 else -1
 
 
 def tile_rows(width: int) -> int:
@@ -260,123 +240,67 @@ def is_general_position(points, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return not has_coplanar_triple(pts, tol.general_position)
 
 
-class GeodesicArc:
-    """The shorter great-circle segment between two non-antipodal points.
-
-    Interior membership uses the wedge form: x is strictly inside the arc
-    (a, b) iff x = alpha*a + beta*b with alpha, beta > 0, tested through the
-    two triple-product signs x . (b x n) and x . (n x a) with n = a x b.
-    """
-
-    __slots__ = ("a", "b", "normal", "wedge_u", "wedge_v")
-
-    def __init__(self, a, b, tol: ToleranceConfig = DEFAULT_TOL):
-        a = require_unit(a, tol)
-        b = require_unit(b, tol)
-        n = cross(a, b)
-        nn = float(np.linalg.norm(n))
-        if nn <= tol.general_position:
-            raise DegenerateConfigurationError(
-                "arc endpoints are equal or antipodal within tolerance")
-        self.a = a
-        self.b = b
-        self.normal = n / nn
-        self.wedge_u = cross(b, self.normal)
-        self.wedge_v = cross(self.normal, a)
-
-    def length(self) -> float:
-        return angular_distance(self.a, self.b)
-
-    def point_at(self, t: float) -> Vec3:
-        """Point at fraction t in [0, 1] from a to b along the arc."""
-        ang = self.length() * t
-        # slerp via the in-plane orthonormal companion of a
-        w = unit(self.b - float(self.a @ self.b) * self.a)
-        return math.cos(ang) * self.a + math.sin(ang) * w
-
-    def antipodal_image(self) -> "GeodesicArc":
-        return GeodesicArc(-self.a, -self.b)
-
-    def __repr__(self):
-        return f"GeodesicArc(a={self.a.tolist()}, b={self.b.tolist()})"
-
-
 def arc_frames(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frames (normal, wedge_u, wedge_v), each (E, 3), of the arcs from
-    A[e] to B[e], with GeodesicArc's formulas applied to all rows at once.
-    The endpoints are not checked; see require_arc_rows."""
+    """Frames (normal, wedge_u, wedge_v), each (E, 3), of the shorter arcs
+    from A[e] to B[e]: N = (a x b)/|a x b|, U = b x N and V = N x a, so x
+    is strictly inside the arc iff U . x > 0 and V . x > 0 (the scalar
+    GeodesicArc of tests/oracles.py).  The endpoints are not checked; see
+    require_arc_rows."""
     N = cross(A, B)
     N /= np.linalg.norm(N, axis=1, keepdims=True)
     return N, cross(B, N), cross(N, A)
 
 
+def require_arcs_apart(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise DegenerateConfigurationError unless every row of the (E, 3)
+    arrays has |A[e] x B[e]| > tol.general_position: endpoints that are
+    equal or antipodal within tolerance span no arc."""
+    if not (np.linalg.norm(cross(A, B), axis=1) > tol.general_position).all():
+        raise DegenerateConfigurationError(
+            "arc endpoints are equal or antipodal within tolerance")
+
+
 def require_arc_rows(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Row-wise GeodesicArc endpoint checks on (E, 3) arrays: raises the
-    error GeodesicArc(A[e], B[e], tol) raises for the first offending row
-    e, a non-unit or non-finite endpoint before equal or antipodal
-    endpoints."""
+    """Endpoint checks of the arcs from A[e] to B[e], (E, 3) arrays, in
+    row order: require_arcs_apart raises for the rows before the first
+    row with an endpoint that is not unit or not finite, and then
+    require_unit on that row's A[e], then B[e]; the unit tests are
+    require_unit_rows'."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    bad = ~((np.abs(np.einsum("ij,ij->i", A, A) - 1.0) <= tol.norm)
-            & (np.abs(np.einsum("ij,ij->i", B, B) - 1.0) <= tol.norm)
-            & (np.linalg.norm(cross(A, B), axis=1) > tol.general_position))
-    for e in np.flatnonzero(bad):
-        GeodesicArc(A[e], B[e], tol)
-
-
-class HalfCircle:
-    """Half of a great circle joining the antipodal pair p, -p.
-
-    The curve is {cos(t) p + sin(t) m : t in [0, pi]} where m, the midpoint
-    witness, is orthonormalized against p on construction.  A point x of the
-    great circle belongs to the half iff x . m >= 0.
-    """
-
-    __slots__ = ("p", "m", "normal")
-
-    def __init__(self, p, m, tol: ToleranceConfig = DEFAULT_TOL):
-        p = require_unit(p, tol)
-        m = np.asarray(m, dtype=float)
-        if not is_unit(m, tol):
-            m = unit(m)
-        d = float(p @ m)
-        if abs(d) > tol.perp:
-            m = m - d * p
-            nm = float(np.linalg.norm(m))
-            if nm <= tol.general_position:
-                raise DegenerateConfigurationError(
-                    "midpoint witness is parallel to the endpoint")
-            m = m / nm
-        self.p = p
-        self.m = m
-        self.normal = cross(p, m)
-
-    def point_at(self, t: float) -> Vec3:
-        """Point at parameter t in [0, 1] from p to -p through m."""
-        ang = math.pi * t
-        return math.cos(ang) * self.p + math.sin(ang) * self.m
-
-    def __repr__(self):
-        return f"HalfCircle(p={self.p.tolist()}, m={self.m.tolist()})"
+    unit_ends = ((np.abs(np.vecdot(A, A) - 1.0) <= tol.norm)
+                 & (np.abs(np.vecdot(B, B) - 1.0) <= tol.norm))
+    stop = len(A) if unit_ends.all() else int(np.argmin(unit_ends))
+    require_arcs_apart(A[:stop], B[:stop], tol)
+    if stop < len(A):
+        require_unit(A[stop], tol)
+        require_unit(B[stop], tol)
 
 
 def loose_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(E,) mask of the rows e where M[e] is not a unit vector orthogonal to
-    P[e] within tol, i.e. where HalfCircle(P[e], M[e], tol) would change
-    the witness; NaN rows are loose."""
-    return ~((np.abs(np.einsum("ij,ij->i", M, M) - 1.0) <= tol.norm)
-             & (np.abs(np.einsum("ij,ij->i", P, M)) <= tol.perp))
+    P[e] within tol, i.e. where repair_midpoints changes the witness; NaN
+    rows are loose.  As in require_unit_rows, np.vecdot runs the scalar
+    m @ m and p @ m, so a row is loose exactly where the scalar fix would
+    change it."""
+    return ~((np.abs(np.vecdot(M, M) - 1.0) <= tol.norm)
+             & (np.abs(np.vecdot(P, M)) <= tol.perp))
 
 
 def repair_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """A copy of M whose loose rows e (see loose_midpoints) are replaced by
-    HalfCircle(P[e], M[e], tol).m, all at once; other rows keep their bits.
+    the unit witness orthogonal to P[e], all at once; other rows keep
+    their bits.
 
-    HalfCircle's own operations run on the loose rows in bulk: np.vecdot
-    runs the dot loop of its v @ v and p @ m, and its square root stands
-    for np.linalg.norm.  On the first row HalfCircle refuses, HalfCircle is
-    built on that row, so that it raises its own error; the error's
-    ``row`` is that row's index.
+    Each loose row takes the scalar fix of tests/oracles.py's HalfCircle,
+    in bulk: m = unit(m) where m is not unit, then, where |p . m| >
+    tol.perp, m = (m - (p . m) p) / |m - (p . m) p|.  np.vecdot runs the
+    dot loop of the scalar v @ v and p @ m, and its square root stands for
+    np.linalg.norm, so every row has the scalar bits.  The first loose row
+    refused raises, with the error's ``row`` set to its index: "midpoint
+    witness is parallel to the endpoint" where |m - (p . m) p| <=
+    tol.general_position, otherwise require_unit(P[e])'s or unit(M[e])'s
+    ValueError.
     """
     P = np.asarray(P, dtype=float)
     M = np.array(M, dtype=float)
@@ -404,28 +328,17 @@ def repair_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if len(parallel) or stop < len(rows):
         e = int(rows[parallel[0] if len(parallel) else stop])
         try:
-            HalfCircle(P[e], M[e], tol)
+            if len(parallel):
+                raise DegenerateConfigurationError(
+                    "midpoint witness is parallel to the endpoint")
+            require_unit(P[e], tol)
+            unit(M[e])
         except (ValueError, DegenerateConfigurationError) as exc:
             exc.row = e
             raise
     m[fix] /= nm[:, None]
     M[rows] = m
     return M
-
-
-Curve = GeodesicArc | HalfCircle
-
-
-def curve_frame(c: Curve):
-    """(unit normal, wedge_u, wedge_v) of a curve.
-
-    The interior test `u . x > 0 and v . x > 0` describes the open arc for
-    geodesic arcs and, with u = v = m, the half `m . x > 0` for half-circles,
-    which lets one predicate serve every curve pair.
-    """
-    if isinstance(c, GeodesicArc):
-        return c.normal, c.wedge_u, c.wedge_v
-    return c.normal, c.m, c.m
 
 
 def dot3(X, W):
@@ -445,13 +358,14 @@ def cross3(A, B):
 def frame_signs(Fa, Fb):
     """Batched crossing predicate: curves Fa against curves Fb, broadcast.
 
-    Fa and Fb are frames (N, U, V) as from curve_frame, each of N, U, V a
-    stack of 3 broadcastable component arrays.  With X = N_a x N_b it
+    Fa and Fb are frames (N, U, V), each of N, U, V a stack of 3
+    broadcastable component arrays: (N, U, V) from arc_frames for an arc,
+    and (p x m, m, m) for a half-circle from p through its witness m.  With X = N_a x N_b it
     returns (crossing, nx, mags): whether the four triple products X . w,
     w in (U_a, V_a, U_b, V_b), share one strict sign; |X|, at most tol.sign
     for curves on one great circle; and min |X . w|, whose dead zone
     mags <= tol.sign * nx is min |(X / |X|) . w| <= tol.sign without the
-    division.  arcs_cross and its siblings refuse both dead zones.
+    division.  The caller refuses both dead zones, as drawing._sweep does.
     """
     (Na, Ua, Va), (Nb, Ub, Vb) = Fa, Fb
     X = cross3(Na, Nb)
@@ -467,41 +381,3 @@ def frame_signs(Fa, Fb):
         np.minimum(mags, np.abs(d, out=d), out=mags)
     pos |= neg
     return pos, nx, mags
-
-
-def _curves_cross(c1: Curve, c2: Curve, tol: ToleranceConfig) -> bool:
-    """frame_signs on one curve pair, refusing its two dead zones."""
-    crossing, nx, mags = frame_signs(
-        *(tuple(w[:, None] for w in curve_frame(c)) for c in (c1, c2)))
-    if nx[0] <= tol.sign:
-        raise DegenerateConfigurationError(
-            "curves lie on the same great circle within tolerance")
-    if mags[0] <= tol.sign * nx[0]:
-        raise DegenerateConfigurationError(
-            "intersection direction inside the sign dead zone")
-    return bool(crossing[0])
-
-
-def arcs_cross(e1: GeodesicArc, e2: GeodesicArc,
-               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Do two open geodesic arcs share an interior point?
-
-    The great circles meet in the directions +-x = +-(n1 x n2); the arcs
-    cross iff x or -x is strictly interior to both wedges.  Arcs on the same
-    great circle (or a decision inside the dead zone) raise
-    DegenerateConfigurationError; the caller must perturb or reject.
-    """
-    return _curves_cross(e1, e2, tol)
-
-
-def half_circle_crosses_arc(h: HalfCircle, e: GeodesicArc,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Does the half-circle meet the open arc?  Same +-x contract, with
-    half membership x . m >= 0 on the half-circle's great circle."""
-    return _curves_cross(h, e, tol)
-
-
-def half_circles_cross(h1: HalfCircle, h2: HalfCircle,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Do two half-circles with disjoint endpoint pairs cross?"""
-    return _curves_cross(h1, h2, tol)

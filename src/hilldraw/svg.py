@@ -3,8 +3,9 @@
 Orthographic projection: the front disk shows the hemisphere z >= 0 viewed
 from +z, the back disk shows z < 0 viewed from -z (x mirrored so the back
 reads like a globe turned around).  All edges are sampled at once from
-the drawing's arrays, bit for bit as the curves' ``point_at`` would, and
-drawn as polylines cut where the samples change hemisphere.
+the drawing's arrays, bit for bit as the scalar curves' ``point_at`` of
+tests/oracles.py would, and drawn as polylines cut where the samples
+change hemisphere.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def _samples(d: Drawing, segments: int) -> np.ndarray:
     """Points (E, segments + 1, 3) of the edges at t = k / segments:
     cos(t L) a + sin(t L) w on an arc from a to b, L = atan2(|a x b|, a . b)
     and w the unit in-plane companion of b; cos(pi t) p + sin(pi t) m on a
-    half-circle.  Checks and witness repair are the curves' own."""
+    half-circle.  The arcs are checked by geom.require_arc_rows, the
+    half-circles' ends by geom.require_unit_rows, and their witnesses
+    repaired by geom.repair_midpoints."""
     arc, tol = ~d.half, d.tol
     a, b = d.vertices[d.uv[:, 0]], d.vertices[d.uv[:, 1]]
     require_arc_rows(a[arc], b[arc], tol)
@@ -47,7 +50,7 @@ def _samples(d: Drawing, segments: int) -> np.ndarray:
     toward = d.midpoints.copy()
     toward[~arc] = repair_midpoints(a[~arc], toward[~arc], tol)
     # vecdot runs a @ b's dot loop, and math.atan2 is the scalar one, so
-    # every sample has point_at's bits
+    # every sample has the scalar point_at's bits
     A, B = a[arc], b[arc]
     ab, C = np.vecdot(A, B), cross(A, B)
     W = B - ab[:, None] * A

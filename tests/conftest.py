@@ -5,7 +5,9 @@ from hypothesis import HealthCheck, settings
 from hilldraw.construct import BlowupPlan, blowup, seed_four, seed_single, \
     seed_two
 from hilldraw.drawing import extend_to_complete, make_assignment
-from hilldraw.geom import DegenerateConfigurationError, HalfCircle, unit
+from hilldraw.geom import DegenerateConfigurationError, unit
+
+from .oracles import HalfCircle
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None,

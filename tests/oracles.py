@@ -1,9 +1,20 @@
 """Independent oracles the tests derive expected values from.
 
-Nothing here shares code paths with the package predicates: crossings are
-decided by dense sampling or by sign bisection along one curve plus
-arc-length membership on the other, and the reference counter walks edge
-pairs with its own bookkeeping and its own scalar curves.
+The scalar curves come first: GeodesicArc and HalfCircle, one object per
+curve, with orient, angular_distance, is_unit, curve_frame and the
+one-pair predicates arcs_cross, half_circle_crosses_arc and
+half_circles_cross (Curve is either class).  The package works on arrays
+only, and these are the references its row kernels must match: arc_frames
+and require_arc_rows give GeodesicArc's frames and errors, repair_midpoints
+and the seed arrangements HalfCircle's witnesses and errors, and the SVG
+samples the curves' point_at, bit for bit.  The one-pair predicates decide
+one pair through geom.frame_signs and refuse its two dead zones, which
+frames_cross_reference checks independently.
+
+Beyond those predicates nothing here shares code paths with the package:
+crossings are decided by dense sampling or by sign bisection along one
+curve plus arc-length membership on the other, and the reference counter
+walks edge pairs with its own bookkeeping and its own scalar curves.
 circle_pair_count_reference is the scalar loop that the batched
 circle-pair counter replaced, one circle pair at a time, and
 frames_cross_reference the scalar test that the batched frame_signs
@@ -34,10 +45,176 @@ import numpy as np
 from hilldraw.docio import (DRAWING_FORMAT, DocumentError, _is_index,
                             _is_number)
 from hilldraw.drawing import Drawing, DrawingKind, validate_drawing
-from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle, ToleranceConfig, angular_distance,
+from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
+                           ToleranceConfig, Vec3, cross, frame_signs,
                            has_coplanar_triple, repair_midpoints,
-                           require_arc_rows, row_blocks, unit)
+                           require_arc_rows, require_unit, row_blocks, unit)
+
+
+# ---------------------------------------------------------------------------
+# the scalar curves: one arc or half-circle object per curve, and the
+# one-pair predicates over them
+# ---------------------------------------------------------------------------
+
+def is_unit(v, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    v = np.asarray(v, dtype=float)
+    return abs(float(v @ v) - 1.0) <= tol.norm
+
+
+def angular_distance(a, b) -> float:
+    """Angle in radians between two unit vectors (stable near 0 and pi)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return math.atan2(float(np.linalg.norm(cross(a, b))), float(a @ b))
+
+
+def orient(p, q, r, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Sign of det[p q r]: +1, -1, or 0 when |det| falls in the dead zone.
+
+    Zero means the three directions are coplanar with the center within
+    tolerance, i.e. they lie on a common great circle.
+    """
+    d = float(np.linalg.det(np.stack([np.asarray(p, float),
+                                      np.asarray(q, float),
+                                      np.asarray(r, float)])))
+    if abs(d) <= tol.sign:
+        return 0
+    return 1 if d > 0.0 else -1
+
+
+class GeodesicArc:
+    """The shorter great-circle segment between two non-antipodal points.
+
+    Interior membership uses the wedge form: x is strictly inside the arc
+    (a, b) iff x = alpha*a + beta*b with alpha, beta > 0, tested through the
+    two triple-product signs x . (b x n) and x . (n x a) with n = a x b.
+    """
+
+    __slots__ = ("a", "b", "normal", "wedge_u", "wedge_v")
+
+    def __init__(self, a, b, tol: ToleranceConfig = DEFAULT_TOL):
+        a = require_unit(a, tol)
+        b = require_unit(b, tol)
+        n = cross(a, b)
+        nn = float(np.linalg.norm(n))
+        if nn <= tol.general_position:
+            raise DegenerateConfigurationError(
+                "arc endpoints are equal or antipodal within tolerance")
+        self.a = a
+        self.b = b
+        self.normal = n / nn
+        self.wedge_u = cross(b, self.normal)
+        self.wedge_v = cross(self.normal, a)
+
+    def length(self) -> float:
+        return angular_distance(self.a, self.b)
+
+    def point_at(self, t: float) -> Vec3:
+        """Point at fraction t in [0, 1] from a to b along the arc."""
+        ang = self.length() * t
+        # slerp via the in-plane orthonormal companion of a
+        w = unit(self.b - float(self.a @ self.b) * self.a)
+        return math.cos(ang) * self.a + math.sin(ang) * w
+
+    def antipodal_image(self) -> "GeodesicArc":
+        return GeodesicArc(-self.a, -self.b)
+
+    def __repr__(self):
+        return f"GeodesicArc(a={self.a.tolist()}, b={self.b.tolist()})"
+
+
+class HalfCircle:
+    """Half of a great circle joining the antipodal pair p, -p.
+
+    The curve is {cos(t) p + sin(t) m : t in [0, pi]} where m, the midpoint
+    witness, is orthonormalized against p on construction.  A point x of the
+    great circle belongs to the half iff x . m >= 0.
+    """
+
+    __slots__ = ("p", "m", "normal")
+
+    def __init__(self, p, m, tol: ToleranceConfig = DEFAULT_TOL):
+        p = require_unit(p, tol)
+        m = np.asarray(m, dtype=float)
+        if not is_unit(m, tol):
+            m = unit(m)
+        d = float(p @ m)
+        if abs(d) > tol.perp:
+            m = m - d * p
+            nm = float(np.linalg.norm(m))
+            if nm <= tol.general_position:
+                raise DegenerateConfigurationError(
+                    "midpoint witness is parallel to the endpoint")
+            m = m / nm
+        self.p = p
+        self.m = m
+        self.normal = cross(p, m)
+
+    def point_at(self, t: float) -> Vec3:
+        """Point at parameter t in [0, 1] from p to -p through m."""
+        ang = math.pi * t
+        return math.cos(ang) * self.p + math.sin(ang) * self.m
+
+    def __repr__(self):
+        return f"HalfCircle(p={self.p.tolist()}, m={self.m.tolist()})"
+
+
+Curve = GeodesicArc | HalfCircle
+
+
+def curve_frame(c: Curve):
+    """(unit normal, wedge_u, wedge_v) of a curve.
+
+    The interior test `u . x > 0 and v . x > 0` describes the open arc for
+    geodesic arcs and, with u = v = m, the half `m . x > 0` for half-circles,
+    which lets one predicate serve every curve pair.
+    """
+    if isinstance(c, GeodesicArc):
+        return c.normal, c.wedge_u, c.wedge_v
+    return c.normal, c.m, c.m
+
+
+def _curves_cross(c1: Curve, c2: Curve, tol: ToleranceConfig) -> bool:
+    """frame_signs on one curve pair, refusing its two dead zones."""
+    crossing, nx, mags = frame_signs(
+        *(tuple(w[:, None] for w in curve_frame(c)) for c in (c1, c2)))
+    if nx[0] <= tol.sign:
+        raise DegenerateConfigurationError(
+            "curves lie on the same great circle within tolerance")
+    if mags[0] <= tol.sign * nx[0]:
+        raise DegenerateConfigurationError(
+            "intersection direction inside the sign dead zone")
+    return bool(crossing[0])
+
+
+def arcs_cross(e1: GeodesicArc, e2: GeodesicArc,
+               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Do two open geodesic arcs share an interior point?
+
+    The great circles meet in the directions +-x = +-(n1 x n2); the arcs
+    cross iff x or -x is strictly interior to both wedges.  Arcs on the same
+    great circle (or a decision inside the dead zone) raise
+    DegenerateConfigurationError; the caller must perturb or reject.
+    """
+    return _curves_cross(e1, e2, tol)
+
+
+def half_circle_crosses_arc(h: HalfCircle, e: GeodesicArc,
+                            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Does the half-circle meet the open arc?  Same +-x contract, with
+    half membership x . m >= 0 on the half-circle's great circle."""
+    return _curves_cross(h, e, tol)
+
+
+def half_circles_cross(h1: HalfCircle, h2: HalfCircle,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Do two half-circles with disjoint endpoint pairs cross?"""
+    return _curves_cross(h1, h2, tol)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles
+# ---------------------------------------------------------------------------
 
 
 def half_circle_distance_reference(h: HalfCircle, x) -> float:
@@ -255,8 +432,6 @@ def _curves(drawing) -> list:
 def brute_count(drawing) -> tuple[int, set]:
     """Reference crossing counter: plain pair loop over edges with its own
     skip bookkeeping, its own curves and the scalar predicates."""
-    from hilldraw.geom import (arcs_cross, half_circle_crosses_arc,
-                               half_circles_cross)
     ends = [set(e) for e in drawing.uv.tolist()]
     curves = _curves(drawing)
     pairing = drawing.pairing

@@ -13,18 +13,59 @@ from hilldraw.construct import (BlowupPlan, ConstructionError,
 from hilldraw.drawing import (count_crossings, extend_to_complete, strength,
                               verify)
 from hilldraw.formulas import hill_number
-from hilldraw.geom import (HalfCircle, ToleranceConfig, is_general_position,
-                           unit)
+from hilldraw.geom import (DEFAULT_TOL, ToleranceConfig, cross,
+                           is_general_position, rotate, unit)
 
-from .conftest import random_unit_points
-from .oracles import half_circle_distance_reference
+from .conftest import SEEDS, random_unit_points
+from .oracles import HalfCircle, half_circle_distance_reference
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
+def _seed_half_circles(name, tol):
+    """The seed arrangement's half-circles built one at a time, from the
+    seed's own formulas, as the scalar curves of tests/oracles.py."""
+    if name == "single":
+        rows = [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))]
+    elif name == "two":
+        tilts = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.31, 0.52, 0.80), 0.03),
+                 ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (0.72, -0.21, 0.41),
+                  0.05))
+        rows = [(rotate(p, axis, angle), rotate(m, axis, angle))
+                for p, m, axis, angle in tilts]
+    else:
+        zhat = np.array([0.0, 0.0, 1.0])
+        rows = []
+        for i, az in enumerate((0.3, 1.9, 3.6, 5.1)):
+            lat = 0.7 + 0.04 * i
+            p = np.array([math.sin(lat) * math.cos(az),
+                          math.sin(lat) * math.sin(az),
+                          math.cos(lat)])
+            rows.append((p, unit(cross(p, zhat))))
+    return [HalfCircle(p, m, tol) for p, m in rows]
+
+
 class TestSeeds:
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, ToleranceConfig(
+        norm=1e-9, perp=1e-9, general_position=1e-7, sign=1e-10),
+        ToleranceConfig(norm=1e-20, perp=1e-20)),
+        ids=("default", "loose", "exact"))
+    @pytest.mark.parametrize("name", ("single", "two", "four"))
+    def test_arrays_are_the_half_circles(self, name, tol):
+        """Each seed's points and midpoints are, byte for byte, the p and
+        m of HalfCircle built on its formulas row by row.  Under margins
+        below rounding, seed_four's witnesses are repaired, as HalfCircle
+        repairs them, in rows where np.einsum's products would have
+        found them unit and orthogonal."""
+        arr = SEEDS[name](tol)
+        halves = _seed_half_circles(name, tol)
+        assert arr.points.tobytes() == np.array(
+            [h.p for h in halves]).tobytes()
+        assert arr.midpoints.tobytes() == np.array(
+            [h.m for h in halves]).tobytes()
+
     def test_single(self):
         arr = seed_single()
         assert len(arr) == 1

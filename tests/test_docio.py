@@ -12,11 +12,10 @@ from hilldraw.drawing import (build_cocktail_party,
                               complete_drawing_from_points, count_crossings,
                               extend_partial_matching, extend_to_complete,
                               verify)
-from hilldraw.geom import (DegenerateConfigurationError, HalfCircle,
-                           ToleranceConfig)
+from hilldraw.geom import DegenerateConfigurationError, ToleranceConfig
 from hilldraw.montecarlo import DistributionSpec, sample_points
 
-from .oracles import doc_to_drawing_reference
+from .oracles import HalfCircle, doc_to_drawing_reference
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,10 @@ from hilldraw.drawing import (Drawing, DrawingKind, add_apex, add_random_apex,
                               random_assignment, strength,
                               validate_drawing, verify)
 from hilldraw.formulas import hill_number
-from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                           GeodesicArc, HalfCircle, unit)
+from hilldraw.geom import DEFAULT_TOL, DegenerateConfigurationError, unit
 
 from .conftest import half_circles, random_unit_points
-from .oracles import brute_count
+from .oracles import GeodesicArc, HalfCircle, brute_count, half_circles_cross
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -233,7 +232,6 @@ class TestStrength:
         config, asg = hill_pairs(4)
         k = config.k
         halves = half_circles(config, asg)
-        from hilldraw.geom import half_circles_cross
         flipped = HalfCircle(config.base[0], -asg.midpoints[0])
         for j in range(1, k):
             before = half_circles_cross(halves[0], halves[j])

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import hilldraw
+from hilldraw import geom
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                           GeodesicArc, HalfCircle, ToleranceConfig,
-                           angular_distance, antipode, arcs_cross, cross,
-                           curve_frame, half_circle_crosses_arc,
-                           half_circles_cross, is_general_position,
-                           loose_midpoints, orient, repair_midpoints,
-                           rotate, unit, upper_pairs)
+                           ToleranceConfig, antipode, cross,
+                           is_general_position, loose_midpoints,
+                           repair_midpoints, rotate, unit, upper_pairs)
 
-from .oracles import (crossing_oracle_bisect, crossing_oracle_sampled,
-                      frames_cross_reference)
+from .oracles import (GeodesicArc, HalfCircle, angular_distance, arcs_cross,
+                      crossing_oracle_bisect, crossing_oracle_sampled,
+                      curve_frame, frames_cross_reference,
+                      half_circle_crosses_arc, half_circles_cross, orient)
 
 S3 = 1.0 / math.sqrt(3.0)
 S2 = 1.0 / math.sqrt(2.0)
@@ -527,6 +528,16 @@ class TestRepairMidpoints:
             repair_midpoints(P, M)
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("kind", ("zero", "non-finite"))
+    def test_endpoint_is_checked_before_its_witness(self, kind, rng):
+        """A row with a non-unit endpoint and a witness unit() refuses
+        reports the endpoint, as HalfCircle does."""
+        P, M = _witness_rows(rng, ["random", kind])
+        P[1] *= 1.5
+        want = _half_circle_outcome(P, M)
+        assert want[:2] == (1, ValueError) and "not unit length" in want[2]
+        assert _repair_outcome(P, M) == want
+
     def test_returns_a_copy(self, rng):
         P, M = _witness_rows(rng, ["random", "orthonormal"])
         kept = M.copy()
@@ -536,3 +547,23 @@ class TestRepairMidpoints:
         P, M = _witness_rows(rng, ["orthonormal", "orthonormal"])
         out = repair_midpoints(P, M)
         assert out is not M and _same_bytes(out, M)
+
+
+RETIRED = ("GeodesicArc", "HalfCircle", "Curve", "curve_frame",
+           "_curves_cross", "arcs_cross", "half_circle_crosses_arc",
+           "half_circles_cross", "orient", "angular_distance")
+
+
+def test_package_exports():
+    """hilldraw.__all__ names each export once, and each resolves; the
+    one-pair curves, now in tests/oracles.py, are neither exported nor
+    defined in hilldraw.geom, whose only classes are its error and its
+    tolerances."""
+    assert len(set(hilldraw.__all__)) == len(hilldraw.__all__)
+    assert all(hasattr(hilldraw, name) for name in hilldraw.__all__)
+    for name in RETIRED:
+        assert name not in hilldraw.__all__ and not hasattr(hilldraw, name)
+        assert not hasattr(geom, name)
+    assert {name for name, obj in vars(geom).items() if isinstance(obj, type)
+            and obj.__module__ == geom.__name__} == {
+        "DegenerateConfigurationError", "ToleranceConfig"}

@@ -32,17 +32,17 @@ from hilldraw.drawing import (CrossingReport, Drawing, DrawingKind,
                               random_assignment, strength, validate_drawing,
                               verify)
 from hilldraw.geom import (DEFAULT_TOL, DegenerateConfigurationError,
-                           GeodesicArc, ToleranceConfig, arc_frames,
-                           half_circles_cross, require_arc_rows, unit)
+                           ToleranceConfig, arc_frames, require_arc_rows,
+                           unit)
 from hilldraw.montecarlo import DistributionSpec, SamplingError, sample_points
 from hilldraw.svg import export_svg
 
 from .conftest import (SEEDS, half_circles, hill, midpoint_near_arc,
                        random_unit_points, splits)
-from .oracles import (apex_checks_reference, block_dets_reference,
-                      brute_count,
+from .oracles import (GeodesicArc, apex_checks_reference,
+                      block_dets_reference, brute_count,
                       circle_pair_count_reference, coplanar_reference,
-                      points_usable_reference)
+                      half_circles_cross, points_usable_reference)
 from .test_drawing import CENSUS_GAP, census_gap, hill_pairs, random_config
 
 SMALL_TILES = (5, 64)
@@ -856,6 +856,28 @@ class TestVerdictRefusals:
                       midpoints=mids, pairing=d.pairing)
         want = (ValueError, "matching edge (1,6) must be a half-circle")
         sweep_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _verdict(validate_drawing, _fresh(bad)) == want
+            assert _verdict(count_crossings, bad) == want
+        assert sweep_calls == []
+
+    @pytest.mark.parametrize("sign", (-1.0, 1.0), ids=("antipodal", "equal"))
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_count_refuses_equal_or_antipodal_arc_ends(self, seed, sign,
+                                                       sweep_calls):
+        """A K_8 point drawing with vertex 5 set to -vertex 3 or to vertex
+        3.  The count once swept it and raised "edges 0 and 19 lie on the
+        same great circle within tolerance", with numpy's RuntimeWarning
+        from arc_frames."""
+        d = complete_drawing_from_points(
+            random_unit_points(8, np.random.default_rng(seed)))
+        vertices = d.vertices.copy()
+        vertices[5] = sign * vertices[3]
+        bad = Drawing(vertices=vertices, kind=d.kind, uv=d.uv,
+                      midpoints=d.midpoints)
+        want = (DegenerateConfigurationError,
+                "arc endpoints are equal or antipodal within tolerance")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _verdict(validate_drawing, _fresh(bad)) == want
@@ -1769,6 +1791,35 @@ class TestBulkArcs:
         with pytest.raises(ValueError, match="not unit length"):
             require_arc_rows(A, B)
 
+    def test_rows_refused_are_the_scalar_ones(self, rng):
+        """Under a norm margin below rounding, require_unit_rows and
+        require_arc_rows refuse the first row require_unit and
+        GeodesicArc refuse, with their texts: the bulk unit tests once
+        took np.einsum's products, which round differently from v @ v
+        for about a quarter of random unit rows."""
+        tol = ToleranceConfig(norm=1e-20)
+
+        def error(check, *args):
+            try:
+                check(*args, tol)
+            except (ValueError, DegenerateConfigurationError) as exc:
+                return type(exc), str(exc)
+
+        def first_error(check, *rows):
+            return next(filter(None, (error(check, *row)
+                                      for row in zip(*rows))), None)
+
+        refused = 0
+        for _ in range(40):
+            A = random_unit_points(6, rng)
+            B = random_unit_points(6, rng)
+            want = first_error(geom.require_unit, A)
+            refused += want is not None
+            assert error(geom.require_unit_rows, A) == want
+            assert error(require_arc_rows, A, B) == first_error(GeodesicArc,
+                                                                A, B)
+        assert refused > 30
+
     @pytest.mark.parametrize("value", (np.nan, np.inf))
     def test_non_finite_rows_are_refused(self, value, rng):
         """Rows with a NaN or infinite coordinate are not unit vectors, in
@@ -1811,32 +1862,31 @@ class TestBulkArcs:
             doc_to_drawing(early_record)
 
 
-def test_no_np_cross_and_half_circles_only_for_seeds_or_refusals(
-        monkeypatch):
-    """Every cross product goes through geom.cross, and a HalfCircle is
-    built only for a seed arrangement or, by geom.repair_midpoints, on a
-    witness row it refuses."""
-    crossed, built = [], []
+def test_no_np_cross_and_one_row_checks_only_on_refusals(monkeypatch):
+    """Every cross product goes through geom.cross, and geom's row checks
+    (require_unit_rows, require_arc_rows, repair_midpoints) check a row on
+    its own, with geom.require_unit, only where they refuse it."""
+    crossed, checked = [], []
 
     def no_cross(*args, **kw):
         crossed.append(args)
         raise AssertionError("np.cross called")
 
-    init = geom.HalfCircle.__init__
+    require_unit = geom.require_unit
 
-    def counting(self, *args, **kw):
-        built.append(args)
-        init(self, *args, **kw)
+    def counting(v, *args, **kw):
+        checked.append(v)
+        return require_unit(v, *args, **kw)
 
     monkeypatch.setattr(np, "cross", no_cross)
-    monkeypatch.setattr(geom.HalfCircle, "__init__", counting)
+    monkeypatch.setattr(geom, "require_unit", counting)
     for seed in SEEDS.values():
         seed.cache_clear()
     rng = np.random.default_rng(61)
 
     for seed in SEEDS.values():
         seed()
-    assert len(built) == 1 + 2 + 4
+    assert checked == []
     config, asg = recursive_construct(
         SEEDS["four"](), default_plan_chain([(2, 1, 1, 1), (2, 1, 1, 1, 1)]),
         rng)
@@ -1863,10 +1913,15 @@ def test_no_np_cross_and_half_circles_only_for_seeds_or_refusals(
                            reread.half[:, None], 3.0 * reread.midpoints,
                            np.nan), pairing=dict(reread.pairing)))
     complete_drawing_from_points(sample_points(12, DistributionSpec(), rng))
-    assert len(built) == 7 and crossed == []
+    assert checked == [] and crossed == []
 
-    # a refused witness: HalfCircle is built on that row alone
+    # refused witnesses: a parallel one raises from the bulk fix, a zero one
+    # has its row checked alone
     doc["edges"][-1]["midpoint"] = list(partial.vertices[2])
     with pytest.raises(DegenerateConfigurationError, match="parallel"):
         doc_to_drawing(doc)
-    assert len(built) == 8 and crossed == []
+    assert checked == []
+    doc["edges"][-1]["midpoint"] = [0.0, 0.0, 0.0]
+    with pytest.raises(DocumentError, match="zero vector"):
+        doc_to_drawing(doc)
+    assert len(checked) == 1 and crossed == []

@@ -5,12 +5,11 @@ from hilldraw.construct import BlowupPlan, blowup, seed_four, seed_single
 from hilldraw.drawing import (Drawing, DrawingKind, build_cocktail_party,
                               complete_drawing_from_points, double,
                               extend_to_complete)
-from hilldraw.geom import (DegenerateConfigurationError, GeodesicArc,
-                           HalfCircle)
+from hilldraw.geom import DegenerateConfigurationError
 from hilldraw.montecarlo import DistributionSpec, sample_points
 from hilldraw.svg import _samples, export_svg
 
-from .oracles import sample_curve
+from .oracles import GeodesicArc, HalfCircle, sample_curve
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
