@@ -20,8 +20,8 @@ decision came near the dead zone.
 
 from __future__ import annotations
 
-import multiprocessing
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
@@ -864,9 +864,10 @@ def _sweep_pairs(packed, sign_tol: float, workers: int) -> np.ndarray:
         return _sweep(packed, tiles, sign_tol)
     global _POOL_DATA
     _POOL_DATA = packed
+    # imported here, by its one user, so no other path pays for it
+    import multiprocessing
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_pool_worker,
                               [(tiles[w::workers], sign_tol)
                                for w in range(workers)])
@@ -904,7 +905,10 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
     the refusing one, at most key; otherwise least is that of all the
     triples.  A vertex that is not finite gives no posT either (least is
     NaN): masked determinants are NaN here, so determinants made NaN by
-    such a point would pass for masked ones.
+    such a point would pass for masked ones.  In each block of
+    determinants the repeated indices c = a, c = b and b = a are three
+    strided views, each written with NaN in one assignment; the couples
+    are written by index, and only where some vertex is paired.
 
     The n^2 cross products a x b are computed once, and rows a in [a0, a1)
     are dotted with every vertex only for b >= a0: geom.cross takes each
@@ -918,8 +922,9 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
     key >= _DET_FLOOR in size and is finite, so none is 0, and
     det(b,a,x) > 0 iff det(a,b,x) is not.  So pos[b, a] is pos[a, b]
     with the bits of the unmasked x flipped, which are every vertex but
-    a, b and their partners, and none where (a, b) is a couple; inside a
-    block this rewrites the bits the block packed, which are the same.
+    a, b and their partners, and none where (a, b) is a couple (keep
+    clears a vertex's own bit and its partner's); inside a block this
+    rewrites the bits the block packed, which are the same.
     A point set in one block (n <= 32 under the default tile) packs all
     of posT in its block and derives none.
     """
@@ -928,10 +933,10 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
         return None, np.nan
     least, words = np.inf, (P + 63) // 64
     posT = np.empty((P, words, P), dtype=np.uint64)
-    # the couples (x, y), sorted by x, with y = x or y = x's antipodal
-    # partner: a triple that holds both is masked
-    ys = np.stack([np.arange(P), partner], axis=1).ravel()
-    xs, ys = np.flatnonzero(ys >= 0) // 2, ys[ys >= 0]
+    # the antipodal couples (x, partner[x]), sorted by x: a triple that
+    # holds both is masked, as is one with a repeated index
+    xs = np.flatnonzero(partner >= 0)
+    ys, xl = partner[xs], xs.tolist()       # xl for bisect's block bounds
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
     # tile (geom.tile_rows); fresh dets arrays of varying size cost more
@@ -947,14 +952,19 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
         dets = dets_buf[:r * (P - a0) * P].reshape(r, -1, P)
         np.matmul(pair_cross[a0:a1, a0:].reshape(-1, 3), pts.T,
                   out=dets.reshape(-1, P))
-        # a masked det is NaN: it has neither sign, and fmin skips it;
-        # the masks are written by index, a couple (a, c), (b, c) or
-        # (a, b) at a time
-        lo, hi = np.searchsorted(xs, (a0, a1))
-        rows, cols = xs[lo:hi] - a0, ys[lo:hi]
-        dets[rows, :, cols] = np.nan
-        dets[:, xs[lo:] - a0, ys[lo:]] = np.nan
-        dets[rows[cols >= a0], cols[cols >= a0] - a0] = np.nan
+        # a masked det is NaN: it has neither sign, and fmin skips it; a
+        # repeated index c = a, c = b or b = a is a strided view of dets
+        # (einsum's diagonal view for c = a), and a couple (a, c), (b, c)
+        # or (a, b) is written by index
+        np.einsum("iji->ij", dets[:, :, a0:a1])[...] = np.nan
+        dets.reshape(r, -1)[:, a0::P + 1] = np.nan
+        dets.reshape(-1, P)[::P - a0 + 1] = np.nan
+        if len(xs):
+            lo, hi = bisect_left(xl, a0), bisect_left(xl, a1)
+            rows, cols = xs[lo:hi] - a0, ys[lo:hi]
+            dets[rows, :, cols] = np.nan
+            dets[:, xs[lo:] - a0, ys[lo:]] = np.nan
+            dets[rows[cols >= a0], cols[cols >= a0] - a0] = np.nan
         bits = np.zeros((r, P - a0, 64 * words), dtype=bool)
         np.greater(dets, 0.0, out=bits[..., :P])
         posT[a0:a1, :, a0:] = _pack(bits).transpose(0, 2, 1)
@@ -967,14 +977,13 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
         # mask of (a, b, x) holds, where keep[y] drops y and its partner,
         # and none for a couple (a, b)
         bits = np.zeros((P, 64 * words), dtype=bool)
-        bits[:, :P] = True
+        bits[:, :P] = ~np.eye(P, dtype=bool)
         bits[xs, ys] = False
         keep = _pack(bits)
         mirror = np.bitwise_and(keep[:, :, None], keep.T,
                                 out=np.empty_like(posT))
         mirror ^= posT.transpose(2, 1, 0)
-        paired = np.flatnonzero(partner >= 0)
-        mirror[partner[paired], :, paired] = 0
+        mirror[ys, :, xs] = 0
         np.copyto(posT, mirror, where=np.tri(P, k=-1, dtype=bool)[:, None])
     posT.flags.writeable = False
     return posT, least
@@ -1208,7 +1217,13 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     n columns c rather than along a row's few words.  The arcs are taken
     in blocks, and each block's ANDs are written into the copy of posT[b]
     that gathering by index makes, so a block needs one temporary of its
-    size, not three.
+    size, not three.  neg[a, b] is gathered once per block, and the side
+    mask, the c with det(a,b,c) > 0, is its complement: under the guard
+    no unmasked det is 0, and at a masked c (a, b or a partner of either)
+    pos[b, c] or neg[a, c] is masked and the AND is empty, so the mask's
+    bit there does not matter; the words' padding bits past n are not
+    unpacked.  A block's popcounts are summed in uint32: an arc crosses
+    at most C(n - 2, 2) arcs, which fits for n <= 92 684.
 
     Counting half-circles.  The table's signs are packed as bitsets too,
     over the ends p of the half-circles and over the vertices, so the
@@ -1234,24 +1249,26 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     if fault or (signs := _cached_signs(d, tol)[0]) is None or census:
         return None
     n, uv, half = d.n, d.uv, d.half
-    arcs, ends = uv[~half], uv[half, 0]
-    lo, hi = arcs.min(axis=1), arcs.max(axis=1)
+    (lo, hi), ends = np.sort(uv[~half], axis=1).T, uv[half, 0]
     (posT, sides), words = signs, signs[0].shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
     per_edge = np.zeros(len(uv), dtype=np.int64)
     crossed = np.zeros(len(lo), dtype=np.int64)
     for s0, s1 in row_blocks(len(lo), n * words):
         a, b = lo[s0:s1], hi[s0:s1]
-        # pos[a, b] = negT[b, :, a] and neg[a, b] = posT[b, :, a]
-        above = np.unpackbits(np.ascontiguousarray(negT[b, :, a]).view(
-            np.uint8), axis=-1, count=n, bitorder="little")
+        # neg[a, b] = posT[b, :, a]; its complement is pos[a, b] but at
+        # the masked c, where found is empty
+        nab = posT[b, :, a]
+        above = np.unpackbits((~nab).view(np.uint8), axis=-1, count=n,
+                              bitorder="little")
         # [ab, w, c]: word w of neg[a,b] & pos[b,c] & neg[a,c]
         found = posT[b]
         found &= negT[a]
-        found &= posT[b, :, a][..., None]
+        found &= nab[..., None]
         counts = np.bitwise_count(found)
         counts *= above[:, None]          # the c with det(a,b,c) > 0
-        crossed[s0:s1] = counts.sum(axis=(1, 2), dtype=np.int64)
+        # at most C(n - 2, 2) per arc, within uint32 for n <= 92 684
+        crossed[s0:s1] = counts.reshape(len(a), -1).sum(1, dtype=np.uint32)
     if len(ends):
         # below[x] and over[x] hold the ends p of the half-circles with
         # det(p,m,x) < 0 and > 0, and the first k rows of over_h the x

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilldraw
 from hilldraw import cli
 from hilldraw.cli import main
 from hilldraw.docio import load_drawing
@@ -445,3 +450,17 @@ class TestArgumentValues:
         code, out, _ = run(["montecarlo", "--n", "5", "--trials", "1",
                             "--rng-seed", "3"], capsys)
         assert code == 0 and json.loads(out)["seed"] == 3
+
+
+def test_commands_load_no_process_pool():
+    """Only the sweep's process pool uses multiprocessing, and imports it
+    there: a fresh interpreter that loads the package, its document layer
+    and its CLI has not loaded it."""
+    src = str(Path(hilldraw.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, hilldraw, hilldraw.docio, hilldraw.cli; "
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

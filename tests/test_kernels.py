@@ -1414,6 +1414,20 @@ class TestOneArcLoop:
             if d.n <= 65:
                 assert np.array_equal(first, _sweep_report(d).per_edge), name
 
+    def test_three_words_equal_the_sweep(self, stage_drawings,
+                                         sweep_calls):
+        """K_129 holds three words per bitset, and the complement side
+        mask sets the 63 bits of the last past n: the counted totals are
+        the sweep's.  A counted report's pairs are swept, so only its
+        counts are compared."""
+        d = _fresh(stage_drawings["K129"])
+        rep = count_crossings(d)
+        assert sweep_calls == []            # counted from signs
+        want = _sweep_report(d)
+        assert rep.total == want.total
+        assert np.array_equal(rep.per_edge, want.per_edge)
+        assert np.array_equal(rep.per_vertex, want.per_vertex)
+
     def test_kept_signs_are_read_only(self, stage_drawings):
         d = _fresh(stage_drawings["complete"])
         validate_drawing(d)
