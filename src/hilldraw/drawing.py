@@ -248,8 +248,8 @@ def _kept(d: Drawing, paired: bool = True) -> SimpleNamespace:
     faults before any range fault.  ``verdict`` (see _verdict) is None
     until the verdict is first asked for, and ``key`` until the
     orientation stage is, which then sets ``signs`` and ``least`` for
-    that guard key (see _cached_signs), unless delete_vertex or add_apex
-    has set them from a parent's (see _keep_stage).
+    that guard key (see _cached_signs), unless delete_vertex has set
+    them from its parent's (see _keep_stage).
     """
     source = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
     kept = d._memo
@@ -604,11 +604,9 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
     check can fire and both are skipped.  The apex drawing is validated
     once, as part of the result, reusing the stage.
 
-    The stage's vertex part extends the full drawing's (see _apex_signs),
-    which is read from _slot_signs by content, or computed there, so
-    that the apexes add_random_apex tries all find it; the extension is
-    kept on the apex drawing only, not in the slot.  A refused vertex
-    part stays refused: its triples are all apex triples.
+    The stage comes through _cached_signs, as any drawing's: its vertex
+    part runs on the n + 1 points and replaces the full drawing's in the
+    _slot_signs slot.
     """
     q = require_unit(q, tol)
     base_drawing = _matching_drawing(config, asg, range(config.k), tol,
@@ -626,10 +624,6 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                                             np.full((n, 3), np.nan)]),
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
-    key = max(tol.general_position, _DET_FLOOR)
-    partner = _kept(base_drawing).partner
-    _keep_stage(out, key, _apex_signs(_slot_signs(verts, partner, key),
-                                      verts, partner, q, key))
     pts = np.concatenate([verts, asg.midpoints])
     if not (_stage_clears(out) and np.all(np.abs(np.einsum(
             "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
@@ -1020,56 +1014,6 @@ def _drop_vertex_signs(vertex, v: int):
     return out, least
 
 
-def _apex_signs(vertex, pts: np.ndarray, partner: np.ndarray, q, key: float):
-    """The vertex part (posT, least) of pts with q appended as an unpaired
-    vertex n, from pts' own, vertex, in O(n^2 * words).
-
-    The new triples are those through q: det(a, b, q), taken as cross(a,
-    b).q, and det(a, q, c), taken as cross(a, q).c, which are the
-    products a fresh run evaluates, by the same matrix product, so the
-    bits and least are a fresh run's bit for bit; det(q, a, c) is
-    -det(a, q, c) exactly, as in _vertex_signs.  Triples through q mask
-    only a repeated index and the couples of pts.  Where some new triple
-    has |det| <= key, posT is None and least is the smallest |det| of all
-    the triples.  A refused vertex part, posT None, is returned as it
-    is.
-    """
-    posT, least = vertex
-    if posT is None:
-        return vertex
-    n = len(pts)
-    words = (n + 64) // 64
-    # two right-hand columns keep numpy on the matrix-matrix product of a
-    # fresh run, whose rounding a matrix-vector product does not share
-    t1 = (cross(pts[:, None], pts).reshape(-1, 3)
-          @ np.stack([q, q], axis=1))[:, 0].reshape(n, n)
-    t2 = cross(pts, q) @ pts.T
-    # t1[a, b] = det(a, b, q) and t2[a, c] = det(a, q, c), masked (NaN)
-    # where (a, b) or (a, c) is a repeated index or a couple
-    idx = np.arange(n)
-    paired = np.flatnonzero(partner >= 0)
-    for t in (t1, t2):
-        t[idx, idx] = t[paired, partner[paired]] = np.nan
-    least = min(least, *(float(np.fmin.reduce(np.abs(t), axis=None,
-                                               initial=np.inf))
-                         for t in (t1, t2)))
-    if not least > key:
-        return None, least
-    out = np.zeros((n + 1, words, n + 1), dtype=np.uint64)
-    out[:n, :posT.shape[1], :n] = posT
-    # bit q of pos[a, b]; pos[a, q] has the c with det(a, q, c) > 0, and
-    # pos[q, c] the a with det(q, c, a) = -det(c, q, a) > 0
-    out[:n, n // 64, :n] |= (t1 > 0.0).astype(np.uint64) << np.uint64(n % 64)
-    bits = np.zeros((2, n, 64 * words), dtype=bool)
-    np.greater(t2, 0.0, out=bits[0, :, :n])
-    np.less(t2, 0.0, out=bits[1, :, :n])
-    above, below = _pack(bits)
-    out[:n, :, n] = above
-    out[n, :, :n] = below.T
-    out.flags.writeable = False
-    return out, least
-
-
 def _orientation_signs(d: Drawing, key: float, vertex=None):
     """The orientation stage of the sign counter: (signs, least).
 
@@ -1121,7 +1065,13 @@ _VERTEX_SIGNS = (None, None)
 def _slot_signs(pts: np.ndarray, partner: np.ndarray, key: float):
     """_vertex_signs(pts, partner, key), read from the one slot where it
     holds that content, else computed and kept there instead of the last:
-    every drawing on the same vertices and pairing shares it."""
+    every drawing on the same vertices and pairing shares it.
+
+    An apex drawing's part, on one point more, replaces its full
+    drawing's.  A Hill generate, verify and mutate cycle reads the full
+    drawing's no more after its apex; add_random_apex computes it anew
+    only where its first apex is refused and extend_to_complete then
+    validates the full drawing."""
     global _VERTEX_SIGNS
     content = (key, pts.shape, pts.tobytes(), partner.tobytes())
     if _VERTEX_SIGNS[0] != content:
@@ -1148,8 +1098,8 @@ def _cached_signs(d: Drawing, tol: ToleranceConfig):
     parsed document and the drawing it was written from, and a sampled
     draw and the drawing on its points compute it once; edited points or
     another pairing compute it anew.  Only the table is each drawing's
-    own.  delete_vertex and add_apex keep on their drawing a stage derived
-    from their parent's, which is read here as any other.
+    own.  delete_vertex keeps on its drawing a stage derived from its
+    parent's, which is read here as any other.
     """
     key = max(tol.general_position, _DET_FLOOR)
     kept = _kept(d)

@@ -1239,11 +1239,10 @@ def _margin(d, key):
 
 
 class TestDerivedStages:
-    """A vertex-deleted drawing derives its vertex part from its parent's,
-    and an apex drawing from its full drawing's: the bits must be a fresh
-    run's, the apex least a fresh run's and the deletion least a lower
-    bound of it above the margin.  The drawings on one point set share
-    one vertex part."""
+    """A vertex-deleted drawing derives its vertex part from its parent's:
+    the bits must be a fresh run's and the least a lower bound of a fresh
+    run's above the margin.  An apex drawing runs its own, on one point
+    more.  The drawings on one point set share one vertex part."""
 
     KEY = max(DEFAULT_TOL.general_position, drawing_mod._DET_FLOOR)
 
@@ -1251,11 +1250,9 @@ class TestDerivedStages:
     def test_vertex_parts(self, tile, stage_drawings, mirror_drawings,
                           monkeypatch):
         """Every fixture drawing, with vertices 0, n // 2 and n - 1
-        deleted and with an apex: one to three words, and the word count
-        falling from 65 to 64 vertices and from 129 to 128, and rising
-        from 64 to 65."""
+        deleted: one to three words, and the word count falling from 65
+        to 64 vertices and from 129 to 128."""
         monkeypatch.setattr(geom, "_TILE", tile)
-        rng = np.random.default_rng(2121)
         for name, d in {**stage_drawings, **mirror_drawings}.items():
             pts, partner = d.vertices, drawing_mod._kept(d).partner
             vertex = drawing_mod._vertex_signs(pts, partner, self.KEY)
@@ -1266,13 +1263,6 @@ class TestDerivedStages:
                 assert np.array_equal(posT, fresh[0]), (name, v)
                 assert posT.flags.c_contiguous and not posT.flags.writeable
                 assert least == vertex[1] <= fresh[1]
-            q = random_unit_points(1, rng)[0]
-            got = drawing_mod._apex_signs(vertex, pts, partner, q, self.KEY)
-            fresh = drawing_mod._vertex_signs(
-                np.concatenate([pts, q[None]]), np.append(partner, -1),
-                self.KEY)
-            assert np.array_equal(got[0], fresh[0]), name
-            assert got[1] == fresh[1] and not got[0].flags.writeable
 
     @pytest.mark.parametrize("tile", (5, 1000, geom._TILE))
     def test_fixture_deletions_and_apexes(self, tile, stage_drawings,
@@ -1311,10 +1301,11 @@ class TestDerivedStages:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_hill_deletions_and_apexes(self, seed, tile, vertex_calls,
                                        monkeypatch):
-        """No vertex determinant is computed for a deletion or an apex,
-        and their stages are a fresh run's; k = 32 and 33 reach two
-        words, the apex of k = 32 from one."""
+        """No vertex determinant is computed for a deletion, and each apex
+        tried runs them once; their stages are a fresh run's.  k = 33 and
+        the apex of k = 32 reach two words."""
         monkeypatch.setattr(geom, "_TILE", tile)
+        apex_calls = _counted(monkeypatch, "add_apex")
         rng = np.random.default_rng([21, tile])
         for k in (5, 12, 32, 33):
             config, asg = hill(seed, k, [21, k])
@@ -1322,8 +1313,10 @@ class TestDerivedStages:
             vertex_calls.clear()
             minus = [delete_vertex(d, v) for v in
                      (0, k, 2 * k - 1, int(rng.integers(2 * k)))]
-            plus = add_random_apex(config, asg, rng)
             assert vertex_calls == []
+            apex_calls.clear()
+            plus = add_random_apex(config, asg, rng)
+            assert len(vertex_calls) == len(apex_calls) >= 1
             for e in minus:
                 self._check(e, exact=False)
             self._check(plus, exact=True)
@@ -1359,12 +1352,13 @@ class TestDerivedStages:
             drawing_mod._orientation_signs(_fresh(minus), 2.0 * least)[1]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_hill_op_runs_the_vertex_determinants_once(self, seed,
-                                                       vertex_calls,
-                                                       sweep_calls,
-                                                       monkeypatch):
+    def test_hill_op_runs_the_vertex_determinants_twice(self, seed,
+                                                        vertex_calls,
+                                                        sweep_calls,
+                                                        monkeypatch):
         """Build, a document round trip, a deletion and an apex, each
-        verified, as the CLI's generate, verify and mutate do."""
+        verified, as the CLI's generate, verify and mutate do: once for
+        the built and parsed drawings together, once for the apex."""
         monkeypatch.setattr(drawing_mod, "_VERTEX_SIGNS", (None, None))
         rng = np.random.default_rng(22)
         config, asg = hill(seed, 9, [22, 9])
@@ -1377,7 +1371,7 @@ class TestDerivedStages:
         assert verify(minus).passed
         plus = add_random_apex(*config_from_drawing(parsed), rng)
         assert verify(plus).passed
-        assert len(vertex_calls) == 1 and sweep_calls == []
+        assert len(vertex_calls) == 2 and sweep_calls == []
 
     def test_cocktail_then_partial_runs_them_once(self, vertex_calls,
                                                   sweep_calls, monkeypatch):

@@ -1,6 +1,10 @@
+from itertools import product
+from math import comb, sqrt
+
 import numpy as np
 import pytest
 
+from hilldraw import drawing as drawing_mod
 from hilldraw import montecarlo
 from hilldraw.drawing import complete_drawing_from_points, count_crossings
 from hilldraw.formulas import hill_number
@@ -251,3 +255,36 @@ class TestK4Census:
     def test_histogram_normalizes(self):
         result = k4_census(2000, DistributionSpec(), seed=1)
         assert abs(sum(result.fractions) - 1.0) < 1e-12
+
+
+class TestExactStatistics:
+    """Sums and means the paper's local argument fixes exactly: every four
+    points in general position span one crossing in 6 of the 16 choices of
+    a point from each antipodal couple (montecarlo._dependency)."""
+
+    @pytest.mark.parametrize("n", (8, 10))
+    def test_flip_identity(self, n, monkeypatch):
+        """The totals of all 2^n antipodal flips of a sample sum to
+        6 * 2^(n-4) * C(n, 4), every one counted from the signs."""
+        sweeps = []
+        sweep = drawing_mod._sweep
+        monkeypatch.setattr(drawing_mod, "_sweep",
+                            lambda *a: sweeps.append(1) or sweep(*a))
+        pts = sample_points(n, DistributionSpec(), np.random.default_rng(n))
+        total = sum(count_crossings(complete_drawing_from_points(
+            pts * np.array(signs)[:, None])).total
+            for signs in product((1.0, -1.0), repeat=n))
+        assert total == 6 * 2 ** (n - 4) * comb(n, 4)
+        assert sweeps == []
+
+    def test_census_against_its_exact_mean(self):
+        """An antipodally symmetric distribution spans a crossing with
+        probability exactly 3/8; the plain cap it symmetrizes, the control,
+        does not."""
+        trials = 200_000
+        cap = DistributionSpec(kind="cap", theta=0.5)
+        sym = DistributionSpec(kind="antipodal_symmetrized", base=cap.draw)
+        sigma = sqrt(0.375 * 0.625 / trials)
+        z = [(k4_census(trials, dist, seed=7).fractions[1] - 0.375) / sigma
+             for dist in (sym, cap)]
+        assert abs(z[0]) < 5.0 < abs(z[1])
