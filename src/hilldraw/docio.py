@@ -69,7 +69,7 @@ def _passes(xs: list, kind: type, test) -> np.ndarray:
     """test(x) for every entry x of xs, where an x of type kind passes:
     those are told apart in bulk, the others one by one."""
     ok = np.fromiter(map(type, xs), object, len(xs)) == kind
-    for i in np.flatnonzero(~ok):
+    for i in (~ok).nonzero()[0]:
         ok[i] = test(xs[i])
     return ok
 
@@ -156,7 +156,7 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
         """Stop at the first record where ok, over rows or over the
         records before stop, is False, if that record comes first."""
         nonlocal stop, why
-        bad = np.flatnonzero(~ok) if rows is None else rows[~ok]
+        bad = (~ok).nonzero()[0] if rows is None else rows[~ok]
         if len(bad) and bad[0] < stop:
             stop, why = int(bad[0]), message
 
@@ -175,7 +175,7 @@ def doc_to_drawing(doc: dict, tol: ToleranceConfig | None = None) -> Drawing:
     known = arc | (curves == "half_circle")
     cut(known, "curve must be 'arc' or 'half_circle', got "
         f"{next(iter(curves[~known]), None)!r}")
-    rows = np.flatnonzero(~arc[:stop])
+    rows = (~arc[:stop]).nonzero()[0]
     mps = list(map(mps.__getitem__, rows.tolist()))
     good = _rows(mps, 3, float, _is_number)
     M = np.full((len(rows), 3), np.nan)     # NaN past the good rows

@@ -71,7 +71,7 @@ class AntipodalConfig:
         return i + k if i < k else i - k
 
     def pairing(self) -> dict[int, int]:
-        return {i: self.partner(i) for i in range(self.n)}
+        return dict(enumerate([*range(self.k, self.n), *range(self.k)]))
 
 
 def double(points, tol: ToleranceConfig = DEFAULT_TOL) -> AntipodalConfig:
@@ -118,7 +118,7 @@ def make_assignment(config: AntipodalConfig, midpoints,
     fixed = repair_midpoints(config.base, mids, tol)
     # midpoints must not coincide with any configuration vertex
     align = np.abs(fixed @ config.doubled.T)
-    if np.any(align >= 1.0 - tol.general_position):
+    if (align >= 1.0 - tol.general_position).any():
         i, j = np.unravel_index(int(np.argmax(align)), align.shape)
         raise DegenerateConfigurationError(
             f"midpoint {i} coincides with vertex {j} within tolerance")
@@ -254,8 +254,9 @@ def _kept(d: Drawing, paired: bool = True) -> SimpleNamespace:
     source = (d.vertices, d.uv, d.midpoints, d.kind, d.tol)
     kept = d._memo
     if not (kept and kept.pairing == d.pairing
-            and all(x is y for x, y in zip(kept.source, source))):
-        half = ~np.isnan(d.midpoints).all(axis=1)
+            and all(map(operator.is_, kept.source, source))):
+        nan = np.isnan(d.midpoints)
+        half = ~(nan[:, 0] & nan[:, 1] & nan[:, 2])
         half.flags.writeable = False
         kept = d._memo = SimpleNamespace(
             source=source, pairing=dict(d.pairing), half=half, partner=None,
@@ -266,9 +267,9 @@ def _kept(d: Drawing, paired: bool = True) -> SimpleNamespace:
         if not type(a) is type(b) is int:
             raise ValueError(f"pairing entry {a!r} -> {b!r} is not a pair "
                              "of integers")
-    a, b = np.array([*d.pairing.items()], dtype=np.int64).reshape(-1, 2).T
-    outside = (a < 0) | (a >= d.n) | (b < 0) | (b >= d.n)
-    if outside.any():
+    a, b = ab = np.array([[*d.pairing], [*d.pairing.values()]], dtype=np.int64)
+    # as unsigned, a negative index is at least 2^63, so outside [0, n) too
+    if (outside := np.logical_or(*(ab.view(np.uint64) >= d.n))).any():
         i = int(np.argmax(outside))
         raise ValueError(f"pairing entry {a[i]} -> {b[i]} names a vertex "
                          f"outside [0, {d.n})")
@@ -310,7 +311,11 @@ def _check_edge_census(d: Drawing, kept: SimpleNamespace):
     each a half-circle iff it is a couple, so it counts: a pair that is
     no couple lacks an edge iff the arcs are fewer than such pairs.
     Repeated edges are found by sorting their keys; np.unique finds the
-    first of each only where some key repeats.
+    first of each only where some key repeats.  Endpoints are clamped
+    into [0, n) by np.minimum and np.maximum, and the fault masks joined
+    by one chain of |, as numpy's per-call cost, not the edge count,
+    dominates on small drawings (np.clip's wrapper and logical_or.reduce
+    over a stacked tuple took about twice as long).
     """
     n, uv, verts = d.n, d.uv, d.vertices
     half, partner, a, b = kept.half, kept.partner, kept.a, kept.b
@@ -320,7 +325,7 @@ def _check_edge_census(d: Drawing, kept: SimpleNamespace):
         i = int(np.argmax(bad))
         return ("pairing map is not symmetric" if skew[i] else
                 f"paired vertices {a[i]},{b[i]} are not exact antipodes"), None
-    u, v = np.clip(uv, 0, n - 1).T
+    u, v = np.minimum(np.maximum(uv, 0), n - 1).T
     invalid = (uv[:, 0] != u) | (uv[:, 1] != v) | (u == v)
     key = np.minimum(u, v) * n + np.maximum(u, v)
     repeated = np.zeros(len(key), dtype=bool)
@@ -332,9 +337,8 @@ def _check_edge_census(d: Drawing, kept: SimpleNamespace):
     paired = partner[u] == v
     loose = half.copy()
     loose[half] = loose_midpoints(verts[u[half]], d.midpoints[half], d.tol)
-    faults = (invalid, repeated, half & ~paired, loose, ~half & paired)
-    bad = np.logical_or.reduce(faults)
-    if bad.any():
+    if (bad := invalid | repeated | loose | (half ^ paired)).any():
+        faults = (invalid, repeated, half & ~paired, loose, ~half & paired)
         i = int(np.argmax(bad))
         e = "({},{})".format(*uv[i].tolist())
         return next(text for hit, text in zip(faults, (
@@ -343,7 +347,7 @@ def _check_edge_census(d: Drawing, kept: SimpleNamespace):
             f"half-circle edge {e} midpoint is not a unit vector orthogonal "
             "to its endpoint", f"matching edge {e} must be a half-circle"))
             if hit[i]), None
-    halves, got, couples = int(half.sum()), len(uv), len(d.pairing) // 2
+    halves, got, couples = np.count_nonzero(half), len(uv), len(d.pairing) // 2
     complete = n * (n - 1) // 2
     lacks = got - halves != complete - couples
     if d.kind is DrawingKind.COCKTAIL_PARTY:
@@ -571,7 +575,7 @@ def delete_vertex(d: Drawing, v: int,
             f"vertex index must be an integer, got {v!r}") from None
     if not 0 <= v < d.n:
         raise ValueError(f"vertex index {v} out of range")
-    rows = (d.uv != v).all(axis=1)
+    rows = (d.uv[:, 0] != v) & (d.uv[:, 1] != v)
     uv = d.uv[rows]
     pairing = {a - (a > v): b - (b > v) for a, b in d.pairing.items()
                if v not in (a, b)}
@@ -625,8 +629,8 @@ def add_apex(config: AntipodalConfig, asg: HalfCircleAssignment, q,
                   pairing=dict(base_drawing.pairing), provenance=prov,
                   tol=tol)
     pts = np.concatenate([verts, asg.midpoints])
-    if not (_stage_clears(out) and np.all(np.abs(np.einsum(
-            "ij,ij->i", pts, pts) - 1.0) <= tol.norm)):
+    if not (_stage_clears(out) and (np.abs(np.einsum(
+            "ij,ij->i", pts, pts) - 1.0) <= tol.norm).all()):
         # n^2 dets at once: far less memory than the stage's n^3 / 8 bytes
         N, U, V, _, partner = _pack_drawing(base_drawing)
         # triples through an antipodal pair are exempt
@@ -929,7 +933,7 @@ def _vertex_signs(pts: np.ndarray, partner: np.ndarray, key: float):
     posT = np.empty((P, words, P), dtype=np.uint64)
     # the antipodal couples (x, partner[x]), sorted by x: a triple that
     # holds both is masked, as is one with a repeated index
-    xs = np.flatnonzero(partner >= 0)
+    xs = (partner >= 0).nonzero()[0]
     ys, xl = partner[xs], xs.tolist()       # xl for bisect's block bounds
     pair_cross = cross(pts[:, None], pts)
     # the rows [a0, a1) of a block against the columns b >= a0, in one
@@ -998,7 +1002,7 @@ def _drop_vertex_signs(vertex, v: int):
     """
     posT, least = vertex
     n, words = len(posT), posT.shape[1]
-    keep = np.flatnonzero(np.arange(n) != v)
+    keep = (np.arange(n) != v).nonzero()[0]
     out = posT[keep][:, :, keep]
     w, b = divmod(v, 64)
     low = np.uint64((1 << b) - 1)
@@ -1159,7 +1163,9 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     < 0, pos[a,b] & neg[b,c] & pos[a,c], would find each of these arcs
     once more from its other end d, since det(b,d,c) = -det(b,c,d) and
     det(a,d,c) = -det(a,c,d), and nothing else: its count equals this
-    one, so one side suffices.
+    one, so one side suffices.  It is this rule with a and b swapped, so
+    an arc is read in its row's order, tail uv[e, 0] to head uv[e, 1],
+    with no row sort: a row stored either way round counts alike.
     Only pos is packed: neg[a, b] = pos[b, a], as det(b,a,d) =
     -det(a,b,d) (see _vertex_signs).  The bitsets are held
     word-major, posT[a, w, c] = word w of pos[a, c] and negT[a, w, c] =
@@ -1198,14 +1204,14 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
     fault, census = _verdict(d)
     if fault or (signs := _cached_signs(d, tol)[0]) is None or census:
         return None
-    n, uv, half = d.n, d.uv, d.half
-    (lo, hi), ends = np.sort(uv[~half], axis=1).T, uv[half, 0]
+    n, (u, v), half = d.n, d.uv.T, d.half
+    tail, head, ends = u[~half], v[~half], u[half]
     (posT, sides), words = signs, signs[0].shape[1]
     negT = np.ascontiguousarray(posT.transpose(2, 1, 0))
-    per_edge = np.zeros(len(uv), dtype=np.int64)
-    crossed = np.zeros(len(lo), dtype=np.int64)
-    for s0, s1 in row_blocks(len(lo), n * words):
-        a, b = lo[s0:s1], hi[s0:s1]
+    per_edge = np.zeros(len(half), dtype=np.int64)
+    crossed = np.zeros(len(tail), dtype=np.int64)
+    for s0, s1 in row_blocks(len(tail), n * words):
+        a, b = tail[s0:s1], head[s0:s1]
         # neg[a, b] = posT[b, :, a]; its complement is pos[a, b] but at
         # the masked c, where found is empty
         nab = posT[b, :, a]
@@ -1229,8 +1235,8 @@ def _sign_counts(d: Drawing, tol: ToleranceConfig) -> np.ndarray | None:
         below, over, over_h = _pack(bits)
         # arc cd crosses (p, m) iff c is below, d over and det(c,d,p) > 0,
         # or the same with c and d swapped
-        found = (below[lo] & over[hi] & posT[lo, :, hi]
-                 | over[lo] & below[hi] & posT[hi, :, lo])
+        found = (below[tail] & over[head] & posT[tail, :, head]
+                 | over[tail] & below[head] & posT[head, :, tail])
         crossed += np.bitwise_count(found).sum(axis=1, dtype=np.int64)
         # so (p, m) crosses the arcs xy with x below, y over and det(p,x,y)
         # > 0: from each x below, the y in over_h & pos[p, x], as a pair xy
@@ -1322,49 +1328,54 @@ def count_crossings_by_circle_pairs(d: Drawing,
     if d.kind is not DrawingKind.COCKTAIL_PARTY:
         raise ValueError("the circle-pair counter applies to matching-free "
                          "antipodal drawings only")
-    couples = np.array(sorted({tuple(sorted(p)) for p in d.pairing.items()}),
+    couples = np.array(sorted({(a, b) if a < b else (b, a)
+                               for a, b in d.pairing.items()}),
                        dtype=np.int64).reshape(-1, 2)
     cycles = upper_pairs(len(couples))
     ci, cj = cycles.T
-    # ring_u[c] = a, b, -a, -b: cycle c's arcs run from ring_u to ring_v
-    ring_u = d.vertices[couples[cycles].transpose(0, 2, 1).reshape(-1, 4)]
-    ring_v = np.roll(ring_u, -1, axis=1)
-    normals, arc_n = (M / np.linalg.norm(M, axis=-1, keepdims=True) for M in
-                      (cross(ring_u[:, 0], ring_u[:, 1]),
-                       cross(ring_u, ring_v)))
-    # component-major: normals (3, C), wedges (3, 2 wedges, 4 arcs, C)
-    normals = np.ascontiguousarray(normals.T)
-    wedges = np.ascontiguousarray(np.stack(
-        [cross(ring_v, arc_n), cross(arc_n, ring_u)], axis=2).T)
+    # component-major, (3, 4 arcs, C): ring_u[:, :, c] = a, b, -a, -b, and
+    # cycle c's arcs run from ring_u to ring_v
+    ring_u = d.vertices[couples[cycles].transpose(0, 2, 1).reshape(-1, 4)].T
+    ring_v = ring_u[:, [1, 2, 3, 0]]
+    arc_n = np.array(cross3(ring_u, ring_v))
+    # (x0^2 + x1^2) + x2^2, the sum np.linalg.norm takes along a 3-wide axis
+    arc_n /= np.sqrt(dot3(arc_n, arc_n))
+    # normals (3, C), the first arc's, as ring_v[:, 0] = ring_u[:, 1];
+    # wedges (3, 2 wedges, 4 arcs, C)
+    normals = arc_n[:, 0]
+    wedges = np.stack([cross3(ring_v, arc_n), cross3(arc_n, ring_u)], axis=1)
 
     def attribution(X, W):
         """Least |X . w| over one cycle's wedges W, and how many of its arcs
-        hold X and -X strictly: dots(-X) = -dots(X) serves both."""
+        hold X and -X strictly (as uint8): dots(-X) = -dots(X) serves
+        both."""
         D = dot3(X, W)
-        return (np.abs(D).min(axis=(0, 1)), (D > 0.0).all(axis=0).sum(axis=0),
-                (D < 0.0).all(axis=0).sum(axis=0))
+        held = [np.add.reduce(w[0] & w[1], axis=0, dtype=np.uint8)
+                for w in (D > 0.0, D < 0.0)]
+        return np.abs(D, out=D).min(axis=(0, 1)), *held
 
     total = 0
     for r0, r1, c0, c1 in triangle_tiles(len(cycles)):
-        r, c = np.ogrid[r0:r1, c0:c1]
+        upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
+        ir, jr, ic, jc = ci[r0:r1, None], cj[r0:r1, None], ci[c0:c1], cj[c0:c1]
         X = cross3(normals[:, r0:r1, None], normals[:, None, c0:c1])
         nx = np.sqrt(dot3(X, X))
-        same = (c > r) & (nx <= tol.sign)
-        on_i = (ci[r] == ci[c]) | (ci[r] == cj[c])
-        shares = on_i | (cj[r] == ci[c]) | (cj[r] == cj[c])
-        shared, free = (c > r) & ~same & shares, (c > r) & ~same & ~shares
-        at = np.nonzero(shared)
-        axis_ends = d.vertices[couples[np.where(on_i, ci[r], cj[r])[at], 0]]
+        same = upper & (nx <= tol.sign)
+        on_i = (ir == ic) | (ir == jc)
+        shares = on_i | (jr == ic) | (jr == jc)
+        apart = upper & ~same
+        shared, free = apart & shares, apart & ~shares
+        at = shared.nonzero()
+        axis_ends = d.vertices[couples[np.where(on_i, ir, jr)[at], 0]]
         cos = dot3([x[at] / nx[at] for x in X], axis_ends.T)
         axis = np.zeros_like(shared)
         axis[at] = np.abs(np.abs(cos) - 1.0) > tol.general_position
         mags1, in1, out1 = attribution(X, wedges[..., r0:r1, None])
         mags2, in2, out2 = attribution(X, wedges[..., None, c0:c1])
-        refusals = (same, axis, free & (mags1 <= tol.sign * nx),
-                    free & (mags2 <= tol.sign * nx),
-                    free & ((in1 > 1) | (in2 > 1) | (out1 > 1) | (out2 > 1)))
-        bad = np.logical_or.reduce(refusals)
-        if bad.any():
+        dead1, dead2 = mags1 <= tol.sign * nx, mags2 <= tol.sign * nx
+        multi = (in1 > 1) | (in2 > 1) | (out1 > 1) | (out2 > 1)
+        if (bad := same | axis | free & (dead1 | dead2 | multi)).any():
+            refusals = (same, axis, free & dead1, free & dead2, free & multi)
             at = np.unravel_index(int(np.argmax(bad)), bad.shape)
             p, q = r0 + int(at[0]), c0 + int(at[1])
             raise DegenerateConfigurationError(next(m for hit, m in zip(

@@ -115,7 +115,7 @@ def require_unit_rows(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     (np.einsum rounds differently)."""
     P = np.asarray(P, dtype=float)
     bad = ~(np.abs(np.vecdot(P, P) - 1.0) <= tol.norm)
-    for i in np.flatnonzero(bad):
+    for i in bad.nonzero()[0]:
         require_unit(P[i], tol)
     return P
 
@@ -136,7 +136,7 @@ def cross(a, b) -> np.ndarray:
     on, without np.cross's axis set-up."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast(a, b).shape)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0, c1, c2 = out[..., 0], out[..., 1], out[..., 2]
@@ -221,7 +221,7 @@ def has_coplanar_triple(points: np.ndarray, margin: float) -> bool:
     pair_cross = cross(points[ii], points[jj])
     for start, stop in row_blocks(len(ii), n):
         dets = np.abs(pair_cross[start:stop] @ points.T)
-        if np.any(~(dets > margin) & (np.arange(n) > jj[start:stop, None])):
+        if (~(dets > margin) & (np.arange(n) > jj[start:stop, None])).any():
             return True
     return False
 
@@ -304,7 +304,7 @@ def repair_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     M = np.array(M, dtype=float)
-    rows = np.flatnonzero(loose_midpoints(P, M, tol))
+    rows = loose_midpoints(P, M, tol).nonzero()[0]
     if not len(rows):
         # the usual case but for random witnesses; the bulk steps below
         # have a fixed cost several times that of loose_midpoints
@@ -321,7 +321,7 @@ def repair_midpoints(P, M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     p, m, scale = p[:stop], m[:stop], scale[:stop]
     m[scale] /= norm[:stop, None][scale]
     d = np.vecdot(p, m)
-    fix = np.flatnonzero(np.abs(d) > tol.perp)
+    fix = (np.abs(d) > tol.perp).nonzero()[0]
     m[fix] -= d[fix, None] * p[fix]
     nm = np.sqrt(np.vecdot(m[fix], m[fix]))
     parallel = fix[nm <= tol.general_position]

@@ -109,8 +109,8 @@ def _points_usable(pts: np.ndarray, tol: ToleranceConfig) -> bool:
     ii, jj = upper_pairs(len(pts)).T
     for start, stop in row_blocks(len(ii), 3):
         cr = cross(pts[ii[start:stop]], pts[jj[start:stop]])
-        if np.any(np.einsum("ij,ij->i", cr, cr)
-                  <= tol.general_position ** 2):
+        if (np.einsum("ij,ij->i", cr, cr)
+                <= tol.general_position ** 2).any():
             return False
     return (_cached_signs(d, tol)[0] is not None
             or not has_coplanar_triple(pts, tol.general_position))

@@ -1933,3 +1933,56 @@ def test_no_np_cross_and_one_row_checks_only_on_refusals(monkeypatch):
     with pytest.raises(DocumentError, match="zero vector"):
         doc_to_drawing(doc)
     assert len(checked) == 1 and crossed == []
+
+
+@pytest.mark.parametrize("make", ("hill_k6", "points_k20"))
+def test_reversed_arc_rows_still_count_from_signs(make):
+    """Every arc stored as (v, u), half-circles as they were: the sign
+    counter reads each arc in its row's order, with no row sort, and its
+    arc rule counts alike from either end, so it still counts, with the
+    forward drawing's total and per-edge counts and the sweep's."""
+    if make == "hill_k6":
+        d = extend_to_complete(*hill_pairs(6))
+    else:
+        d = complete_drawing_from_points(
+            random_unit_points(20, np.random.default_rng(2025)))
+    back = Drawing(vertices=d.vertices, kind=d.kind,
+                   uv=np.where(d.half[:, None], d.uv, d.uv[:, ::-1]),
+                   midpoints=d.midpoints, pairing=dict(d.pairing), tol=d.tol)
+    arcs = back.uv[~back.half]
+    assert len(arcs) and (arcs[:, 0] > arcs[:, 1]).all()
+    validate_drawing(back)
+    per_edge = drawing_mod._sign_counts(back, back.tol)
+    assert per_edge is not None
+    forward, rep, sweep = (count_crossings(d), count_crossings(back),
+                           _sweep_report(back))
+    assert np.array_equal(per_edge, forward.per_edge)
+    for other in (forward, sweep):
+        assert rep.total == other.total
+        assert np.array_equal(rep.per_edge, other.per_edge)
+        assert np.array_equal(rep.per_vertex, other.per_vertex)
+
+
+@pytest.mark.parametrize("nan_columns", ((0,), (1,), (2,), (0, 2)))
+def test_a_partly_nan_midpoint_row_is_a_half_circle(nan_columns):
+    """Drawing.half reads a row as an arc only where all three components
+    are NaN: a couple's half-circle whose midpoint row is partly NaN is a
+    half-circle with a loose witness, which validation refuses, while an
+    all-NaN row on that couple is an arc, refused as a matching edge."""
+    d = extend_to_complete(*hill_pairs(4))
+    e = int(np.flatnonzero(d.half)[1])
+    u, v = d.uv[e].tolist()
+    for columns, is_half, message in (
+            (list(nan_columns), True,
+             rf"^half-circle edge \({u},{v}\) midpoint is not a unit vector "
+             r"orthogonal to its endpoint$"),
+            ([0, 1, 2], False,
+             rf"^matching edge \({u},{v}\) must be a half-circle$")):
+        mids = d.midpoints.copy()
+        mids[e, columns] = np.nan
+        bad = _fresh(Drawing(vertices=d.vertices, kind=d.kind, uv=d.uv,
+                             midpoints=mids, pairing=dict(d.pairing)))
+        assert bool(bad.half[e]) is is_half
+        assert bad.half.sum() == d.half.sum() - (not is_half)
+        with pytest.raises(ValueError, match=message):
+            validate_drawing(bad)

@@ -147,3 +147,68 @@ def test_main_summarizes_each_repeated_workload(tmp_path, monkeypatch,
     assert [lines[i] for i in heads] == ["workload a:", "workload b:"]
     assert [lines[i + 1].split("change wins ")[1].split()[0]
             for i in heads] == ["2/2", "0/2"]
+
+
+BOUNDED = [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
+            "bound": 0.25},
+           {"name": "op_p50_ms", "unit": "ms", "better": "lower",
+            "bound": 0.25}]
+
+
+def _pairs(ops, p50):
+    return [({"ops_per_s": po, "op_p50_ms": pp},
+             {"ops_per_s": co, "op_p50_ms": cp})
+            for (po, co), (pp, cp) in zip(ops, p50)]
+
+
+def test_gain_rule_holds_for_nine_wins_beyond_the_spread():
+    """Ten pairs: the change is faster in nine, by more than the parent's
+    interquartile spread, and slower in one.  op_p50_ms is 30% worse in
+    the median, beyond its 25% bound; ops_per_s is better, so within."""
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5, 100.0,
+              100.0]
+    ops = [(p, p + 10.0) for p in parent[:9]] + [(parent[9], 95.0)]
+    p50 = [(10.0, 13.0)] * 10
+    rows = {r["name"]: r
+            for r in bench_pairs.summarize(_pairs(ops, p50), BOUNDED)}
+    assert rows["ops_per_s"]["wins"] == 9
+    assert rows["ops_per_s"]["gain"] is True
+    assert rows["ops_per_s"]["beyond_bound"] is False
+    assert rows["op_p50_ms"]["gain"] is False
+    assert rows["op_p50_ms"]["beyond_bound"] is True
+    text = bench_pairs.format_rows(list(rows.values())).splitlines()
+    assert text[1] == ("  change worse than the parent by more than its "
+                       "bound of 25%: no")
+    assert text[3] == ("  change worse than the parent by more than its "
+                       "bound of 25%: yes")
+    assert text[-1] == (
+        "gain rule (the change wins at least 9/10 of the pairs and its "
+        "median is better by more than the parent's spread): "
+        "ops_per_s yes, op_p50_ms no")
+
+
+def test_gain_rule_fails_on_eight_wins_or_inside_the_spread():
+    """Eight wins of ten fail the rule even far beyond the spread; ten
+    wins fail it when the medians differ by less than the spread.  A
+    change 20% slower is within a 25% bound."""
+    parent = [90.0, 110.0, 95.0, 105.0, 100.0, 100.0, 92.0, 108.0, 97.0,
+              103.0]
+    eight = ([(p, p + 50.0) for p in parent[:8]]
+             + [(p, p - 1.0) for p in parent[8:]])
+    ten = [(p, p + 1.0) for p in parent]
+    p50 = [(10.0, 12.0)] * 10
+    for ops, wins in ((eight, 8), (ten, 10)):
+        rows = {r["name"]: r
+                for r in bench_pairs.summarize(_pairs(ops, p50), BOUNDED)}
+        assert rows["ops_per_s"]["wins"] == wins
+        assert rows["ops_per_s"]["gain"] is False
+        assert rows["op_p50_ms"]["beyond_bound"] is False
+        assert bench_pairs.format_rows(list(rows.values())).splitlines()[
+            -1].endswith("ops_per_s no, op_p50_ms no")
+
+
+def test_rows_without_a_bound_print_no_bound_line():
+    pairs = _pairs([(1.0, 2.0)], [(1.0, 1.0)])
+    rows = bench_pairs.summarize(pairs, METRICS)
+    assert [r["beyond_bound"] for r in rows] == [None, None]
+    assert len(bench_pairs.format_rows(rows).splitlines()) == 3

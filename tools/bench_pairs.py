@@ -19,6 +19,11 @@ every end-to-end metric of BENCHMARK.json (next to this script's
 directory), each side's median and quartiles over the pairs, the pairs
 the change won in the metric's better direction (a tie counts for
 neither side), and whether the medians differ by more than the parent's
+interquartile spread; on the next line, whether the change's median is
+worse than the parent's by more than the metric's ``bound``, a fraction
+of the parent's median.  One last line gives the gain rule's verdict for
+each metric: the change wins at least 9 in 10 of the pairs, and its
+median is better than the parent's by more than the parent's
 interquartile spread.  A run whose result line is not correct is named.
 """
 
@@ -35,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def end_to_end_metrics() -> list[dict]:
-    """BENCHMARK.json's end-to-end metrics: name, unit and better."""
+    """BENCHMARK.json's end-to-end metrics: name, unit, better, bound."""
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
@@ -59,24 +64,39 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]
               ) -> list[dict]:
     """Per metric, from (parent, change) metric dicts of each pair: both
-    sides' quartiles, the change's wins and whether the medians differ by
-    more than the parent's interquartile spread."""
+    sides' quartiles, the change's wins, whether the medians differ by
+    more than the parent's interquartile spread, and, for a metric with a
+    ``bound``, whether the change's median is worse than the parent's by
+    more than bound times the parent's median (None without a bound).
+    ``gain`` is the gain rule: wins in at least 9 of 10 pairs, and a
+    median better than the parent's by more than the spread."""
     rows = []
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         pq, cq = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        gained = sign * (cq[1] - pq[1])
+        bound = m.get("bound")
         rows.append({
             "name": name, "unit": m["unit"], "parent": pq, "change": cq,
-            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "pairs": len(pairs),
-            "beyond_spread": abs(cq[1] - pq[1]) > pq[2] - pq[0]})
+            "wins": wins, "pairs": len(pairs),
+            "beyond_spread": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+            "bound": bound,
+            "beyond_bound": (None if bound is None
+                             else -gained > bound * abs(pq[1])),
+            "gain": 10 * wins >= 9 * len(pairs) and gained > pq[2] - pq[0]})
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
-    """One line per metric: medians [quartiles] of both sides, wins."""
+    """One line per metric: medians [quartiles] of both sides, wins; for a
+    metric with a bound, a line whether the change is worse beyond it;
+    then one line with each metric's gain-rule verdict."""
+    def yes(x):
+        return "yes" if x else "no"
+
     lines = []
     for r in rows:
         (p1, p2, p3), (c1, c2, c3) = r["parent"], r["change"]
@@ -84,7 +104,14 @@ def format_rows(rows: list[dict]) -> str:
             f"{r['name']} ({r['unit']}): parent {p2:.4g} [{p1:.4g}, {p3:.4g}]"
             f"  change {c2:.4g} [{c1:.4g}, {c3:.4g}]  change wins "
             f"{r['wins']}/{r['pairs']}  medians differ by more than the "
-            f"parent's spread: {'yes' if r['beyond_spread'] else 'no'}")
+            f"parent's spread: {yes(r['beyond_spread'])}")
+        if r["bound"] is not None:
+            lines.append(f"  change worse than the parent by more than its "
+                         f"bound of {r['bound']:.0%}: "
+                         f"{yes(r['beyond_bound'])}")
+    lines.append("gain rule (the change wins at least 9/10 of the pairs and "
+                 "its median is better by more than the parent's spread): "
+                 + ", ".join(f"{r['name']} {yes(r['gain'])}" for r in rows))
     return "\n".join(lines)
 
 
